@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -28,6 +30,17 @@ def _pair_int(a: int, b: int, g: int) -> int:
 
 def _q0_int(v: int, g: int) -> int:
     return (v & (v >> g) & ((1 << g) - 1)).bit_count() & 1
+
+
+def _pair_arr(a: np.ndarray, b: np.ndarray, g: int) -> np.ndarray:
+    """_pair_int elementwise over broadcast integer mask arrays."""
+    return np.bitwise_count(((a & (b >> g)) ^ ((a >> g) & b))
+                            & ((1 << g) - 1)) & 1
+
+
+def _q0_arr(v: np.ndarray, g: int) -> np.ndarray:
+    """_q0_int elementwise over an integer mask array."""
+    return np.bitwise_count(v & (v >> g) & ((1 << g) - 1)) & 1
 
 
 def _swap_halves(v: int, g: int) -> int:

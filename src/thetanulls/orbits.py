@@ -12,6 +12,15 @@ noncommuting pairs:
 Changing the base can swap n between 1 and 2 but never crosses these
 buckets, so the class is well defined; delta_parities gives the matching
 parity signature and classify_by_delta the cross-check classifier.
+
+A single Quadruple is classified on the scalar int-mask kernel.  Bulk
+callers use the batched path over (n, 4) numpy arrays of characteristic
+masks: classify_array and classify_by_delta_array, the sampler
+random_quadruples, and all_quadruples, which census and census_report
+classify in one array pass.  orbit_bfs keys each node, a sorted 4-subset of
+indices into the even characteristics, by its colex rank, so its visited set
+is a boolean array over all C(#even, 4) subsets, and it expands the frontier
+one transvection at a time, vectorised over the frontier.
 """
 
 from __future__ import annotations
@@ -19,11 +28,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .f2core import F2Vector, SymplecticMap, _pair_int, _q0_int, _rank_int, serial_key
-from .quadforms import _transvect_char_int, act_on_char, parity
+from .f2core import (F2Vector, SymplecticMap, _pair_arr, _pair_int, _q0_arr,
+                     _q0_int, _rank_int, serial_key)
+from .quadforms import _transvect_char_arr, act_on_char, parity
 
 
 class OrbitClass(enum.Enum):
@@ -80,10 +93,12 @@ class Quadruple:
         if not isinstance(data, dict) or set(data) != {"g", "chars"}:
             raise MalformedInputError('quadruple JSON needs exactly "g" and "chars"')
         g, chars = data["g"], data["chars"]
-        if not isinstance(g, int) or not isinstance(chars, list):
+        if type(g) is not int or not isinstance(chars, list):
             raise MalformedInputError("bad quadruple JSON field types")
         if any(not isinstance(c, list) or len(c) != 2 * g for c in chars):
             raise MalformedInputError("characteristic arrays must have length 2g")
+        if any(type(b) is not int or b not in (0, 1) for c in chars for b in c):
+            raise MalformedInputError("characteristic entries must be 0 or 1")
         return cls(g, tuple(F2Vector.from_list(c) for c in chars))
 
 
@@ -171,13 +186,132 @@ def apply_map(q: Quadruple, m: SymplecticMap) -> Quadruple:
 
 _BFS_MAX_G = 3
 
+# Batched path: quadruples as rows of an (n, 4) integer array of
+# characteristic masks, classes as codes indexing _CLASSES.  The
+# single-quadruple functions above stay scalar, since one numpy call costs
+# more than a whole scalar classification.
+_CLASSES = tuple(OrbitClass)
 
-def _transvection_tables(g: int) -> list[list[int] | None]:
-    n = 1 << (2 * g)
-    tables: list[list[int] | None] = [None] * n
-    for v in range(1, n):
-        tables[v] = [_transvect_char_int(v, k, g) for k in range(n)]
-    return tables
+
+def _even_masks(g: int) -> np.ndarray:
+    """The even characteristic masks of genus g, ascending."""
+    v = np.arange(1 << (2 * g), dtype=np.int64)
+    return v[_q0_arr(v, g) == 0]
+
+
+def _differences_arr(ks: np.ndarray, base: int) -> np.ndarray:
+    """(3, n) array of the rows' differences k_i + k_base, i != base (0-based
+    columns, in column order)."""
+    others = [i for i in range(4) if i != base]
+    return (ks[:, others] ^ ks[:, base:base + 1]).T
+
+
+def _independent_arr(a1: np.ndarray, a2: np.ndarray,
+                     a3: np.ndarray) -> np.ndarray:
+    # three vectors span dimension 3 iff no nonempty subset sums to zero
+    return ((a1 != 0) & (a2 != 0) & (a3 != 0) & (a1 != a2) & (a1 != a3)
+            & (a2 != a3) & ((a1 ^ a2 ^ a3) != 0))
+
+
+def classify_array(ks: np.ndarray, g: int, base: int = 3) -> np.ndarray:
+    """classify over an (n, 4) array of distinct even characteristic masks,
+    reading the differences from the 0-based column base.
+
+    Returns uint8 codes, code i standing for the i-th OrbitClass (A1..A4).
+    """
+    a1, a2, a3 = _differences_arr(ks, base)
+    n = _pair_arr(a1, a2, g) + _pair_arr(a1, a3, g) + _pair_arr(a2, a3, g)
+    codes = 1 + (n > 0) + (n == 3)
+    return np.where(_independent_arr(a1, a2, a3), codes, 0).astype(np.uint8)
+
+
+def classify_by_delta_array(ks: np.ndarray, g: int) -> np.ndarray:
+    """classify_by_delta over an (n, 4) mask array (base = column 4), as
+    codes like classify_array's; the cross-check of classify_array."""
+    a1, a2, a3 = _differences_arr(ks, 3)
+    p12 = _pair_arr(a1, a2, g)
+    p13 = _pair_arr(a1, a3, g)
+    p23 = _pair_arr(a2, a3, g)
+    odd = p23 + p13 + p12 + (p12 ^ p13 ^ p23)
+    if np.any(odd & 1):
+        raise AssertionError("impossible parity signature with an odd "
+                             "number of even deltas")
+    codes = 1 + odd // 2
+    return np.where(_independent_arr(a1, a2, a3), codes, 0).astype(np.uint8)
+
+
+def random_quadruples(g: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniform quadruples of distinct even characteristics, as an (n, 4)
+    mask array: indices into the even masks, rows with a repeated index
+    redrawn until none is left."""
+    evens = _even_masks(g)
+    if len(evens) < 4:
+        raise DomainError(f"genus {g} has fewer than 4 even characteristics")
+    idx = rng.integers(len(evens), size=(n, 4))
+    while True:
+        srt = np.sort(idx, axis=1)
+        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        if not len(bad):
+            return evens[idx]
+        idx[bad] = rng.integers(len(evens), size=(len(bad), 4))
+
+
+def all_quadruples(g: int) -> np.ndarray:
+    """Every quadruple of distinct even characteristics once, as an
+    (C(#even, 4), 4) mask array; rows ascending, in lexicographic order."""
+    if g > _BFS_MAX_G:
+        raise ResourceCapError(f"census supports g <= {_BFS_MAX_G}, got {g}")
+    evens = _even_masks(g)
+    n = len(evens)
+    idx = np.fromiter(combinations(range(n), 4),
+                      dtype=np.dtype((np.int64, 4)), count=comb(n, 4))
+    return evens[idx]
+
+
+_SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network
+
+
+def _orbit(start: Sequence[int], g: int) -> np.ndarray:
+    """Mask rows of the transvection orbit of one quadruple of even masks.
+
+    A node is a sorted 4-subset of indices into the even masks, keyed by
+    its colex rank, so the visited set is a boolean array over all
+    C(#even, 4) subsets.  Each level expands the whole frontier by one
+    transvection at a time: doing all of them at once multiplies peak
+    memory by their number without being faster.
+    """
+    evens = _even_masks(g)
+    index_of = np.full(1 << (2 * g), -1, dtype=np.int64)
+    index_of[evens] = np.arange(len(evens))
+    vs = np.arange(1, 1 << (2 * g), dtype=np.int64)
+    # steps[v - 1, i]: index of the image of evens[i] under T_v
+    steps = index_of[_transvect_char_arr(vs[:, None], evens[None, :], g)]
+    if np.any(steps < 0):
+        raise AssertionError("a transvection moved an even characteristic "
+                             "to an odd one")
+    # colex rank of c0 < c1 < c2 < c3: sum_j binom[j, c_j] = C(c_j, j + 1)
+    binom = np.array([[comb(x, j + 1) for x in range(len(evens))]
+                      for j in range(4)], dtype=np.int64)
+    seen = np.zeros(comb(len(evens), 4), dtype=bool)
+    # the frontier holds one sorted node per column
+    frontier = np.sort(index_of[np.asarray(start, dtype=np.int64)])[:, None]
+    seen[sum(b[c] for b, c in zip(binom, frontier))] = True
+    visited = [frontier]
+    while frontier.shape[1]:
+        found = [np.empty((4, 0), dtype=np.int64)]
+        for step in steps:
+            x = list(step[frontier])
+            for i, j in _SORT4:
+                x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
+            rank = sum(b[c] for b, c in zip(binom, x))
+            new = np.flatnonzero(~seen[rank])
+            if len(new):
+                rank, first = np.unique(rank[new], return_index=True)
+                seen[rank] = True
+                found.append(np.stack(x)[:, new[first]])
+        frontier = np.concatenate(found, axis=1)
+        visited.append(frontier)
+    return evens[np.concatenate(visited, axis=1).T]
 
 
 def orbit_bfs(q: Quadruple) -> set[Quadruple]:
@@ -186,34 +320,15 @@ def orbit_bfs(q: Quadruple) -> set[Quadruple]:
     g = q.g
     if g > _BFS_MAX_G:
         raise ResourceCapError(f"orbit_bfs supports g <= {_BFS_MAX_G}, got {g}")
-    tables = _transvection_tables(g)
-    start = tuple(sorted(k.bits for k in q.chars))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for tab in tables[1:]:
-                moved = tuple(sorted((tab[k] for k in node)))
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return {Quadruple(g, tuple(F2Vector(g, k) for k in node)) for node in seen}
-
-
-def _even_char_bits(g: int) -> list[int]:
-    return [k for k in range(1 << (2 * g)) if _q0_int(k, g) == 0]
+    rows = _orbit([k.bits for k in q.chars], g)
+    return {Quadruple(g, tuple(F2Vector(g, k) for k in row))
+            for row in rows.tolist()}
 
 
 def census(g: int) -> dict[OrbitClass, int]:
     """Class counts over every 4-subset of the even characteristics."""
-    if g > _BFS_MAX_G:
-        raise ResourceCapError(f"census supports g <= {_BFS_MAX_G}, got {g}")
-    counts = {c: 0 for c in OrbitClass}
-    for ks in combinations(_even_char_bits(g), 4):
-        counts[_classify_ints(ks, g, 3)] += 1
-    return counts
+    counts = np.bincount(classify_array(all_quadruples(g), g), minlength=4)
+    return dict(zip(_CLASSES, counts.tolist()))
 
 
 def census_report(g: int) -> dict:
@@ -223,29 +338,20 @@ def census_report(g: int) -> dict:
     representative found has exactly the class count, so each class is one
     symplectic orbit and the orbits partition the quadruple space.
     """
-    if g > _BFS_MAX_G:
-        raise ResourceCapError(f"census supports g <= {_BFS_MAX_G}, got {g}")
-    counts = {c: 0 for c in OrbitClass}
-    reps: dict[OrbitClass, tuple[int, int, int, int]] = {}
-    for ks in combinations(_even_char_bits(g), 4):
-        cls = _classify_ints(ks, g, 3)
-        counts[cls] += 1
-        reps.setdefault(cls, ks)
-    consistent = True
-    orbit_sizes: dict[str, int] = {}
-    for cls, rep in sorted(reps.items(), key=lambda kv: kv[0].value):
-        quad = Quadruple(g, tuple(F2Vector(g, k) for k in rep))
-        size = len(orbit_bfs(quad))
-        orbit_sizes[cls.value] = size
-        if size != counts[cls]:
-            consistent = False
-    total = sum(counts.values())
+    quads = all_quadruples(g)
+    labels = classify_array(quads, g)
+    counts = np.bincount(labels, minlength=4).tolist()
+    orbit_sizes = {cls.value: len(_orbit(quads[np.argmax(labels == code)], g))
+                   for code, cls in enumerate(_CLASSES) if counts[code]}
     return {
         "g": g,
-        "counts": {c.value: counts[c] for c in OrbitClass},
-        "total": total,
+        "counts": {cls.value: counts[code]
+                   for code, cls in enumerate(_CLASSES)},
+        "total": sum(counts),
         "orbit_sizes": orbit_sizes,
-        "orbit_consistent": consistent,
+        "orbit_consistent": all(orbit_sizes[cls.value] == counts[code]
+                                for code, cls in enumerate(_CLASSES)
+                                if counts[code]),
     }
 
 

@@ -10,11 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
+import numpy as np
+
 from .errors import DomainError
 from .f2core import (
     F2Vector,
     SymplecticMap,
+    _pair_arr,
     _pair_int,
+    _q0_arr,
     _q0_int,
     q0,
     symplectic_pairing,
@@ -103,6 +107,11 @@ def _transvect_char_int(v: int, k: int, g: int) -> int:
     # q_k(v) = q0(v) + <k, v>; fast path for orbit enumeration
     qv = _q0_int(v, g) ^ _pair_int(k, v, g)
     return k if qv else k ^ v
+
+
+def _transvect_char_arr(v: np.ndarray, k: np.ndarray, g: int) -> np.ndarray:
+    """_transvect_char_int elementwise over broadcast mask arrays."""
+    return np.where(_q0_arr(v, g) ^ _pair_arr(k, v, g), k, k ^ v)
 
 
 def induced_form(parity_oracle: Callable[[T], int], base: T,

@@ -31,6 +31,20 @@ _MAX_TERMS = 5_000_000
 _COND_CAP = 1e12
 
 
+def _checked_array(name: str, value, kinds: str, what: str) -> np.ndarray:
+    """value as a numpy array whose dtype kind is one of kinds ("i" int,
+    "f" float), with no cast: ragged nesting and entries of another type
+    (booleans and strings included) are malformed input."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise MalformedInputError(f"{name} is not a rectangular array") \
+            from exc
+    if arr.dtype.kind not in kinds:
+        raise MalformedInputError(f"{name} entries must be {what}")
+    return arr
+
+
 class SiegelMatrix:
     """Symmetric complex g x g matrix with positive definite imaginary
     part; symmetrized on input, lambda_min cached."""
@@ -71,9 +85,9 @@ class SiegelMatrix:
             raise MalformedInputError(
                 'SiegelMatrix JSON needs exactly "g", "re", "im"')
         g = data["g"]
-        re = np.asarray(data["re"], dtype=np.float64)
-        im = np.asarray(data["im"], dtype=np.float64)
-        if re.shape != (g, g) or im.shape != (g, g):
+        re = _checked_array("re", data["re"], "if", "numbers")
+        im = _checked_array("im", data["im"], "if", "numbers")
+        if type(g) is not int or re.shape != (g, g) or im.shape != (g, g):
             raise MalformedInputError("re/im must be g x g arrays")
         return cls(re + 1j * im)
 
@@ -87,7 +101,8 @@ class IntSymplectic:
     def __init__(self, a, b, c, d) -> None:
         blocks = []
         for name, blk in (("A", a), ("B", b), ("C", c), ("D", d)):
-            arr = np.asarray(blk, dtype=np.int64)
+            arr = _checked_array(f"block {name}", blk, "i",
+                                 "integers").astype(np.int64, copy=False)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise MalformedInputError(f"block {name} must be square")
             blocks.append(arr)

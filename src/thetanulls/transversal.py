@@ -50,7 +50,7 @@ class NodeSet:
         if not isinstance(data, dict) or set(data) != {"g", "nodes"}:
             raise MalformedInputError('NodeSet JSON needs exactly "g" and "nodes"')
         g, nodes = data["g"], data["nodes"]
-        if not isinstance(g, int) or not isinstance(nodes, list):
+        if type(g) is not int or not isinstance(nodes, list):
             raise MalformedInputError("bad NodeSet JSON field types")
         try:
             vals = tuple(Fraction(str(x)) for x in nodes)

@@ -1,9 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from thetanulls import cli, verify
 from thetanulls.cli import main
 
 
@@ -149,6 +151,46 @@ class TestOtherSubcommands:
         assert [w["expected"] for w in rep["witnesses"]] == \
             ["A1", "A2", "A3", "A4"]
 
+    def test_bielliptic_failing_witness_exits_1(self, capsys, monkeypatch):
+        rows = [{"expected": "A1", "got": "A2", "ok": False}]
+        monkeypatch.setattr(cli, "verify_witnesses", lambda: rows)
+        code, rep = run_json(capsys, ["bielliptic", "verify"])
+        assert code == 1
+        assert rep["all_ok"] is False
+
+    def test_non_finite_report_exits_3(self, capsys, monkeypatch):
+        rows = [{"ok": True, "value": float("nan")}]
+        monkeypatch.setattr(cli, "verify_witnesses", lambda: rows)
+        code, out, err = run_cli(capsys, ["bielliptic", "verify"])
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
+
+def _timing_criterion(number, ok):
+    def criterion(seed=0):
+        return {"criterion": number, "name": f"stub {number}", "pass": ok}
+    return criterion
+
+
+class TestVerifyAll:
+    def test_one_stderr_line_per_criterion(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CRITERIA", [_timing_criterion(1, True),
+                                                 _timing_criterion(2, False)])
+        code, out, err = run_cli(capsys, ["verify-all", "--seed", "7"])
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert re.fullmatch(r"criterion  1 stub 1: pass \(\d+\.\d\ds\)",
+                            lines[0])
+        assert re.fullmatch(r"criterion  2 stub 2: FAIL \(\d+\.\d\ds\)",
+                            lines[1])
+        rep = json.loads(out)
+        assert rep["seed"] == 7
+        assert rep["all_pass"] is False
+        assert [c["criterion"] for c in rep["criteria"]] == [1, 2]
+        assert rep == {**verify.run_all(7), "config": rep["config"]}
+
 
 class TestTheta:
     def test_eval(self, capsys, tmp_path):
@@ -180,6 +222,35 @@ class TestTheta:
         code, rep = run_json(capsys, ["theta", "split", "--input", str(path)])
         assert code == 0
         assert rep["pass"] is True
+
+    def test_transform_non_integral_block_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[1.5]], "B": [[0]], "C": [[0]], "D": [[1]]},
+             "z": {"g": 1, "re": [[0.3]], "im": [[1.2]]}, "k": [1, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "transform",
+                                          "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "block A" in err
+
+    @pytest.mark.parametrize("blocks", [[5], [None], ["z"]])
+    def test_split_block_not_an_object_exits_2(self, capsys, tmp_path,
+                                               blocks):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"blocks": blocks}))
+        code, _, _ = run_cli(capsys, ["theta", "split", "--input", str(path)])
+        assert code == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-1e-3"])
+    def test_eps_must_be_finite_positive(self, capsys, tmp_path, eps):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"z": {"g": 1, "re": [[0.0]], "im": [[1.0]]}, "k": [0, 0]}))
+        code, out, _ = run_cli(capsys, ["theta", "eval", "--input", str(path),
+                                        f"--eps={eps}"])
+        assert code == 2
+        assert out == ""
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, ["theta", "eval", "--input",

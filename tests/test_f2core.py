@@ -3,11 +3,16 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from thetanulls.errors import DomainError
 from thetanulls.f2core import (
     F2Vector,
+    _pair_arr,
+    _pair_int,
+    _q0_arr,
+    _q0_int,
     SymplecticMap,
     basis_e,
     basis_f,
@@ -23,6 +28,16 @@ from thetanulls.f2core import (
 
 def all_vectors(g):
     return [F2Vector(g, b) for b in range(1 << (2 * g))]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 6])
+def test_array_kernel_matches_scalar_kernel(g):
+    rng = np.random.default_rng(g)
+    a = rng.integers(1 << (2 * g), size=400)
+    b = rng.integers(1 << (2 * g), size=400)
+    assert _pair_arr(a, b, g).tolist() == \
+        [_pair_int(x, y, g) for x, y in zip(a.tolist(), b.tolist())]
+    assert _q0_arr(a, g).tolist() == [_q0_int(x, g) for x in a.tolist()]
 
 
 def test_vector_roundtrip():

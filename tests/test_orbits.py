@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
@@ -9,17 +10,24 @@ from thetanulls.f2core import F2Vector, basis_e, basis_f, transvection
 from thetanulls.orbits import (
     OrbitClass,
     Quadruple,
+    all_quadruples,
     apply_map,
     census,
     census_report,
     classify,
+    classify_array,
     classify_by_delta,
+    classify_by_delta_array,
     delta_parities,
     differences,
     orbit_bfs,
     random_quadruple,
+    random_quadruples,
 )
-from thetanulls.quadforms import QuadraticForm, evaluate
+from thetanulls.quadforms import (QuadraticForm, _transvect_char_int,
+                                  evaluate, parity)
+
+CLASSES = list(OrbitClass)
 
 
 def quad(g, *bits):
@@ -112,16 +120,51 @@ def test_delta_multiset_base_independent():
 
 
 def test_classifiers_agree_exhaustive_g2():
-    from itertools import combinations
-    from thetanulls.orbits import _even_char_bits
-    evens = _even_char_bits(2)
-    assert len(evens) == 10
-    seen = 0
-    for ks in combinations(evens, 4):
+    quads = all_quadruples(2)
+    assert quads.shape == (210, 4)
+    assert len({frozenset(row) for row in quads.tolist()}) == 210
+    for ks in quads.tolist():
         q = quad(2, *ks)
         assert classify(q) == classify_by_delta(q)
-        seen += 1
-    assert seen == 210
+
+
+def _assert_batched_matches_scalar(ks, g):
+    label = classify_array(ks, g)
+    delta = classify_by_delta_array(ks, g)
+    for base in range(3):
+        assert np.array_equal(classify_array(ks, g, base), label)
+    for row, code, dcode in zip(ks.tolist(), label, delta):
+        q = quad(g, *row)
+        assert CLASSES[code] == classify(q)
+        assert CLASSES[dcode] == classify_by_delta(q)
+
+
+def test_batched_classifiers_match_scalar_exhaustive_g2():
+    _assert_batched_matches_scalar(all_quadruples(2), 2)
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_batched_classifiers_match_scalar_sampled(g):
+    ks = random_quadruples(g, 500, np.random.default_rng(100 + g))
+    _assert_batched_matches_scalar(ks, g)
+    # the reordered rows classify alike
+    perm = np.random.default_rng(g).permuted(ks, axis=1)
+    assert np.array_equal(classify_array(perm, g), classify_array(ks, g))
+
+
+@pytest.mark.parametrize("g", [2, 3, 6])
+def test_random_quadruples_rows_distinct_even_in_range(g):
+    ks = random_quadruples(g, 3000, np.random.default_rng(g))
+    assert ks.shape == (3000, 4)
+    assert ks.min() >= 0 and ks.max() < 1 << (2 * g)
+    for row in ks.tolist():
+        assert len(set(row)) == 4
+        assert all(parity(F2Vector(g, k)) == 0 for k in row)
+
+
+def test_random_quadruples_needs_four_even_characteristics():
+    with pytest.raises(DomainError):
+        random_quadruples(1, 1, np.random.default_rng(0))
 
 
 def test_classifiers_agree_random_g6():
@@ -152,6 +195,47 @@ def test_orbit_bfs_contains_start_and_guard():
         orbit_bfs(random_quadruple(4, random.Random(0)))
 
 
+def _orbit_by_tuple_keys(q):
+    """Reference orbit: closure under the transvection char action, keyed
+    by sorted tuples."""
+    g = q.g
+    start = tuple(sorted(k.bits for k in q.chars))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for v in range(1, 1 << (2 * g)):
+                moved = tuple(sorted(_transvect_char_int(v, k, g)
+                                     for k in node))
+                if moved not in seen:
+                    seen.add(moved)
+                    nxt.append(moved)
+        frontier = nxt
+    return {quad(g, *node) for node in seen}
+
+
+def test_orbit_bfs_matches_tuple_keyed_reference_g2():
+    quads = all_quadruples(2)
+    labels = classify_array(quads, 2)
+    for code in np.unique(labels):
+        q = quad(2, *quads[np.argmax(labels == code)].tolist())
+        assert orbit_bfs(q) == _orbit_by_tuple_keys(q)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_orbit_bfs_sizes_equal_census_counts(g):
+    counts = census(g)
+    quads = all_quadruples(g)
+    labels = classify_array(quads, g)
+    for code, cls in enumerate(CLASSES):
+        if counts[cls]:
+            q = quad(g, *quads[np.argmax(labels == code)].tolist())
+            orbit = orbit_bfs(q)
+            assert len(orbit) == counts[cls]
+            assert {classify(p) for p in orbit} == {cls}
+
+
 def test_census_g2_counts():
     counts = census(2)
     assert counts == {OrbitClass.A1: 15, OrbitClass.A2: 0,
@@ -176,3 +260,7 @@ def test_census_g3_counts():
 def test_census_guard():
     with pytest.raises(ResourceCapError):
         census(4)
+    with pytest.raises(ResourceCapError):
+        census_report(4)
+    with pytest.raises(ResourceCapError):
+        all_quadruples(4)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from thetanulls.errors import DomainError
@@ -14,6 +15,7 @@ from thetanulls.f2core import (
 )
 from thetanulls.quadforms import (
     QuadraticForm,
+    _transvect_char_arr,
     _transvect_char_int,
     act_on_char,
     act_on_form,
@@ -180,6 +182,16 @@ def test_transvect_char_int_matches_act_on_char():
         k = rng.randrange(1 << (2 * g))
         moved = act_on_char(transvection(F2Vector(g, v)), F2Vector(g, k))
         assert moved.bits == _transvect_char_int(v, k, g)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_transvect_char_arr_matches_scalar_exhaustive(g):
+    n = 1 << (2 * g)
+    v = np.arange(1, n)[:, None]
+    k = np.arange(n)[None, :]
+    assert _transvect_char_arr(v, k, g).tolist() == \
+        [[_transvect_char_int(x, y, g) for y in range(n)]
+         for x in range(1, n)]
 
 
 def test_induced_form_recovers_evaluation_on_quad_torsor():
