@@ -48,62 +48,55 @@ def _swap_halves(v: int, g: int) -> int:
     return ((v & m) << g) | ((v >> g) & m)
 
 
-def _transvect_int(v: int, x: int, g: int) -> int:
-    # T_v(x) = x + <x, v> v
-    return x ^ (v if _pair_int(x, v, g) else 0)
-
-
 def _rank_int(rows: Iterable[int]) -> int:
-    rank = 0
-    echelon: list[int] = []
-    for row in rows:
-        for piv in echelon:
-            if row & (piv & -piv):
-                row ^= piv
-        if row:
-            echelon.append(row)
-            echelon.sort(key=lambda r: r & -r)
-            rank += 1
-    return rank
+    rows = list(rows)
+    n = max(rows, default=0).bit_length()
+    return n - len(_solve_f2(rows, [0] * len(rows), n)[1])
 
 
-def _solve_f2(eq_rows: Sequence[int], rhs_bits: Sequence[int],
-              n: int) -> tuple[int, list[int]] | None:
-    """Solve <row_i, z> = rhs_i over GF(2) for z in F_2^n.
+def _solve_f2(eq_rows: Sequence[int], rhs: Sequence[int], n: int,
+              k: int = 1) -> tuple[list[int], list[int]] | None:
+    """Solve k systems <row_i, z> = bit s of rhs[i] (s < k) over GF(2) for
+    z in F_2^n; the systems share their rows, so rhs[i] is a k-bit mask.
 
-    Each equation reads popcount(row & z) = rhs (mod 2).  Returns a
-    particular solution and a nullspace basis, or None if inconsistent.
+    Each equation reads popcount(row & z) = rhs (mod 2).  Returns one
+    particular solution per system and a basis of the common nullspace,
+    or None if some system is inconsistent.
     """
-    rows = list(eq_rows)
-    rhs = list(rhs_bits)
-    pivots: dict[int, int] = {}  # column -> row index after reduction
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
-        if p is None:
+    # reduced echelon form: each row keeps its lowest bit as its pivot, and
+    # no other row has that bit
+    ech: list[tuple[int, int, int]] = []  # (pivot bit, row, rhs)
+    for row, b in zip(eq_rows, rhs):
+        for p, prow, pb in ech:
+            if row & p:
+                row ^= prow
+                b ^= pb
+        if not row:
+            if b:
+                return None
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-                rhs[i] ^= rhs[r]
-        pivots[c] = r
-        r += 1
-    if any(rhs[i] for i in range(r, len(rows))):
-        return None
-    particular = 0
-    for c, i in pivots.items():
-        if rhs[i]:
-            particular |= 1 << c
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = 1 << fc
-        for c, i in pivots.items():
-            if (rows[i] >> fc) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return particular, basis
+        p = row & -row
+        for i, (q, qrow, qb) in enumerate(ech):
+            if qrow & p:
+                ech[i] = (q, qrow ^ row, qb ^ b)
+        ech.append((p, row, b))
+    particular = [0] * k
+    free = (1 << n) - 1
+    for p, _, b in ech:
+        free &= ~p
+        for s in range(k):
+            if (b >> s) & 1:
+                particular[s] |= p
+    null = []
+    while free:
+        f = free & -free
+        free ^= f
+        v = f
+        for p, prow, _ in ech:
+            if prow & f:
+                v |= p
+        null.append(v)
+    return particular, null
 
 
 # ---------------------------------------------------------------------------
@@ -329,150 +322,6 @@ def transvection(v: F2Vector) -> SymplecticMap:
 # Witt extension
 
 
-def _pinned_chain(s: int, t: int, pinned: Sequence[int],
-                  g: int) -> list[int] | None:
-    """Chain of at most two q0-nonsingular transvection vectors sending s
-    to t while fixing every pinned vector.  None if no such chain exists.
-
-    For the two-step chain through a midpoint w the quadratic conditions
-    q0(s+w) = q0(w+t) = 1 reduce, given <s,w> = <w,t> = 1 and the
-    polarization identity q0(x+y) = q0(x) + q0(y) + <x,y>, to the single
-    condition q0(w) = q0(s) = q0(t).
-    """
-    if s == t:
-        return []
-    u = s ^ t
-    if _pair_int(s, u, g) == 1 and _q0_int(u, g) == 1 \
-            and all(_pair_int(u, p, g) == 0 for p in pinned):
-        return [u]
-    if _q0_int(s, g) != _q0_int(t, g):
-        return None
-    n = 2 * g
-    eqs = [_swap_halves(s, g), _swap_halves(t, g)]
-    rhs = [1, 1]
-    for p in pinned:
-        # both chain vectors s+w and w+t must pair to 0 with p, which needs
-        # <w,p> = <s,p> = <t,p>
-        if _pair_int(s, p, g) != _pair_int(t, p, g):
-            return None
-        eqs.append(_swap_halves(p, g))
-        rhs.append(_pair_int(s, p, g))
-    sol = _solve_f2(eqs, rhs, n)
-    if sol is None:
-        return None
-    z0, null = sol
-    want = _q0_int(s, g)
-    for idx in range(1 << len(null)):
-        w = z0
-        for b in range(len(null)):
-            if (idx >> b) & 1:
-                w ^= null[b]
-        if _q0_int(w, g) == want:
-            return [s ^ w, w ^ t]
-    return None
-
-
-def _invert_columns(cols: Sequence[int], n: int) -> list[int]:
-    """Rows of the inverse of the matrix whose j-th column mask is cols[j]."""
-    a_rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            mask |= ((cols[j] >> i) & 1) << j
-        a_rows.append(mask)
-    aug = [a_rows[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if (aug[i] >> c) & 1), None)
-        if p is None:
-            raise DomainError("matrix is singular")
-        aug[r], aug[p] = aug[p], aug[r]
-        for i in range(n):
-            if i != r and (aug[i] >> c) & 1:
-                aug[i] ^= aug[r]
-        r += 1
-    return [row >> n for row in aug]
-
-
-def _complete_isometry(sources: list[int], targets: list[int],
-                       g: int) -> SymplecticMap:
-    """Extend the partial q0-isometry sources -> targets to a full map.
-
-    Completes both tuples to bases with matching pairings and matching q0
-    values; the change of basis is then symplectic and fixes q0.
-    """
-    n = 2 * g
-    src = list(sources)
-    tgt = list(targets)
-
-    echelon: list[int] = []
-
-    def reduce(x: int) -> int:
-        for piv in echelon:
-            if x & (piv & -piv):
-                x ^= piv
-        return x
-
-    def echelon_add(x: int) -> None:
-        x = reduce(x)
-        echelon.append(x)
-        echelon.sort(key=lambda r: r & -r)
-
-    for b in src:
-        echelon_add(b)
-    for i in range(n):
-        if reduce(1 << i):
-            src.append(1 << i)
-            echelon_add(1 << i)
-    assert len(src) == n
-
-    while len(tgt) < n:
-        k = len(tgt)
-        want_pairs = [_pair_int(src[k], src[j], g) for j in range(k)]
-        want_q0 = _q0_int(src[k], g)
-        sol = _solve_f2([_swap_halves(t, g) for t in tgt], want_pairs, n)
-        assert sol is not None, "independent functionals are always solvable"
-        z0, null = sol
-        tgt_ech: list[int] = []
-        for t in tgt:
-            for piv in tgt_ech:
-                if t & (piv & -piv):
-                    t ^= piv
-            tgt_ech.append(t)
-            tgt_ech.sort(key=lambda r: r & -r)
-        found = None
-        for idx in range(1 << len(null)):
-            cand = z0
-            for b in range(len(null)):
-                if (idx >> b) & 1:
-                    cand ^= null[b]
-            if _q0_int(cand, g) != want_q0:
-                continue
-            x = cand
-            for piv in tgt_ech:
-                if x & (piv & -piv):
-                    x ^= piv
-            if x:
-                found = cand
-                break
-        assert found is not None, "isometry extension candidate must exist"
-        tgt.append(found)
-
-    # Solve M src[j] = tgt[j]: with S, T the matrices whose columns are the
-    # two bases, M = T S^{-1}.
-    inv_rows = _invert_columns(src, n)
-    rows_out = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc ^= ((tgt[k] >> i) & 1) & ((inv_rows[k] >> j) & 1)
-            mask |= acc << j
-        rows_out.append(mask)
-    return SymplecticMap(g, tuple(rows_out))
-
-
 def witt_extend(sources: Sequence[F2Vector],
                 targets: Sequence[F2Vector]) -> SymplecticMap:
     """Symplectic map fixing q0 and sending each source to its target.
@@ -480,12 +329,15 @@ def witt_extend(sources: Sequence[F2Vector],
     Preconditions: the tuples have equal length, matching pairwise pairings
     and matching q0 values, and each tuple is linearly independent.
 
-    Moves one vector at a time with a chain of at most two q0-fixing
-    transvections chosen inside the stabilizer of the already-placed
-    vectors.  That greedy strategy can run out of moves (the q0-isometry
-    group in dimension 4 is not generated by transvections, and pinning
-    can exhaust short chains), in which case both tuples are completed to
-    full bases and the change of basis is solved for directly.
+    The sources are completed to a basis with standard basis vectors.  The
+    targets are then extended one vector at a time: the next target must
+    pair with the earlier targets as the next source pairs with the earlier
+    sources, take the same q0 value and lie outside their span.  By Witt's
+    theorem for quadratic forms over F_2 (Arf 1941) the partial isometry
+    extends to a full one, and its value on the next source is such a
+    vector, so the search among the solutions of the pairing equations
+    always succeeds.  The map is the change of basis; one elimination
+    solves for all of its rows at once.
     """
     if len(sources) != len(targets):
         raise DomainError("source and target tuples differ in length")
@@ -506,21 +358,30 @@ def witt_extend(sources: Sequence[F2Vector],
             if _pair_int(src[i], src[j], g) != _pair_int(tgt[i], tgt[j], g):
                 raise DomainError(f"pairing mismatch at positions {i},{j}")
 
-    acc = SymplecticMap.identity(g)
-    cur = list(src)
-    ok = True
-    for k in range(m):
-        step = _pinned_chain(cur[k], tgt[k], tgt[:k], g)
-        if step is None:
-            ok = False
-            break
-        for v in step:
-            t = transvection(F2Vector(g, v))
-            acc = t @ acc
-            cur = [t.apply_int(x) for x in cur]
-    if not ok:
-        acc = _complete_isometry(src, tgt, g)
-        cur = [acc.apply_int(x) for x in src]
+    n = 2 * g
+    for i in range(n):
+        if _rank_int(src + [1 << i]) > len(src):
+            src.append(1 << i)
+    while len(tgt) < n:
+        k = len(tgt)
+        sol = _solve_f2([_swap_halves(t, g) for t in tgt],
+                        [_pair_int(src[k], s, g) for s in src[:k]], n)
+        assert sol is not None, "independent functionals are always solvable"
+        (cand,), null = sol
+        want_q0 = _q0_int(src[k], g)
+        # walk the solution coset in Gray-code order, one flip per step
+        for idx in range(1 << len(null)):
+            if idx:
+                cand ^= null[(idx & -idx).bit_length() - 1]
+            if _q0_int(cand, g) == want_q0 and _rank_int(tgt + [cand]) > k:
+                tgt.append(cand)
+                break
+        else:
+            raise AssertionError("isometry extension candidate must exist")
+    # row i of M solves <row_i, src[j]> = bit i of tgt[j] for every j
+    rows, _ = _solve_f2(src, tgt, n, n)
+    acc = SymplecticMap(g, tuple(rows))
+    cur = [acc.apply_int(x) for x in src[:m]]
 
     for k in range(m):
         assert cur[k] == tgt[k], "postcondition: sources map to targets"

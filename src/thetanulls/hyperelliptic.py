@@ -16,12 +16,12 @@ that makes the induced parity form equal to q0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, MalformedInputError
 from .f2core import F2Vector
-from .quadforms import QuadraticForm, form_from_function, parity
+from .quadforms import (QuadraticForm, form_from_function, form_shift,
+                        induced_form, parity)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ class ComponentLabel:
         _check_support(self.torsor_base)
         if theta_parity(self.torsor_base) != 0:
             raise DomainError("torsor base must have even theta parity")
-        induced = _induced_form(self, self.torsor_base)
+        induced = form_from_function(_parity_form(imgs, self.torsor_base), g)
         if induced != QuadraticForm.standard(g):
             raise DomainError("torsor base does not induce the standard form")
 
@@ -187,20 +187,25 @@ class ComponentLabel:
         """Sum of basis images over the set bits of k (the map c)."""
         if k.g != self.g:
             raise DomainError("vector/labeling g mismatch")
-        mask = 0
-        for i in range(2 * self.g):
-            if (k.bits >> i) & 1:
-                mask ^= self.basis_images[i].mask
-        return PartitionClass(self.g, mask)
+        return _image(self.basis_images, k)
 
 
-def _induced_form(label: ComponentLabel, base: PartitionClass) -> QuadraticForm:
-    g = label.g
+def _image(images: Sequence[PartitionClass], k: F2Vector) -> PartitionClass:
+    """Sum of images[i] over the set bits i of k."""
+    mask, bits = 0, k.bits
+    while bits:
+        low = bits & -bits
+        mask ^= images[low.bit_length() - 1].mask
+        bits ^= low
+    return PartitionClass(k.g, mask)
 
-    def fn(j: F2Vector) -> int:
-        return theta_parity(base) ^ theta_parity(label.vector_image(j) + base)
 
-    return form_from_function(fn, g)
+def _parity_form(images: Sequence[PartitionClass],
+                 base: PartitionClass) -> Callable[[F2Vector], int]:
+    """The induced parity form j -> theta_parity(base) + theta_parity(c(j)
+    + base), with c the map j -> _image(images, j)."""
+    return induced_form(theta_parity, base,
+                        lambda j, t: _image(images, j) + t)
 
 
 def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
@@ -214,24 +219,7 @@ def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
     parity. Uniqueness makes this also the lexicographically first choice.
     """
     b0 = PartitionClass(g, 0) if g % 2 else PartitionClass(g, 1)
-
-    def image(bits: int) -> PartitionClass:
-        mask = 0
-        for i in range(2 * g):
-            if (bits >> i) & 1:
-                mask ^= images[i].mask
-        return PartitionClass(g, mask)
-
-    base_val = theta_parity(b0)
-
-    def induced(j_bits: int) -> int:
-        return base_val ^ theta_parity(image(j_bits) + b0)
-
-    d_bits = 0
-    for i in range(g):
-        d_bits |= induced(1 << (g + i)) << i        # q0(f_i) = 0
-        d_bits |= induced(1 << i) << (g + i)        # q0(e_i) = 0
-    return image(d_bits) + b0
+    return _image(images, form_shift(_parity_form(images, b0), g)) + b0
 
 
 def std_labeling(g: int) -> ComponentLabel:

@@ -86,15 +86,9 @@ def act_on_form(m: SymplecticMap, q: QuadraticForm) -> QuadraticForm:
     """
     if m.g != q.g:
         raise DomainError("form/map g mismatch")
-    g = q.g
     inv = m.inverse()
-    bits = 0
-    for i in range(g):
-        val_f = evaluate(q, inv.apply(F2Vector(g, 1 << (g + i))))
-        val_e = evaluate(q, inv.apply(F2Vector(g, 1 << i)))
-        bits |= val_f << i
-        bits |= val_e << (g + i)
-    return QuadraticForm(g, F2Vector(g, bits))
+    return QuadraticForm(q.g, form_shift(lambda v: evaluate(q, inv.apply(v)),
+                                         q.g))
 
 
 def act_on_char(m: SymplecticMap, k: F2Vector) -> F2Vector:
@@ -135,6 +129,16 @@ def induced_form(parity_oracle: Callable[[T], int], base: T,
     return q
 
 
+def form_shift(fn: Callable[[F2Vector], int], g: int) -> F2Vector:
+    """The shift c with c'_i = fn(f_i) and c''_i = fn(e_i): the shift of fn
+    if fn is a pairing-refining form, which is not checked here."""
+    bits = 0
+    for i in range(g):
+        bits |= fn(F2Vector(g, 1 << (g + i))) << i
+        bits |= fn(F2Vector(g, 1 << i)) << (g + i)
+    return F2Vector(g, bits)
+
+
 def form_from_function(fn: Callable[[F2Vector], int], g: int) -> QuadraticForm:
     """Extract the shift of a bit-valued function known to be a form.
 
@@ -143,11 +147,7 @@ def form_from_function(fn: Callable[[F2Vector], int], g: int) -> QuadraticForm:
     """
     if fn(F2Vector.zero(g)) != 0:
         raise DomainError("function does not vanish at 0")
-    bits = 0
-    for i in range(g):
-        bits |= fn(F2Vector(g, 1 << (g + i))) << i
-        bits |= fn(F2Vector(g, 1 << i)) << (g + i)
-    cand = QuadraticForm(g, F2Vector(g, bits))
+    cand = QuadraticForm(g, form_shift(fn, g))
     n = 2 * g
     for i in range(n):
         x = F2Vector(g, 1 << i)

@@ -110,11 +110,13 @@ class IntSymplectic:
         g = a.shape[0]
         if any(blk.shape != (g, g) for blk in blocks):
             raise MalformedInputError("blocks must share one size")
-        if not np.array_equal(a.T @ c, c.T @ a):
+        # exact products: int64 products of large entries would wrap
+        ax, bx, cx, dx = (blk.astype(object) for blk in blocks)
+        if not np.array_equal(ax.T @ cx, cx.T @ ax):
             raise DomainError("A^T C is not symmetric")
-        if not np.array_equal(b.T @ d, d.T @ b):
+        if not np.array_equal(bx.T @ dx, dx.T @ bx):
             raise DomainError("B^T D is not symmetric")
-        if not np.array_equal(a.T @ d - c.T @ b, np.eye(g, dtype=np.int64)):
+        if not np.array_equal(ax.T @ dx - cx.T @ bx, np.eye(g, dtype=int)):
             raise DomainError("A^T D - C^T B != I")
         for blk in blocks:
             blk.setflags(write=False)

@@ -234,6 +234,20 @@ class TestTheta:
         assert out == ""
         assert "block A" in err
 
+    def test_transform_relation_overflowing_int64_exits_3(self, capsys,
+                                                          tmp_path):
+        # A^T D - C^T B = 2^64 + 1 wraps to 1 in int64 arithmetic
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[2 ** 32]], "B": [[-1]], "C": [[1]],
+                   "D": [[2 ** 32]]},
+             "z": {"g": 1, "re": [[0.3]], "im": [[1.2]]}, "k": [1, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "transform",
+                                          "--input", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "A^T D - C^T B" in err
+
     @pytest.mark.parametrize("blocks", [[5], [None], ["z"]])
     def test_split_block_not_an_object_exits_2(self, capsys, tmp_path,
                                                blocks):

@@ -13,6 +13,8 @@ from thetanulls.f2core import (
     _pair_int,
     _q0_arr,
     _q0_int,
+    _rank_int,
+    _solve_f2,
     SymplecticMap,
     basis_e,
     basis_f,
@@ -198,6 +200,47 @@ def test_span_dim():
     assert span_dim([F2Vector.zero(4)]) == 0
 
 
+def _syndrome(rows, z):
+    """The bits popcount(row & z) mod 2, row i at bit i."""
+    return sum(((r & z).bit_count() & 1) << i for i, r in enumerate(rows))
+
+
+def _span(vectors):
+    """Every F_2 combination of the vectors, as a set of masks."""
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return span
+
+
+def test_elimination_against_brute_force():
+    # every tuple of up to 3 rows in F_2^4, against every right-hand side
+    n = 4
+    for m in range(4):
+        for rows in itertools.product(range(1 << n), repeat=m):
+            rank = _rank_int(rows)
+            assert 1 << rank == len(_span(rows))
+            solutions = {}
+            for z in range(1 << n):
+                solutions.setdefault(_syndrome(rows, z), set()).add(z)
+            for s in range(1 << m):
+                rhs = [(s >> i) & 1 for i in range(m)]
+                sol = _solve_f2(rows, rhs, n)
+                if s not in solutions:
+                    assert sol is None
+                    continue
+                (z0,), null = sol
+                assert len(null) == n - rank
+                assert {z0 ^ x for x in _span(null)} == solutions[s]
+            # one system per z at once: bit z of rhs[i] is <row_i, z>
+            rhs = [sum(((r & z).bit_count() & 1) << z for z in range(1 << n))
+                   for r in rows]
+            particular, null = _solve_f2(rows, rhs, n, 1 << n)
+            assert len(null) == n - rank
+            for z, z0 in enumerate(particular):
+                assert _syndrome(rows, z0) == _syndrome(rows, z)
+
+
 def test_witt_extend_single_vector():
     g = 6
     m = witt_extend([basis_e(g, 0)], [basis_e(g, 1)])
@@ -237,13 +280,29 @@ def test_witt_extend_gram_mismatch_rejected():
 
 def test_witt_extend_full_basis_swap():
     # this instance is outside the subgroup generated by q0-nonsingular
-    # transvections (the dimension-4 exception), so it exercises the
-    # basis-completion fallback
+    # transvections (the dimension-4 exception)
     g = 2
     src = [basis_e(g, 0), basis_f(g, 0), basis_e(g, 1), basis_f(g, 1)]
     tgt = [basis_e(g, 1), basis_f(g, 1), basis_e(g, 0), basis_f(g, 0)]
     m = witt_extend(src, tgt)
     assert [m.apply(s) for s in src] == tgt
+
+
+def test_witt_extend_exhaustive_group_g2():
+    # every column tuple that is a symplectic basis with q0 = 0 on each
+    # column: the 72 elements of O+(4, 2), most of them outside the
+    # subgroup generated by q0-nonsingular transvections
+    g = 2
+    n = 2 * g
+    std = [F2Vector(g, 1 << i) for i in range(n)]
+    group = [cols for cols in itertools.product(range(1 << n), repeat=n)
+             if all(_q0_int(c, g) == 0 for c in cols)
+             and all(_pair_int(cols[i], cols[j], g) == (j - i == g)
+                     for i in range(n) for j in range(i + 1, n))]
+    assert len(group) == 72
+    for cols in group:
+        m = witt_extend(std, [F2Vector(g, c) for c in cols])
+        assert [m.column(j) for j in range(n)] == list(cols)
 
 
 def _random_valid_instance(rng, g, m):

@@ -74,6 +74,9 @@ class TestIntSymplectic:
         with pytest.raises(DomainError):
             IntSymplectic([[1, 0], [0, 1]], [[0, 1], [0, 0]],
                           [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+        # A^T D - C^T B = 2^64 + 1, which is 1 in wrapping int64 arithmetic
+        with pytest.raises(DomainError):
+            IntSymplectic([[2 ** 32]], [[-1]], [[1]], [[2 ** 32]])
 
     def test_compose(self):
         s = _s_matrix()
