@@ -17,14 +17,13 @@ from . import __version__
 from .bielliptic import verify_witnesses
 from .errors import DomainError, MalformedInputError, ResourceCapError
 from .f2core import F2Vector
-from .hyperelliptic import (char_to_partition, formula_agreement,
-                            std_labeling, theta_parity,
-                            theta_support_classes, trans_config,
+from .hyperelliptic import (char_to_partition, class_counts,
+                            formula_agreement, std_labeling, trans_config,
                             vanishing_thetanulls)
 from .orbits import (Quadruple, census_report, classify, classify_by_delta,
                      delta_parities, differences)
 from .f2core import span_dim, symplectic_pairing
-from .quadforms import even_characteristics, odd_characteristics
+from .quadforms import characteristic_counts
 from .thetanum import (IntSymplectic, SiegelMatrix, block_diag_split_check,
                        theta_constant, transform_modulus_check)
 from .transversal import NodeSet, transversality_report
@@ -57,16 +56,14 @@ def cmd_enumerate(args) -> dict:
     g = args.genus
     _genus_cap(g, 1, 8)
     report: dict = {}
+    even, odd = characteristic_counts(g)
     if args.parity in (None, "even"):
-        report["even"] = sum(1 for _ in even_characteristics(g))
+        report["even"] = even
     if args.parity in (None, "odd"):
-        report["odd"] = sum(1 for _ in odd_characteristics(g))
+        report["odd"] = odd
     if 2 <= g <= 6:
-        classes = list(theta_support_classes(g))
-        report["classes"] = len(classes)
-        report["even_classes"] = sum(
-            1 for t in classes if theta_parity(t) == 0)
-        report["odd_classes"] = sum(1 for t in classes if theta_parity(t) == 1)
+        (report["classes"], report["even_classes"],
+         report["odd_classes"]) = class_counts(g)
         report["vanishing"] = len(vanishing_thetanulls(std_labeling(g)))
         report["formula_agreement"] = formula_agreement(g)
     return report
@@ -106,13 +103,9 @@ def cmd_hyperelliptic(args) -> dict:
     _genus_cap(g, 2, 6)
     label = std_labeling(g)
     if args.action == "counts":
-        classes = list(theta_support_classes(g))
-        return {
-            "classes": len(classes),
-            "even": sum(1 for t in classes if theta_parity(t) == 0),
-            "odd": sum(1 for t in classes if theta_parity(t) == 1),
-            "formula_agreement": formula_agreement(g),
-        }
+        classes, even, odd = class_counts(g)
+        return {"classes": classes, "even": even, "odd": odd,
+                "formula_agreement": formula_agreement(g)}
     if args.action == "vanishing":
         vanishing = vanishing_thetanulls(label)
         return {

@@ -11,17 +11,24 @@ symmetric difference, parity is cardinality mod 2, and on even classes
 and theta parity h0 mod 2.  A ComponentLabel carries a symplectic
 identification of F_2^(2g) with the even classes plus the unique base class
 that makes the induced parity form equal to q0.
+
+The bulk computations (class counts, formula agreement, the vanishing set
+and the image table of all 4^g characteristics) run on numpy arrays of
+class masks; PartitionClass objects are built only for single classes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, MalformedInputError
-from .f2core import F2Vector
+from .f2core import F2Vector, _q0_arr
 from .quadforms import (QuadraticForm, form_from_function, form_shift,
-                        induced_form, parity)
+                        induced_form)
 
 
 @dataclass(frozen=True)
@@ -146,11 +153,41 @@ def theta_support_classes(g: int) -> Iterable[PartitionClass]:
     return (t for t in all_classes(g) if t.cardinality() % 2 == want)
 
 
+def _canonical_arr(masks: np.ndarray, g: int) -> np.ndarray:
+    """PartitionClass canonicalization elementwise: complement each mask
+    holding label 2g+2."""
+    size = 2 * g + 2
+    return np.where((masks >> (size - 1)) & 1, masks ^ ((1 << size) - 1),
+                    masks)
+
+
+def _h0_arr(masks: np.ndarray, g: int) -> np.ndarray:
+    """h0 elementwise over masks of classes with valid support."""
+    c = np.bitwise_count(masks).astype(np.int64)
+    return (g + 1 - np.minimum(c, 2 * g + 2 - c)) // 2
+
+
+def _support_masks(g: int) -> np.ndarray:
+    """Canonical masks of the classes T with |T| = g+1 (mod 2)."""
+    masks = np.arange(1 << (2 * g + 1), dtype=np.int64)
+    return masks[(np.bitwise_count(masks) & 1) == (g + 1) % 2]
+
+
+def class_counts(g: int) -> tuple[int, int, int]:
+    """Numbers of theta-support classes: all, even and odd theta parity."""
+    masks = _support_masks(g)
+    odd = int(np.count_nonzero(_h0_arr(masks, g) & 1))
+    return masks.size, masks.size - odd, odd
+
+
 def formula_agreement(g: int) -> bool:
-    """Exhaustive check of the applicable closed-form parity against h0
-    parity; diagnostic for the convention mismatch at g = 0, 1 (mod 4)."""
-    formula = q_minus_parity if g % 2 == 0 else q_plus_parity
-    return all(formula(t) == theta_parity(t) for t in theta_support_classes(g))
+    """Exhaustive check of the applicable closed-form parity (q_minus_parity
+    at even g, q_plus_parity at odd g) against h0 parity; diagnostic for the
+    convention mismatch at g = 0, 1 (mod 4)."""
+    masks = _support_masks(g)
+    c = np.bitwise_count(masks).astype(np.int64)
+    formula = ((c + 1) // 2 if g % 2 == 0 else c // 2) & 1
+    return bool(np.array_equal(formula, _h0_arr(masks, g) & 1))
 
 
 @dataclass(frozen=True)
@@ -222,8 +259,13 @@ def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
     return _image(images, form_shift(_parity_form(images, b0), g)) + b0
 
 
+@functools.cache
 def std_labeling(g: int) -> ComponentLabel:
-    """e_i -> {2i-1, 2i}, f_i -> {2i, ..., 2g+1} (1-based i)."""
+    """e_i -> {2i-1, 2i}, f_i -> {2i, ..., 2g+1} (1-based i).
+
+    Built and validated once per genus; the frozen label is shared by every
+    caller.
+    """
     if g < 2:
         raise DomainError("labeling needs g >= 2")
     images = []
@@ -252,18 +294,24 @@ def partition_to_char(t: PartitionClass, label: ComponentLabel) -> F2Vector:
     return F2Vector(g, bits)
 
 
+def char_table(label: ComponentLabel) -> np.ndarray:
+    """Canonical masks of char_to_partition(k, label) for all 4^g
+    characteristics k, indexed by k.bits: XOR of the basis-image masks over
+    the set bits of k, plus the torsor base."""
+    table = np.array([label.torsor_base.mask], dtype=np.int64)
+    for img in label.basis_images:
+        table = np.concatenate((table, table ^ img.mask))
+    return _canonical_arr(table, label.g)
+
+
 def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
     """Even characteristics whose class has h0 >= 2 (the thetanulls that
-    vanish identically on the hyperelliptic component)."""
+    vanish identically on the hyperelliptic component), selected over the
+    image table of all characteristics."""
     g = label.g
-    out = set()
-    for bits in range(1 << (2 * g)):
-        k = F2Vector(g, bits)
-        if parity(k):
-            continue
-        if h0(char_to_partition(k, label)) >= 2:
-            out.add(k)
-    return out
+    ks = np.arange(1 << (2 * g), dtype=np.int64)
+    hit = (_q0_arr(ks, g) == 0) & (_h0_arr(char_table(label), g) >= 2)
+    return {F2Vector(g, int(bits)) for bits in np.flatnonzero(hit)}
 
 
 def trans_config(label: ComponentLabel,

@@ -171,3 +171,10 @@ def even_characteristics(g: int) -> Iterator[F2Vector]:
 
 def odd_characteristics(g: int) -> Iterator[F2Vector]:
     return (k for k in all_characteristics(g) if parity(k) == 1)
+
+
+def characteristic_counts(g: int) -> tuple[int, int]:
+    """Numbers of even and odd characteristics, by q0 over all 4^g masks."""
+    n = 1 << (2 * g)
+    odd = int(np.count_nonzero(_q0_arr(np.arange(n, dtype=np.int64), g)))
+    return n - odd, odd

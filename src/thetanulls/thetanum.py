@@ -140,11 +140,19 @@ class IntSymplectic:
     def compose(self, other: "IntSymplectic") -> "IntSymplectic":
         if self.g != other.g:
             raise DomainError("cannot compose different g")
-        a = self.a @ other.a + self.b @ other.c
-        b = self.a @ other.b + self.b @ other.d
-        c = self.c @ other.a + self.d @ other.c
-        d = self.c @ other.b + self.d @ other.d
-        return IntSymplectic(a, b, c, d)
+        # exact products, as in the constructor: int64 products would wrap
+        a, b, c, d = (blk.astype(object)
+                      for blk in (self.a, self.b, self.c, self.d))
+        oa, ob, oc, od = (blk.astype(object)
+                          for blk in (other.a, other.b, other.c, other.d))
+        blocks = (a @ oa + b @ oc, a @ ob + b @ od,
+                  c @ oa + d @ oc, c @ ob + d @ od)
+        try:
+            blocks = [blk.astype(np.int64) for blk in blocks]
+        except OverflowError as exc:
+            raise ResourceCapError(
+                "composed entries leave the int64 range") from exc
+        return IntSymplectic(*blocks)
 
     __matmul__ = compose
 

@@ -6,10 +6,16 @@ G_k(x) = prod_{i in S, i != k} (x - x_i) of degree g-3.  Transversality
 reduces to the coefficient matrix of the G_k having rank g-2, which only
 needs the nodes to be distinct: evaluating at the other points of S kills
 coefficients one at a time (the evaluation matrix on S is diagonal).
+
+The certificate is exact and runs on Python ints: each G_k is built from
+integer numerators over the product of its node denominators, and the rank
+comes from fraction-free (Bareiss) elimination of the coefficient rows with
+their denominators cleared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -86,46 +92,56 @@ def quadratic_differential_divisor(ns: NodeSet, s: Sequence[int],
     return div
 
 
-def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # multiply by (x - root); coefficients ascending
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] -= c * root
-        out[i + 1] += c
-    return out
-
-
 def basis_polys(ns: NodeSet, s: Sequence[int]) -> list[list[Fraction]]:
-    """G_k(x) = prod_{i in S, i != k} (x - x_i), ascending coefficients."""
+    """G_k(x) = prod_{i in S, i != k} (x - x_i), ascending coefficients.
+
+    With x_i = p_i / q_i, G_k is prod (q_i x - p_i), an integer polynomial,
+    divided by its leading coefficient prod q_i.
+    """
     labels = _check_s(ns, s)
     polys = []
     for k in labels:
-        coeffs = [Fraction(1)]
+        coeffs = [1]
         for idx in labels:
             if idx != k:
-                coeffs = _poly_mul_linear(coeffs, ns.nodes[idx - 1])
-        polys.append(coeffs)
+                x = ns.nodes[idx - 1]
+                p, q = x.numerator, x.denominator
+                # multiply by (q x - p); coefficients ascending
+                coeffs = ([-p * coeffs[0]]
+                          + [q * a - p * b for a, b in zip(coeffs, coeffs[1:])]
+                          + [q * coeffs[-1]])
+        lead = coeffs[-1]
+        polys.append([Fraction(c, lead) for c in coeffs])
     return polys
 
 
 def rank(polys: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the coefficient matrix over the rationals."""
+    """Rank of the coefficient matrix over the rationals.
+
+    Each row is scaled by the lcm of its denominators, which keeps the rank,
+    and the integer matrix is reduced to echelon form by fraction-free
+    (Bareiss) elimination: every division by the previous pivot is exact.
+    """
     if not polys:
         raise DomainError("rank needs at least one polynomial")
     width = max(len(p) for p in polys)
-    rows = [list(p) + [Fraction(0)] * (width - len(p)) for p in polys]
-    r = 0
+    rows = []
+    for p in polys:
+        scale = math.lcm(*(x.denominator for x in p))
+        rows.append([x.numerator * (scale // x.denominator) for x in p]
+                    + [0] * (width - len(p)))
+    r, prev = 0, 1
     for c in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(pivot * a - f * b) // prev
+                       for a, b in zip(rows[i], rows[r])]
+        prev = pivot
         r += 1
         if r == len(rows):
             break

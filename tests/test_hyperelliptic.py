@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from thetanulls import verify
 from thetanulls.errors import DomainError, MalformedInputError
 from thetanulls.f2core import F2Vector, _rank_int
 from thetanulls.hyperelliptic import (
     ComponentLabel,
     PartitionClass,
     all_classes,
+    char_table,
     char_to_partition,
+    class_counts,
     formula_agreement,
     h0,
     partition_pairing,
@@ -297,3 +300,52 @@ def test_trans_config_validation():
         trans_config(lab, [1, 1, 2, 3])
     with pytest.raises(MalformedInputError):
         trans_config(lab, [1, 2, 3, 15])
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_array_model_matches_scalar_definitions(g):
+    lab = std_labeling(g)
+    chars = [F2Vector(g, bits) for bits in range(1 << (2 * g))]
+    images = [char_to_partition(k, lab) for k in chars]
+    assert char_table(lab).tolist() == [t.mask for t in images]
+    assert vanishing_thetanulls(lab) == {
+        k for k, t in zip(chars, images) if parity(k) == 0 and h0(t) >= 2}
+    classes = list(theta_support_classes(g))
+    even = sum(1 for t in classes if theta_parity(t) == 0)
+    odd = sum(1 for t in classes if theta_parity(t) == 1)
+    assert class_counts(g) == (len(classes), even, odd)
+    formula = q_minus_parity if g % 2 == 0 else q_plus_parity
+    assert formula_agreement(g) == all(formula(t) == theta_parity(t)
+                                       for t in classes)
+
+
+def test_std_labeling_built_once_per_genus():
+    for g in range(2, 7):
+        assert std_labeling(g) is std_labeling(g)
+    with pytest.raises(DomainError):
+        std_labeling(1)
+
+
+def _corrupted_criterion_7(monkeypatch, corrupt):
+    def table(label):
+        t = char_table(label).copy()
+        corrupt(t)
+        return t
+    monkeypatch.setattr(verify, "char_table", table)
+    return verify.criterion_7()
+
+
+def test_criterion_7_rejects_corrupted_image_table(monkeypatch):
+    assert verify.criterion_7()["pass"]
+
+    def swap(t):
+        t[[1, 2]] = t[[2, 1]]
+    rep = _corrupted_criterion_7(monkeypatch, swap)
+    assert rep["bijective"] and not rep["torsor_isomorphism"]
+    assert not rep["pass"]
+
+    def duplicate(t):
+        t[1] = t[0]
+    rep = _corrupted_criterion_7(monkeypatch, duplicate)
+    assert not rep["bijective"] and not rep["torsor_isomorphism"]
+    assert not rep["pass"]

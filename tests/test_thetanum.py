@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from thetanulls.errors import DomainError, MalformedInputError
+from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.f2core import F2Vector
 from thetanulls.quadforms import (all_characteristics,
                                   odd_characteristics, parity)
@@ -87,6 +87,19 @@ class TestIntSymplectic:
         s4 = s2 @ s2
         assert np.array_equal(s4.a, [[1]])
         assert s4.is_level_two()
+
+    def test_compose_leaving_int64_is_resource_cap(self):
+        # the exact products have A = 1 + 2^80 and B = 2^63, which wrapped
+        # int64 arithmetic turned into a false DomainError and B = -2^63
+        x = IntSymplectic([[1]], [[2 ** 40]], [[0]], [[1]])
+        y = IntSymplectic([[1]], [[0]], [[2 ** 40]], [[1]])
+        with pytest.raises(ResourceCapError):
+            x @ y
+        z = IntSymplectic([[1]], [[2 ** 62]], [[0]], [[1]])
+        with pytest.raises(ResourceCapError):
+            z @ z
+        half = IntSymplectic([[1]], [[2 ** 61]], [[0]], [[1]])
+        assert np.array_equal((half @ half).b, [[2 ** 62]])
 
     def test_json_roundtrip(self):
         s = _s_matrix(2)

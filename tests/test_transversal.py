@@ -15,6 +15,41 @@ from thetanulls.transversal import (
 )
 
 
+def fraction_rank(polys):
+    """Reference rank: Gauss-Jordan elimination over Fraction."""
+    width = max(len(p) for p in polys)
+    rows = [[Fraction(x) for x in p] + [Fraction(0)] * (width - len(p))
+            for p in polys]
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def fraction_product(roots):
+    """Reference prod (x - root), ascending Fraction coefficients."""
+    coeffs = [Fraction(1)]
+    for root in roots:
+        out = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            out[i] -= c * root
+            out[i + 1] += c
+        coeffs = out
+    return coeffs
+
+
 def unit_nodes(g):
     return NodeSet.from_values(g, range(1, 2 * g + 3))
 
@@ -147,3 +182,63 @@ def test_rank_invariant_under_affine_rescaling():
 def test_report_needs_g_at_least_3():
     with pytest.raises(DomainError):
         transversality_report(unit_nodes(2), [])
+
+
+def _random_matrix(rng):
+    """Ragged rows of small or huge rationals, with zero rows, duplicate
+    rows and rational combinations of earlier rows mixed in."""
+    big = rng.random() < 0.2
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.35:
+            a, b = rng.choice(rows), rng.choice(rows)
+            fa = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            fb = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            n = max(len(a), len(b))
+            a = a + [0] * (n - len(a))
+            b = b + [0] * (n - len(b))
+            rows.append([fa * x + fb * y for x, y in zip(a, b)])
+        elif kind < 0.45:
+            rows.append([Fraction(0)] * rng.randint(0, 6))
+        else:
+            hi = 1 << 200 if big else 5
+            rows.append([Fraction(rng.randint(-hi, hi), rng.randint(1, hi))
+                         if rng.random() < 0.7 else Fraction(0)
+                         for _ in range(rng.randint(1, 6))])
+    return rows
+
+
+def test_rank_matches_fraction_reference():
+    rng = random.Random(97)
+    seen = set()
+    for _ in range(3000):
+        rows = _random_matrix(rng)
+        want = fraction_rank(rows)
+        assert rank(rows) == want
+        seen.add((len(rows), want))
+    # rank-deficient and full-rank cases both occur
+    assert any(r < n for n, r in seen) and any(r == n for n, r in seen)
+
+
+def test_rank_integer_and_zero_rows():
+    assert rank([[0, 0], [0]]) == 0
+    assert rank([[2, 4], [1, 2], [0, 3]]) == 2
+    assert rank([[Fraction(1, 3), Fraction(2, 3)], [1, 2]]) == 1
+
+
+def test_basis_polys_match_fraction_product():
+    rng = random.Random(101)
+    for _ in range(200):
+        g = rng.randint(3, 9)
+        vals = set()
+        while len(vals) < 2 * g + 2:
+            hi = rng.choice((40, 1 << 80))
+            vals.add(Fraction(rng.randint(-hi, hi), rng.randint(1, hi)))
+        ns = NodeSet(g, tuple(vals))
+        s = sorted(rng.sample(range(1, 2 * g + 3), g - 2))
+        want = [fraction_product([ns.nodes[i - 1] for i in s if i != k])
+                for k in s]
+        assert basis_polys(ns, s) == want
