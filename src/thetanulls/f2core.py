@@ -198,43 +198,51 @@ def span_dim(vectors: Iterable[F2Vector]) -> int:
 # symplectic maps
 
 
-def is_symplectic(matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff the square 0/1 matrix preserves the symplectic pairing.
-
-    Preserving a nondegenerate pairing forces invertibility, so no separate
-    rank check is needed.
-    """
+def _rows_from_lists(
+        matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
+    """(g, row masks) of a square 0/1 matrix of even dimension 2g."""
     n = len(matrix)
     if n == 0 or n % 2 or any(len(row) != n for row in matrix):
         raise DomainError("matrix must be square with even dimension")
     if any(x not in (0, 1) for row in matrix for x in row):
         raise DomainError("matrix entries must be 0 or 1")
-    g = n // 2
-    cols = [0] * n
-    for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            cols[j] |= x << i
-    for i in range(n):
-        for j in range(i + 1, n):
-            expect = 1 if abs(i - j) == g else 0
-            if _pair_int(cols[i], cols[j], g) != expect:
-                return False
-    return True
+    return n // 2, tuple(sum(x << j for j, x in enumerate(row))
+                         for row in matrix)
+
+
+def _preserves_pairing(rows: Sequence[int], g: int) -> bool:
+    """True iff <rows[i], rows[j]> = [j - i = g] for all i < j: M preserves
+    the pairing iff M^T does (its Gram matrix J has J^-1 = J over F_2), and
+    the rows of M are the columns of M^T.  Preserving a nondegenerate
+    pairing forces invertibility, so no rank check is needed."""
+    n = 2 * g
+    dual = [_swap_halves(r, g) for r in rows]  # <a, b> = popcount(a & dual b)
+    return all((rows[i] & dual[j]).bit_count() & 1 == (j - i == g)
+               for i in range(n) for j in range(i + 1, n))
+
+
+def is_symplectic(matrix: Sequence[Sequence[int]]) -> bool:
+    """True iff the square 0/1 matrix preserves the symplectic pairing,
+    checked on its row masks by the same predicate as SymplecticMap."""
+    g, rows = _rows_from_lists(matrix)
+    return _preserves_pairing(rows, g)
 
 
 @dataclass(frozen=True)
 class SymplecticMap:
     """Pairing-preserving linear map on F_2^(2g); rows[i] is row i as a
-    bitmask, so (M x)_i = popcount(rows[i] & x) mod 2."""
+    bitmask, so (M x)_i = popcount(rows[i] & x) mod 2.  The constructor
+    checks the pairing on the row masks; there is no unchecked path."""
 
     g: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = 2 * self.g
-        if len(self.rows) != n or any(not 0 <= r < 1 << n for r in self.rows):
-            raise DomainError(f"need {n} row masks below 2^{n}")
-        if not is_symplectic(self.to_lists()):
+        if self.g < 1 or len(self.rows) != n or \
+                any(not 0 <= r < 1 << n for r in self.rows):
+            raise DomainError(f"need g >= 1 and {n} row masks below 2^{n}")
+        if not _preserves_pairing(self.rows, self.g):
             raise DomainError("matrix does not preserve the pairing")
 
     @classmethod
@@ -243,18 +251,7 @@ class SymplecticMap:
 
     @classmethod
     def from_lists(cls, matrix: Sequence[Sequence[int]]) -> "SymplecticMap":
-        n = len(matrix)
-        if n == 0 or n % 2 or any(len(row) != n for row in matrix):
-            raise DomainError("matrix must be square with even dimension")
-        rows = []
-        for row in matrix:
-            mask = 0
-            for j, x in enumerate(row):
-                if x not in (0, 1):
-                    raise DomainError("matrix entries must be 0 or 1")
-                mask |= x << j
-            rows.append(mask)
-        return cls(n // 2, tuple(rows))
+        return cls(*_rows_from_lists(matrix))
 
     def to_lists(self) -> list[list[int]]:
         n = 2 * self.g
@@ -277,21 +274,18 @@ class SymplecticMap:
             c |= ((row >> j) & 1) << i
         return c
 
-    def transpose(self) -> "SymplecticMap":
-        n = 2 * self.g
-        return SymplecticMap(self.g, tuple(self.column(j) for j in range(n)))
-
     def compose(self, other: "SymplecticMap") -> "SymplecticMap":
-        """Matrix product self @ other (apply other first)."""
+        """Matrix product self @ other (apply other first): row i is the
+        XOR of other's rows j over the set bits j of self's row i."""
         if self.g != other.g:
             raise DomainError("cannot compose maps of different g")
-        n = 2 * self.g
-        ocols = [other.column(j) for j in range(n)]
         rows = []
         for r in self.rows:
             mask = 0
-            for j in range(n):
-                mask |= ((r & ocols[j]).bit_count() & 1) << j
+            while r:
+                low = r & -r
+                mask ^= other.rows[low.bit_length() - 1]
+                r ^= low
             rows.append(mask)
         return SymplecticMap(self.g, tuple(rows))
 
@@ -299,12 +293,12 @@ class SymplecticMap:
 
     def inverse(self) -> "SymplecticMap":
         # For a symplectic M the inverse is J M^T J, with J the half-swap
-        # permutation (the Gram matrix of the pairing over F_2).
+        # permutation (the Gram matrix of the pairing over F_2): row i is
+        # column i + g (mod 2g) of M with its halves swapped.
         g = self.g
-        t = self.transpose()
-        rows = tuple(_swap_halves(t.rows[(i + g) % (2 * g)], g)
-                     for i in range(2 * g))
-        return SymplecticMap(g, rows)
+        n = 2 * g
+        return SymplecticMap(g, tuple(_swap_halves(self.column((i + g) % n), g)
+                                      for i in range(n)))
 
 
 def transvection(v: F2Vector) -> SymplecticMap:

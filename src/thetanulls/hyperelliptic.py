@@ -82,13 +82,6 @@ class PartitionClass:
     def sort_key(self) -> tuple[int, ...]:
         return self.labels
 
-    def to_json(self) -> list[int]:
-        return list(self.labels)
-
-
-def partition_add(a: PartitionClass, b: PartitionClass) -> PartitionClass:
-    return a + b
-
 
 def partition_parity(a: PartitionClass) -> int:
     return a.cardinality() & 1
@@ -286,11 +279,14 @@ def partition_to_char(t: PartitionClass, label: ComponentLabel) -> F2Vector:
         raise DomainError("partition/labeling g mismatch")
     _check_support(t)
     g = label.g
-    diff = t + label.torsor_base
+    # t and the base both have the parity of g+1, so diff is even, as are
+    # the validated images: the pairings need no parity re-checks
+    diff = t.mask ^ label.torsor_base.mask
+    imgs = [p.mask for p in label.basis_images]
     bits = 0
     for i in range(g):
-        bits |= partition_pairing(diff, label.basis_images[g + i]) << i
-        bits |= partition_pairing(diff, label.basis_images[i]) << (g + i)
+        bits |= ((diff & imgs[g + i]).bit_count() & 1) << i
+        bits |= ((diff & imgs[i]).bit_count() & 1) << (g + i)
     return F2Vector(g, bits)
 
 

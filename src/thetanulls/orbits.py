@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,16 +65,6 @@ class Quadruple:
             if parity(k) != 0:
                 raise DomainError("characteristics must all be even")
         object.__setattr__(self, "chars", tuple(self.chars))
-
-    @classmethod
-    def from_chars(cls, chars: Iterable[F2Vector]) -> "Quadruple":
-        chars = tuple(chars)
-        if not chars:
-            raise MalformedInputError("a quadruple needs exactly 4 characteristics")
-        return cls(chars[0].g, chars)
-
-    def canonical(self) -> tuple[F2Vector, ...]:
-        return tuple(sorted(self.chars, key=serial_key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Quadruple):

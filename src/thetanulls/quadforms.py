@@ -78,22 +78,23 @@ def form_to_char(q: QuadraticForm) -> F2Vector:
 
 
 def act_on_form(m: SymplecticMap, q: QuadraticForm) -> QuadraticForm:
-    """The form v -> q(M^-1 v).
-
-    The result refines the pairing again, so it equals q_c for a unique c,
-    and c is read off from evaluations on the standard basis:
-    c'_i = (q o M^-1)(f_i), c''_i = (q o M^-1)(e_i).
-    """
-    if m.g != q.g:
-        raise DomainError("form/map g mismatch")
-    inv = m.inverse()
-    return QuadraticForm(q.g, form_shift(lambda v: evaluate(q, inv.apply(v)),
-                                         q.g))
+    """The form v -> q(M^-1 v); its shift is act_on_char of q's shift."""
+    return char_to_form(act_on_char(m, form_to_char(q)))
 
 
 def act_on_char(m: SymplecticMap, k: F2Vector) -> F2Vector:
-    """Characteristic transport matching act_on_form under char_to_form."""
-    return form_to_char(act_on_form(m, char_to_form(k)))
+    """The characteristic of the transported form q_k o M^-1, in closed
+    form: k -> M k + d(M), where bit j of d(M) is q0(row j of M) (the mod-2
+    form of Igusa's k -> M k + diag).
+
+    Since M preserves the pairing, q_k o M^-1 = q0 o M^-1 + <M k, .>, and
+    with M^-1 = J M^T J the shift of q0 o M^-1 has bit j equal to q0 of
+    row j of M (q0 is invariant under the half swap J).
+    """
+    if m.g != k.g:
+        raise DomainError("form/map g mismatch")
+    d = sum(_q0_int(row, k.g) << j for j, row in enumerate(m.rows))
+    return F2Vector(k.g, m.apply_int(k.bits) ^ d)
 
 
 def _transvect_char_int(v: int, k: int, g: int) -> int:

@@ -45,6 +45,22 @@ def _checked_array(name: str, value, kinds: str, what: str) -> np.ndarray:
     return arr
 
 
+def _int_block(name: str, value) -> np.ndarray:
+    """value as an int64 array; a rectangular list of JSON integers with an
+    entry past int64 is a resource cap, not malformed input."""
+    try:
+        arr = _checked_array(name, value, "i", "integers")
+    except MalformedInputError:
+        # numpy holds such integers as uint64, float64 or object arrays
+        if isinstance(value, list) and value and all(
+                isinstance(r, list) and len(r) == len(value[0]) > 0
+                and all(type(x) is int for x in r) for r in value):
+            raise ResourceCapError(
+                f"{name} entries leave the int64 range") from None
+        raise
+    return arr.astype(np.int64, copy=False)
+
+
 class SiegelMatrix:
     """Symmetric complex g x g matrix with positive definite imaginary
     part; symmetrized on input, lambda_min cached."""
@@ -101,8 +117,7 @@ class IntSymplectic:
     def __init__(self, a, b, c, d) -> None:
         blocks = []
         for name, blk in (("A", a), ("B", b), ("C", c), ("D", d)):
-            arr = _checked_array(f"block {name}", blk, "i",
-                                 "integers").astype(np.int64, copy=False)
+            arr = _int_block(f"block {name}", blk)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise MalformedInputError(f"block {name} must be square")
             blocks.append(arr)
@@ -278,22 +293,11 @@ def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
 
 def char_act_form_map(m: IntSymplectic) -> SymplecticMap:
     """F_2 reduction of the characteristic action's linear part, as a
-    pairing-preserving map: (k', k'') -> (D k' + C k'', B k' + A k'')."""
-    g = m.g
-    rows = []
-    for i in range(g):
-        mask = 0
-        for j in range(g):
-            mask |= (int(m.d[i, j]) & 1) << j
-            mask |= (int(m.c[i, j]) & 1) << (g + j)
-        rows.append(mask)
-    for i in range(g):
-        mask = 0
-        for j in range(g):
-            mask |= (int(m.b[i, j]) & 1) << j
-            mask |= (int(m.a[i, j]) & 1) << (g + j)
-        rows.append(mask)
-    return SymplecticMap(g, tuple(rows))
+    pairing-preserving map: (k', k'') -> (D k' + C k'', B k' + A k''),
+    with the rows of (D C; B A) mod 2 as masks of exact Python ints."""
+    bits = (np.block([[m.d, m.c], [m.b, m.a]]) & 1).tolist()
+    return SymplecticMap(m.g, tuple(sum(x << j for j, x in enumerate(row))
+                                    for row in bits))
 
 
 def char_act_matches_form_action(m: IntSymplectic, k: F2Vector) -> bool:

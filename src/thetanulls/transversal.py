@@ -155,15 +155,15 @@ def transversality_report(ns: NodeSet, s: Sequence[int]) -> dict:
     labels = _check_s(ns, s)
     label = std_labeling(ns.g)
     chars = trans_config(label, labels)
+    classes = [char_to_partition(k, label) for k in chars]
     polys = basis_polys(ns, labels)
     rk = rank(polys)
     return {
         "g": ns.g,
         "S": labels,
         "chars": [k.to_list() for k in chars],
-        "partitions": [list(char_to_partition(k, label).labels)
-                       for k in chars],
-        "h0": [h0(char_to_partition(k, label)) for k in chars],
+        "partitions": [list(t.labels) for t in classes],
+        "h0": [h0(t) for t in classes],
         "divisors": [quadratic_differential_divisor(ns, labels, k)
                      for k in labels],
         "rank": rk,

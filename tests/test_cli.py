@@ -248,6 +248,48 @@ class TestTheta:
         assert out == ""
         assert "A^T D - C^T B" in err
 
+    @pytest.mark.parametrize("b", [[[2 ** 63]], [[-2 ** 63 - 1]],
+                                   [[10 * 2 ** 63]]])
+    def test_transform_entry_outside_int64_exits_3(self, capsys, tmp_path,
+                                                   b):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[1]], "B": b, "C": [[0]], "D": [[1]]},
+             "z": {"g": 1, "re": [[0.3]], "im": [[1.2]]}, "k": [1, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "transform",
+                                          "--input", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "block B" in err and "int64" in err
+
+    def test_transform_wide_entry_among_small_ones_exits_3(self, capsys,
+                                                           tmp_path):
+        # numpy reads [[2^63, 0], [0, 1]] as float64; it is still integers
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[2 ** 63, 0], [0, 1]], "B": [[0, 0], [0, 0]],
+                   "C": [[0, 0], [0, 0]], "D": [[1, 0], [0, 1]]},
+             "z": {"g": 2, "re": [[0, 0], [0, 0]], "im": [[1, 0], [0, 1]]},
+             "k": [0, 0, 0, 0]}))
+        code, _, err = run_cli(capsys, ["theta", "transform",
+                                        "--input", str(path)])
+        assert code == 3
+        assert "block A" in err
+
+    @pytest.mark.parametrize("b", [[[1.0]], [[True]], [["1"]],
+                                   [[2 ** 63], [1, 2]], [[True, 2 ** 64]],
+                                   [[2 ** 64, 1.5]], [[[2 ** 64]]]])
+    def test_transform_non_integer_entry_exits_2(self, capsys, tmp_path, b):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[1]], "B": b, "C": [[0]], "D": [[1]]},
+             "z": {"g": 1, "re": [[0.3]], "im": [[1.2]]}, "k": [1, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "transform",
+                                          "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "block B" in err
+
     @pytest.mark.parametrize("blocks", [[5], [None], ["z"]])
     def test_split_block_not_an_object_exits_2(self, capsys, tmp_path,
                                                blocks):

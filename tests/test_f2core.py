@@ -134,6 +134,20 @@ def test_is_symplectic_rejects_e_swap():
     m[0][1] = m[1][0] = 1
     m[2][2] = m[3][3] = 1
     assert not is_symplectic(m)
+    with pytest.raises(DomainError):
+        SymplecticMap.from_lists(m)
+
+
+@pytest.mark.parametrize("g, order", [(1, 6), (2, 720)])
+def test_is_symplectic_counts_sp_exhaustive(g, order):
+    # |Sp(2, F_2)| = 6 and |Sp(4, F_2)| = 720; a wrong row/column or index
+    # convention in the pairing predicate changes the count
+    n = 2 * g
+    hits = 0
+    for bits in range(1 << (n * n)):
+        m = [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)]
+        hits += is_symplectic(m)
+    assert hits == order
 
 
 def test_is_symplectic_shape_errors():

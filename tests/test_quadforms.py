@@ -137,6 +137,21 @@ def test_act_matches_pullback_exhaustive_g2():
                 assert evaluate(moved, v) == evaluate(q, inv.apply(v))
 
 
+@pytest.mark.parametrize("g", [3, 6])
+def test_act_matches_pullback_random(g):
+    # the closed-form action against the definition q o M^-1 on sampled v
+    rng = random.Random(100 + g)
+    for _ in range(30):
+        m = random_symplectic(g, rng, steps=4 * g)
+        inv = m.inverse()
+        q = QuadraticForm(g, F2Vector(g, rng.randrange(1 << (2 * g))))
+        moved = act_on_form(m, q)
+        assert act_on_char(m, q.shift) == moved.shift
+        for _ in range(40):
+            v = F2Vector(g, rng.randrange(1 << (2 * g)))
+            assert evaluate(moved, v) == evaluate(q, inv.apply(v))
+
+
 def test_act_is_left_action_random_g6():
     g = 6
     rng = random.Random(29)

@@ -275,6 +275,22 @@ class TestCharAction:
             m = random_int_symplectic(g, rng, steps=4)
             char_act_form_map(m)  # constructor validates the pairing
 
+    def test_form_map_rows_wider_than_int64(self):
+        # 2g = 66 bits per row mask: the rows need exact Python ints
+        g = 33
+        eye = np.eye(g, dtype=int)
+        zero = np.zeros((g, g), dtype=int)
+        s = np.zeros((g, g), dtype=int)
+        s[0, g - 1] = s[g - 1, 0] = s[g - 1, g - 1] = 1
+        m = IntSymplectic(eye, zero, s, eye)
+        rows = char_act_form_map(m).rows
+        assert rows[g - 1] == (1 << (g - 1)) | (1 << g) | (1 << (2 * g - 1))
+        assert rows[2 * g - 1] == 1 << (2 * g - 1)
+        rng = random.Random(50)
+        for _ in range(5):
+            k = F2Vector(g, rng.randrange(1 << (2 * g)))
+            assert char_act_matches_form_action(m, k)
+
 
 class TestTransformModulus:
     def test_random_transformations_pass(self):
