@@ -1,5 +1,5 @@
-"""Symbolic model of the 40 even effective theta characteristics on a
-general bi-elliptic genus-6 curve.
+"""The 40 even effective theta characteristics on a general bi-elliptic
+genus-6 curve: a symbolic model and its checked realization in F_2^12.
 
 A characteristic is (fixed_point i in 1..10, twist in the Klein four-group
 V = {0, F1, F2, F3} under xor).  Two model axioms, both forced by the
@@ -7,19 +7,23 @@ distinctness of the 40 classes: pullback twists act faithfully within a
 fixed-point family, and classes from different families never differ by a
 pullback twist.  The parity rule: a combo a + b - c of three of these is
 even iff at least two fixed points coincide.
+
+realization() maps the model to 40 even masks in F_2^12 and checks, once
+per process, that q0 of every three-mask sum reproduces the parity rule;
+realize_in_f2 is a lookup into that table.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MalformedInputError
-from .f2core import F2Vector, basis_e, basis_f, symplectic_pairing
+from .f2core import F2Vector, _q0_int
 from .orbits import OrbitClass, Quadruple, classify as orbits_classify
-from .quadforms import q0
 
 F1, F2, F3 = 1, 2, 3
 _TWIST_NAMES = {0: "0", 1: "F1", 2: "F2", 3: "F3"}
@@ -67,7 +71,6 @@ class BCombo:
 class Decision(enum.Enum):
     YES = "yes"
     NO = "no"
-    UNDECIDABLE = "undecidable"
 
 
 def all_chars() -> list[BChar]:
@@ -126,7 +129,8 @@ def _triple_split_decision(base: BChar, a: BChar, b: BChar,
     if combo_parity(BCombo((a, b), base)) == 1:
         # odd combo can never equal the even characteristic c
         return Decision.NO
-    # remaining shape: a, b share a fixed point i, base is in family j != i;
+    # forced shape: _combo_char found neither a nor b in the base's family
+    # j, and the combo is even, so a, b share a fixed point i != j;
     # a + b - base = (canonical) + twist(t_a^t_b) - base, which equals c iff
     # c sits in the base's family with matching twist difference
     i = a.fixed_point
@@ -141,17 +145,12 @@ def triple_sum_is_zero(base: BChar, a: BChar, b: BChar, c: BChar) -> Decision:
     """Decide (a-base) + (b-base) + (c-base) = 0.
 
     The sum vanishes iff a + b - base = c as classes (using 2*base =
-    canonical = 2*c).  All three plus-pair splits are evaluated; decisive
+    canonical = 2*c).  Each of the three plus-pair splits decides; their
     answers must agree.
     """
     _check_distinct([base, a, b, c])
-    answers = set()
-    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-        d = _triple_split_decision(base, x, y, z)
-        if d is not Decision.UNDECIDABLE:
-            answers.add(d)
-    if not answers:
-        return Decision.UNDECIDABLE
+    answers = {_triple_split_decision(base, x, y, z)
+               for x, y, z in ((a, b, c), (a, c, b), (b, c, a))}
     if len(answers) > 1:
         raise AssertionError("inconsistent decisions across splits")
     return answers.pop()
@@ -162,9 +161,10 @@ def witness_quadruples() -> list[tuple[tuple[BChar, BChar, BChar, BChar],
     """The four quadruples of the genus-6 bi-elliptic construction with
     their expected orbit classes.
 
-    The third one reads the printed fourth member as a twist within the
-    first family (the printed text mixes families, which is not one of the
-    40 classes; see the notes in the repository docs)."""
+    The third one reads its printed fourth member as (1, F1), the twist by
+    F1 within the first family: taken literally, the printed member mixes
+    two fixed-point families, and no such class is among the 40.  So w3 has
+    two members in family 1 and one each in families 2 and 3."""
     w1 = (BChar(1, 0), BChar(2, F1), BChar(1, F1), BChar(2, 0))
     w2 = (BChar(1, 0), BChar(2, F2), BChar(1, F1), BChar(2, 0))
     w3 = (BChar(1, 0), BChar(2, 0), BChar(3, 0), BChar(1, F1))
@@ -180,10 +180,7 @@ def witness_quadruples() -> list[tuple[tuple[BChar, BChar, BChar, BChar],
 def _classify_with_base(chars: Sequence[BChar], base_idx: int) -> OrbitClass:
     base = chars[base_idx]
     rest = [k for i, k in enumerate(chars) if i != base_idx]
-    dep = triple_sum_is_zero(base, rest[0], rest[1], rest[2])
-    if dep is Decision.UNDECIDABLE:
-        raise DomainError("instance not resolvable by the parity rules")
-    if dep is Decision.YES:
+    if triple_sum_is_zero(base, *rest) is Decision.YES:
         return OrbitClass.A1
     n = sum(pairing(base, x, y) for x, y in combinations(rest, 2))
     if n == 0:
@@ -208,46 +205,48 @@ def classify_bielliptic(quad: Iterable[BChar]) -> OrbitClass:
     return results.pop()
 
 
-def realize_in_f2(quad: Iterable[BChar]) -> Quadruple:
-    """Explicit genus-6 quadruple with the same dependence/pairing data.
+# d_1..d_8 in F_2^12 (g = 6): even, with <d_i, d_j> = 1 for all i != j
+_FAMILIES = (0x1, 0x40, 0xc3, 0x147, 0x1cd, 0x24f, 0x2c9, 0x34b)
 
-    Differences from the base are realized as a1 = e1, a2 = e2 + G12 f1,
-    a3 = e3 + G13 f1 + G23 f2 (independent case) or a3 = a1 + a2
-    (dependent case); the base characteristic is 0.  classify on the result
-    must agree with classify_bielliptic on the input.
+
+@functools.cache
+def realization() -> tuple[int, ...]:
+    """Masks in F_2^12 of the 40 characteristics, in all_chars() order:
+    (i, t) maps to d_i + (t << 4), with d_9 = d_1 + ... + d_8 and d_10 = 0.
+    The twist part is linear in t, so F1, F2 and F3 = F1 ^ F2 map to e_4,
+    e_5 and e_4 + e_5, and BChar.twisted is xor with that part.
+
+    The Gram matrix J + I of d_1..d_8 is invertible ((J + I)^2 = I), so
+    their sum d_9 is the only relation, and <e_4, e_5> is a totally
+    singular plane orthogonal to every d_i.  Checked on first use: the
+    masks are distinct and even, and q0(a + b + s) = <a + s, b + s>, which
+    is symmetric in a, b, s, equals the parity rule on every triple.
     """
-    chars = sorted(quad)
+    fams = _FAMILIES + (functools.reduce(int.__xor__, _FAMILIES), 0)
+    chars = all_chars()
+    masks = tuple(fams[c.fixed_point - 1] ^ (c.twist << 4) for c in chars)
+    if len(set(masks)) != 40:
+        raise AssertionError("realization masks must be distinct")
+    if any(_q0_int(m, 6) for m in masks):
+        raise AssertionError("realization masks must be even")
+    for (a, ma), (b, mb), (s, ms) in combinations(zip(chars, masks), 3):
+        if _q0_int(ma ^ mb ^ ms, 6) != combo_parity(BCombo((a, b), s)):
+            raise AssertionError(f"realization breaks the parity rule at "
+                                 f"{a}, {b}, {s}")
+    return masks
+
+
+def realize_in_f2(quad: Iterable[BChar]) -> Quadruple:
+    """The genus-6 quadruple of realization() masks of four distinct model
+    characteristics, in input order; classify on the result must agree
+    with classify_bielliptic on the input."""
+    chars = list(quad)
     if len(chars) != 4:
         raise MalformedInputError("need exactly 4 characteristics")
     _check_distinct(chars)
-    base, rest = chars[3], chars[:3]
-    g = 6
-    g12 = pairing(base, rest[0], rest[1])
-    g13 = pairing(base, rest[0], rest[2])
-    g23 = pairing(base, rest[1], rest[2])
-    dep = triple_sum_is_zero(base, rest[0], rest[1], rest[2])
-    if dep is Decision.UNDECIDABLE:
-        raise DomainError("instance not resolvable by the parity rules")
-    a1 = basis_e(g, 0)
-    a2 = basis_e(g, 1) + basis_f(g, 0) if g12 else basis_e(g, 1)
-    if dep is Decision.YES:
-        a3 = a1 + a2
-        if (g12, g13, g23) != (0, 0, 0):
-            raise AssertionError("dependent instance with nonzero pairings")
-    else:
-        bits = basis_e(g, 2)
-        if g13:
-            bits = bits + basis_f(g, 0)
-        if g23:
-            bits = bits + basis_f(g, 1)
-        a3 = bits
-    for a in (a1, a2, a3):
-        assert q0(a) == 0, "differences must preserve evenness"
-    assert symplectic_pairing(a1, a2) == g12
-    assert symplectic_pairing(a1, a3) == g13
-    assert symplectic_pairing(a2, a3) == g23
-    zero = F2Vector.zero(g)
-    return Quadruple(g, (a1, a2, a3, zero))
+    table = realization()
+    return Quadruple(6, tuple(
+        F2Vector(6, table[4 * (c.fixed_point - 1) + c.twist]) for c in chars))
 
 
 def verify_witnesses() -> list[dict]:

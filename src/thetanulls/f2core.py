@@ -11,6 +11,7 @@ and q0(v) = v'.v'' is the standard quadratic form refining it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -103,6 +104,21 @@ def _solve_f2(eq_rows: Sequence[int], rhs: Sequence[int], n: int,
 # vectors
 
 
+def _bits_of(entries: Sequence[int], what: str) -> int:
+    """Bitmask with bit i = entries[i], each an integer 0 or 1: operator.index
+    takes ints and numpy integers and refuses floats such as 1.0."""
+    bits = 0
+    for i, x in enumerate(entries):
+        try:
+            x = operator.index(x)
+        except TypeError:
+            x = None
+        if x not in (0, 1):
+            raise DomainError(f"{what} must be 0 or 1")
+        bits |= x << i
+    return bits
+
+
 @dataclass(frozen=True)
 class F2Vector:
     """Vector in F_2^(2g), stored as a bitmask (bit i = coordinate i)."""
@@ -125,12 +141,7 @@ class F2Vector:
         if len(coords) % 2 or not coords:
             raise DomainError(f"coordinate list must have even positive "
                               f"length, got {len(coords)}")
-        if any(c not in (0, 1) for c in coords):
-            raise DomainError("coordinates must be 0 or 1")
-        bits = 0
-        for i, c in enumerate(coords):
-            bits |= c << i
-        return cls(len(coords) // 2, bits)
+        return cls(len(coords) // 2, _bits_of(coords, "coordinates"))
 
     def to_list(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(2 * self.g)]
@@ -204,10 +215,7 @@ def _rows_from_lists(
     n = len(matrix)
     if n == 0 or n % 2 or any(len(row) != n for row in matrix):
         raise DomainError("matrix must be square with even dimension")
-    if any(x not in (0, 1) for row in matrix for x in row):
-        raise DomainError("matrix entries must be 0 or 1")
-    return n // 2, tuple(sum(x << j for j, x in enumerate(row))
-                         for row in matrix)
+    return n // 2, tuple(_bits_of(row, "matrix entries") for row in matrix)
 
 
 def _preserves_pairing(rows: Sequence[int], g: int) -> bool:

@@ -34,31 +34,22 @@ _COND_CAP = 1e12
 def _checked_array(name: str, value, kinds: str, what: str) -> np.ndarray:
     """value as a numpy array whose dtype kind is one of kinds ("i" int,
     "f" float), with no cast: ragged nesting and entries of another type
-    (booleans and strings included) are malformed input."""
+    (booleans and strings included) are malformed input, but a rectangular
+    list of JSON integers that numpy cannot hold that way has an entry past
+    int64, which is a resource cap."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:
         raise MalformedInputError(f"{name} is not a rectangular array") \
             from exc
     if arr.dtype.kind not in kinds:
-        raise MalformedInputError(f"{name} entries must be {what}")
-    return arr
-
-
-def _int_block(name: str, value) -> np.ndarray:
-    """value as an int64 array; a rectangular list of JSON integers with an
-    entry past int64 is a resource cap, not malformed input."""
-    try:
-        arr = _checked_array(name, value, "i", "integers")
-    except MalformedInputError:
         # numpy holds such integers as uint64, float64 or object arrays
         if isinstance(value, list) and value and all(
                 isinstance(r, list) and len(r) == len(value[0]) > 0
                 and all(type(x) is int for x in r) for r in value):
-            raise ResourceCapError(
-                f"{name} entries leave the int64 range") from None
-        raise
-    return arr.astype(np.int64, copy=False)
+            raise ResourceCapError(f"{name} entries leave the int64 range")
+        raise MalformedInputError(f"{name} entries must be {what}")
+    return arr
 
 
 class SiegelMatrix:
@@ -117,7 +108,8 @@ class IntSymplectic:
     def __init__(self, a, b, c, d) -> None:
         blocks = []
         for name, blk in (("A", a), ("B", b), ("C", c), ("D", d)):
-            arr = _int_block(f"block {name}", blk)
+            arr = _checked_array(f"block {name}", blk, "i",
+                                 "integers").astype(np.int64, copy=False)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise MalformedInputError(f"block {name} must be square")
             blocks.append(arr)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from thetanulls import bielliptic
 from thetanulls.bielliptic import (
     BChar,
     BCombo,
@@ -16,6 +19,7 @@ from thetanulls.bielliptic import (
     classify_bielliptic,
     combo_parity,
     pairing,
+    realization,
     realize_in_f2,
     reduce_same_fixed,
     triple_sum_is_zero,
@@ -23,7 +27,8 @@ from thetanulls.bielliptic import (
     witness_quadruples,
 )
 from thetanulls.errors import DomainError, MalformedInputError
-from thetanulls.orbits import OrbitClass, classify as orbits_classify
+from thetanulls.orbits import (OrbitClass, classify as orbits_classify,
+                               classify_array)
 
 
 def test_all_chars_structure():
@@ -106,12 +111,49 @@ def test_triple_sum_examples():
         triple_sum_is_zero(BChar(1, 0), BChar(1, 0), BChar(2, 0), BChar(3, 0))
 
 
-def test_triple_sum_total_on_sample():
-    rng = random.Random(71)
-    chars = all_chars()
-    for _ in range(2000):
-        base, a, b, c = rng.sample(chars, 4)
-        assert triple_sum_is_zero(base, a, b, c) is not Decision.UNDECIDABLE
+def test_triple_sum_matches_realization_exhaustively():
+    # the decision is YES exactly where the realized masks XOR to 0
+    n = 0
+    for q, masks in zip(combinations(all_chars(), 4),
+                        combinations(realization(), 4)):
+        dep = triple_sum_is_zero(q[3], q[0], q[1], q[2]) is Decision.YES
+        assert dep == (reduce(int.__xor__, masks) == 0), q
+        n += dep
+    assert n == 550
+
+
+def test_realization_shape():
+    masks = realization()
+    assert len(masks) == 40 and all(0 <= m < 1 << 12 for m in masks)
+    assert masks[:4] == (0x1, 0x11, 0x21, 0x31)  # (1, t): d_1 + (t << 4)
+    assert masks[36:] == (0, 0x10, 0x20, 0x30)   # (10, t): d_10 = 0
+    assert realization() is masks
+
+
+def test_realize_in_f2_is_a_table_lookup():
+    quad = [BChar(3, F2), BChar(10, 0), BChar(1, F3), BChar(9, F1)]
+    table = realization()
+    got = realize_in_f2(quad)
+    assert got.g == 6
+    assert [k.bits for k in got.chars] == [
+        table[4 * (c.fixed_point - 1) + c.twist] for c in quad]
+    with pytest.raises(MalformedInputError):
+        realize_in_f2(quad[:3])
+    with pytest.raises(DomainError):
+        realize_in_f2(quad[:3] + [quad[0]])
+
+
+def test_decision_is_two_valued():
+    assert [d.name for d in Decision] == ["YES", "NO"]
+
+
+def test_realization_checks_parity_rule(monkeypatch):
+    # 0x2 is even and new to the table, but <0x2, 0x40> = 0, so the odd
+    # combo (1, 0) + (2, 0) - (10, 0) is realized by an even mask
+    broken = (0x2,) + bielliptic._FAMILIES[1:]
+    monkeypatch.setattr(bielliptic, "_FAMILIES", broken)
+    with pytest.raises(AssertionError, match="parity rule"):
+        realization.__wrapped__()
 
 
 def test_witness_classifications():
@@ -152,9 +194,15 @@ def test_classify_validation():
 
 def test_model_census_counts():
     counts = {c: 0 for c in OrbitClass}
+    labels = []
     for quad in combinations(all_chars(), 4):
-        counts[classify_bielliptic(quad)] += 1
+        labels.append(classify_bielliptic(quad))
+        counts[labels[-1]] += 1
     assert sum(counts.values()) == 91390
+    # label by label, the realization's census agrees with the parity rules
+    rows = np.array(list(combinations(realization(), 4)), dtype=np.int64)
+    classes = list(OrbitClass)
+    assert [classes[c] for c in classify_array(rows, 6)] == labels
     assert counts == {OrbitClass.A1: 550, OrbitClass.A2: 2520,
                       OrbitClass.A3: 34560, OrbitClass.A4: 53760}
     assert all(v > 0 for v in counts.values())

@@ -290,6 +290,32 @@ class TestTheta:
         assert out == ""
         assert "block B" in err
 
+    @pytest.mark.parametrize("field", ["re", "im"])
+    @pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, -2 ** 63 - 1])
+    def test_eval_entry_outside_int64_exits_3(self, capsys, tmp_path, field,
+                                              big):
+        z = {"g": 1, "re": [[0.0]], "im": [[1.0]]}
+        z[field] = [[big]]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"z": z, "k": [0, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "eval", "--input",
+                                          str(path)])
+        assert code == 3
+        assert out == ""
+        assert f"{field} entries" in err and "int64" in err
+
+    @pytest.mark.parametrize("bad", [[[True]], [["1"]], [[2 ** 64], [1, 2]],
+                                     [[2 ** 64, "x"]], [[[2 ** 64]]]])
+    def test_eval_non_number_entry_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"z": {"g": 1, "re": [[0.0]], "im": bad}, "k": [0, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "eval", "--input",
+                                          str(path)])
+        assert code == 2
+        assert out == ""
+        assert "im" in err
+
     @pytest.mark.parametrize("blocks", [[5], [None], ["z"]])
     def test_split_block_not_an_object_exits_2(self, capsys, tmp_path,
                                                blocks):

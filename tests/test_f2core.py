@@ -61,6 +61,24 @@ def test_vector_validation():
         F2Vector.from_list([1, 2])
 
 
+@pytest.mark.parametrize("bad", [1.0, 0.0, np.float64(1), "1", None])
+def test_non_integer_entries_are_domain_errors(bad):
+    with pytest.raises(DomainError, match="coordinates must be 0 or 1"):
+        F2Vector.from_list([bad, 0])
+    with pytest.raises(DomainError, match="matrix entries must be 0 or 1"):
+        is_symplectic([[bad, 0], [0, 1]])
+    with pytest.raises(DomainError, match="matrix entries must be 0 or 1"):
+        SymplecticMap.from_lists([[1, 0], [0, bad]])
+
+
+def test_numpy_integer_entries_are_accepted():
+    one, zero = np.int64(1), np.uint8(0)
+    assert F2Vector.from_list([one, zero]) == F2Vector(1, 1)
+    assert is_symplectic([[one, zero], [zero, one]])
+    assert SymplecticMap.from_lists(np.eye(2, dtype=np.int8)) == \
+        SymplecticMap.identity(1)
+
+
 def test_serial_key_is_lex_on_coordinates():
     # bit 0 is serialized first, so the int order differs from lex order
     a = F2Vector(2, 0b0001)  # [1,0,0,0]
