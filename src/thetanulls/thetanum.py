@@ -13,12 +13,19 @@ R grows until the tail bound is <= eps; the issued certificate adds a fixed
 rounding allowance of 1000 * machine_eps * #terms, so it can exceed eps for
 very small eps (that allowance is dominated by double precision itself, not
 by truncation).
+
+Only the phase x . k'' depends on k'', so theta_constant keeps one memo
+entry: the radius, the tail bound and, for each k' asked for, the coset of
+ball points x = n + k'/2 in summation order with their x^T Z x, all for the
+last (Z, eps, radius_scale) seen.  The 4^g characteristics at one Z then
+share 2^g lattice builds, each made on first use; a new Z replaces the
+entry.  Values and certificates are the same bit for bit as a fresh build.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,25 +36,28 @@ from .quadforms import act_on_char
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _MAX_TERMS = 5_000_000
 _COND_CAP = 1e12
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def _checked_array(name: str, value, kinds: str, what: str) -> np.ndarray:
     """value as a numpy array whose dtype kind is one of kinds ("i" int,
     "f" float), with no cast: ragged nesting and entries of another type
-    (booleans and strings included) are malformed input, but a rectangular
-    list of JSON integers that numpy cannot hold that way has an entry past
-    int64, which is a resource cap."""
+    (booleans and strings included) are malformed input, but a JSON
+    integer past int64 in a rectangular list of allowed entries is a
+    resource cap, whatever dtype numpy would pick (uint64 and object, or a
+    float64 that rounds it)."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:
         raise MalformedInputError(f"{name} is not a rectangular array") \
             from exc
-    if arr.dtype.kind not in kinds:
-        # numpy holds such integers as uint64, float64 or object arrays
-        if isinstance(value, list) and value and all(
-                isinstance(r, list) and len(r) == len(value[0]) > 0
-                and all(type(x) is int for x in r) for r in value):
+    allowed = (int, float) if "f" in kinds else (int,)
+    if arr.ndim == 2 and isinstance(value, list) and all(
+            isinstance(r, list) and all(type(x) in allowed for x in r)
+            for r in value):
+        if any(type(x) is int and x not in _INT64 for r in value for x in r):
             raise ResourceCapError(f"{name} entries leave the int64 range")
+    if arr.dtype.kind not in kinds:
         raise MalformedInputError(f"{name} entries must be {what}")
     return arr
 
@@ -175,13 +185,6 @@ class IntSymplectic:
         return cls(data["A"], data["B"], data["C"], data["D"])
 
 
-def _char_halves(k: F2Vector) -> tuple[np.ndarray, np.ndarray]:
-    bits = k.to_list()
-    g = k.g
-    return (np.array(bits[:g], dtype=np.float64),
-            np.array(bits[g:], dtype=np.float64))
-
-
 def _tail_bound(r: float, lam: float, g: int) -> float:
     """Rigorous bound on the sum of exp(-pi lam ||x||^2) over ||x|| > r:
     the shell r+m < ||x|| <= r+m+1 holds at most (2 ceil(r) + 2m + 3)^g
@@ -197,21 +200,9 @@ def _tail_bound(r: float, lam: float, g: int) -> float:
     return math.inf
 
 
-def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
-                   radius_scale: float = 1.0) -> tuple[complex, float]:
-    """Truncated theta series with a certified error bound.
-
-    Returns (value, bound) with |value - theta[k](Z)| <= bound; the
-    truncation part of the bound is <= eps, the total adds the fixed
-    rounding allowance 1000 * eps_mach * #terms.  radius_scale inflates the
-    truncation radius past the certified one (self-consistency checks).
-    """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if radius_scale < 1.0:
-        raise DomainError("radius_scale must be >= 1")
-    if k.g != z.g:
-        raise DomainError("characteristic/matrix g mismatch")
+def _radius(z: SiegelMatrix, eps: float,
+            radius_scale: float) -> tuple[float, float]:
+    """Truncation radius r and its tail bound, which is <= eps."""
     g = z.g
     lam = z.lambda_min
     r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
@@ -229,9 +220,17 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     if (2 * r + 2) ** g > _MAX_TERMS:
         raise ResourceCapError(
             f"lattice box of side {2 * r + 2:.0f}^{g} exceeds the term cap")
+    return r, tail
 
-    kp, kpp = _char_halves(k)
-    half = kp / 2.0
+
+def _coset(z: SiegelMatrix, r: float,
+           kp: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points x = n + k'/2 (n integral) of the ball ||x|| <= r, in the
+    fixed summation order (by ||x||^2, then lexicographic in n), as
+    (x^T Z x, 2x); 2x is integral, held in the smallest integer dtype."""
+    g = z.g
+    half = np.array([(kp >> i) & 1 for i in range(g)],
+                    dtype=np.float64) / 2.0
     los = [math.ceil(-r - half[i]) for i in range(g)]
     his = [math.floor(r - half[i]) for i in range(g)]
     axes = [np.arange(lo, hi + 1, dtype=np.float64)
@@ -242,15 +241,66 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     norm2 = np.einsum("ij,ij->i", x, x)
     keep = norm2 <= r * r + 1e-12
     rs, x, norm2 = rs[keep], x[keep], norm2[keep]
-    # fixed summation order: by ||x||^2, then lexicographic in r
     order = np.lexsort(tuple(rs[:, j] for j in range(g - 1, -1, -1))
                        + (norm2,))
-    rs, x = rs[order], x[order]
+    x = x[order]
     quad = np.einsum("ij,jk,ik->i", x, z.z, x)
-    lin = x @ kpp
+    twice_x = (2 * x).astype(np.min_scalar_type(-2 * math.ceil(r) - 1))
+    return quad, twice_x
+
+
+class _Lattice(NamedTuple):
+    """One (Z, eps, radius_scale) with its radius, tail and cosets by k'."""
+    z: SiegelMatrix
+    eps: float
+    radius_scale: float
+    r: float
+    tail: float
+    cosets: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+# The lattice of the last (Z, eps, radius_scale) evaluated; a new key
+# replaces the whole entry, so the memo holds one Siegel matrix at most.
+_LATTICE: _Lattice | None = None
+
+
+def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
+                   radius_scale: float = 1.0) -> tuple[complex, float]:
+    """Truncated theta series with a certified error bound.
+
+    Returns (value, bound) with |value - theta[k](Z)| <= bound; the
+    truncation part of the bound is <= eps, the total adds the fixed
+    rounding allowance 1000 * eps_mach * #terms.  radius_scale inflates the
+    truncation radius past the certified one (self-consistency checks).
+
+    The lattice of the last (Z, eps, radius_scale) is memoized (module
+    docstring); results are bit-identical to building it afresh.
+    """
+    global _LATTICE
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    if radius_scale < 1.0:
+        raise DomainError("radius_scale must be >= 1")
+    if k.g != z.g:
+        raise DomainError("characteristic/matrix g mismatch")
+    # one read of the slot, one tuple written: a lattice is never paired
+    # with another Z's key
+    memo = _LATTICE
+    if memo is None or not (memo.z is z and memo.eps == eps
+                            and memo.radius_scale == radius_scale):
+        memo = _Lattice(z, eps, radius_scale,
+                        *_radius(z, eps, radius_scale), {})
+        _LATTICE = memo
+    kp = k.first_half
+    coset = memo.cosets.get(kp)
+    if coset is None:
+        coset = memo.cosets[kp] = _coset(z, memo.r, kp)
+    quad, twice_x = coset
+    kpp = np.array([(k.second_half >> i) & 1 for i in range(z.g)])
+    # x is half-integral and k'' is 0/1, so the phase is exact
+    lin = (twice_x @ kpp) / 2
     value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
-    nterms = int(x.shape[0])
-    bound = tail + 1000.0 * _EPS_MACH * nterms
+    bound = memo.tail + 1000.0 * _EPS_MACH * quad.shape[0]
     return value, bound
 
 

@@ -304,6 +304,22 @@ class TestTheta:
         assert out == ""
         assert f"{field} entries" in err and "int64" in err
 
+    @pytest.mark.parametrize("re", [[[2 ** 63 + 1, 0], [0, 0]],
+                                    [[0.5, 2 ** 64], [2 ** 64, 1.5]]])
+    def test_eval_wide_entry_among_numbers_exits_3(self, capsys, tmp_path,
+                                                   re):
+        # numpy reads the first grid as float64, rounding 2^63 + 1 to 2^63,
+        # and the second as an object array of ints and floats
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"z": {"g": 2, "re": re, "im": [[1, 0], [0, 1]]},
+             "k": [0, 0, 0, 0]}))
+        code, out, err = run_cli(capsys, ["theta", "eval", "--input",
+                                          str(path)])
+        assert code == 3
+        assert out == ""
+        assert "re entries" in err and "int64" in err
+
     @pytest.mark.parametrize("bad", [[[True]], [["1"]], [[2 ** 64], [1, 2]],
                                      [[2 ** 64, "x"]], [[[2 ** 64]]]])
     def test_eval_non_number_entry_exits_2(self, capsys, tmp_path, bad):

@@ -1,10 +1,14 @@
 import json
 import math
 import random
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from thetanulls import thetanum
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.f2core import F2Vector
 from thetanulls.quadforms import (all_characteristics,
@@ -368,3 +372,153 @@ class TestGenerators:
         for g in (1, 2, 3):
             for _ in range(10):
                 assert random_level_two(g, rng, steps=5).is_level_two()
+
+
+def _reference_theta(z, k, eps, radius_scale=1.0):
+    """theta_constant built from scratch on every call, as the engine did
+    before the lattice memo: radius search, meshgrid over the ball, fixed
+    summation order, then the sum with the phase x . k''."""
+    g = z.g
+    lam = z.lambda_min
+    r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
+    tail = thetanum._tail_bound(r, lam, g)
+    while tail > eps:
+        r *= 1.25
+        tail = thetanum._tail_bound(r, lam, g)
+    if radius_scale > 1.0:
+        r *= radius_scale
+        tail = thetanum._tail_bound(r, lam, g)
+    bits = k.to_list()
+    kp = np.array(bits[:g], dtype=np.float64)
+    kpp = np.array(bits[g:], dtype=np.float64)
+    half = kp / 2.0
+    los = [math.ceil(-r - half[i]) for i in range(g)]
+    his = [math.floor(r - half[i]) for i in range(g)]
+    axes = [np.arange(lo, hi + 1, dtype=np.float64)
+            for lo, hi in zip(los, his)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rs = np.stack([m.ravel() for m in mesh], axis=1)
+    x = rs + half
+    norm2 = np.einsum("ij,ij->i", x, x)
+    keep = norm2 <= r * r + 1e-12
+    rs, x, norm2 = rs[keep], x[keep], norm2[keep]
+    order = np.lexsort(tuple(rs[:, j] for j in range(g - 1, -1, -1))
+                       + (norm2,))
+    rs, x = rs[order], x[order]
+    quad = np.einsum("ij,jk,ik->i", x, z.z, x)
+    lin = x @ kpp
+    value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
+    bound = tail + 1000.0 * thetanum._EPS_MACH * int(x.shape[0])
+    return value, bound
+
+
+def _bits(result):
+    value, bound = result
+    return struct.pack("<3d", value.real, value.imag, bound)
+
+
+class TestLatticeMemo:
+    """theta_constant shares one truncated lattice across the
+    characteristics of one (Z, eps, radius_scale); its results must equal
+    the from-scratch reference bit for bit."""
+
+    @pytest.mark.parametrize("g, min_im", [(1, 0.5), (2, 0.5), (3, 1.0),
+                                           (4, 3.0)])
+    def test_bit_identical_to_reference(self, g, min_im):
+        rng = random.Random(60 + g)
+        z = random_siegel(g, rng, min_im=min_im)
+        chars = list(all_characteristics(g))
+        for eps in (1e-8, 1e-10, 1e-12):
+            for scale in (1.0, 2.0):
+                for k in chars:
+                    got = theta_constant(z, k, eps, radius_scale=scale)
+                    want = _reference_theta(z, k, eps, radius_scale=scale)
+                    assert _bits(got) == _bits(want), (eps, scale, k)
+
+    def test_wide_lattice_coordinates(self):
+        # lambda_min = 1e-3 puts |2x| past int8 (radius about 94)
+        z = SiegelMatrix([[0.3 + 1e-3j]])
+        for k in all_characteristics(1):
+            assert _bits(theta_constant(z, k, 1e-12)) == \
+                _bits(_reference_theta(z, k, 1e-12))
+        assert thetanum._LATTICE.cosets[0][1].dtype == np.int16
+
+    def test_interleaved_matrices_and_eps(self):
+        rng = random.Random(70)
+        za = random_siegel(2, rng, min_im=0.6)
+        zb = random_siegel(2, rng, min_im=0.6)
+        chars = list(all_characteristics(2))
+        for z, eps in ((za, 1e-10), (zb, 1e-10), (za, 1e-10),
+                       (za, 1e-8), (za, 1e-12), (za, 1e-8)):
+            for k in chars:
+                assert _bits(theta_constant(z, k, eps)) == \
+                    _bits(_reference_theta(z, k, eps))
+        # alternating matrices call by call
+        for k in chars:
+            for z in (za, zb):
+                assert _bits(theta_constant(z, k, 1e-10)) == \
+                    _bits(_reference_theta(z, k, 1e-10))
+
+    def test_cosets_built_lazily_for_one_matrix(self, monkeypatch):
+        built = []
+        coset = thetanum._coset
+
+        def counting(z, r, kp):
+            built.append((z, kp))
+            return coset(z, r, kp)
+
+        monkeypatch.setattr(thetanum, "_coset", counting)
+        rng = random.Random(71)
+        z = random_siegel(3, rng)
+        theta_constant(z, F2Vector(3, 0b101_011), 1e-10)
+        assert built == [(z, 0b011)]
+        memo = thetanum._LATTICE
+        assert memo.z is z and list(memo.cosets) == [0b011]
+        for k in all_characteristics(3):
+            theta_constant(z, k, 1e-10)
+        assert len(built) == 8 and thetanum._LATTICE is memo
+        other = random_siegel(3, rng)
+        theta_constant(other, F2Vector(3, 0), 1e-10)
+        memo = thetanum._LATTICE
+        assert memo.z is other and list(memo.cosets) == [0]
+        # the old matrix is rebuilt from scratch, not resumed
+        theta_constant(z, F2Vector(3, 0b101_011), 1e-10)
+        assert thetanum._LATTICE.z is z and len(built) == 10
+
+    def test_failed_radius_leaves_memo_alone(self):
+        z = random_siegel(2, random.Random(72))
+        theta_constant(z, F2Vector(2, 0), 1e-10)
+        memo = thetanum._LATTICE
+        tiny = SiegelMatrix(np.eye(6) * 1e-3j)
+        with pytest.raises(ResourceCapError):
+            theta_constant(tiny, F2Vector(6, 0), 1e-10)
+        assert thetanum._LATTICE is memo
+
+    def test_threads_sharing_the_memo(self):
+        rng = random.Random(73)
+        zs = [random_siegel(2, rng) for _ in range(3)]
+        chars = list(all_characteristics(2))
+        want = {(i, k.bits): _bits(_reference_theta(z, k, 1e-10))
+                for i, z in enumerate(zs) for k in chars}
+        bad = []
+
+        def work(i):
+            for _ in range(20):
+                for k in chars:
+                    got = _bits(theta_constant(zs[i], k, 1e-10))
+                    if got != want[i, k.bits]:
+                        bad.append((i, k.bits))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n % 3,))
+                       for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
