@@ -20,9 +20,8 @@ from .f2core import F2Vector
 from .hyperelliptic import (char_to_partition, class_counts,
                             formula_agreement, std_labeling, trans_config,
                             vanishing_thetanulls)
-from .orbits import (Quadruple, census_report, classify, classify_by_delta,
-                     delta_parities, differences)
-from .f2core import span_dim, symplectic_pairing
+from .orbits import (OrbitClass, Quadruple, census_report, classify,
+                     classify_by_delta, delta_parities)
 from .quadforms import characteristic_counts
 from .thetanum import (IntSymplectic, SiegelMatrix, block_diag_split_check,
                        theta_constant, transform_modulus_check)
@@ -76,16 +75,15 @@ def cmd_classify(args) -> dict:
         raise MalformedInputError(
             f"--genus {args.genus} does not match input g={q.g}")
     label = classify(q, verify_bases=True)
-    diffs = differences(q, 4)
-    d = span_dim(diffs)
-    n = sum(symplectic_pairing(a, b)
-            for i, a in enumerate(diffs) for b in diffs[i + 1:])
+    deltas = delta_parities(q)
     return {
         "g": q.g,
         "label": label.value,
-        "span_dim": d,
-        "noncommuting_pairs": n,
-        "delta_parities": list(delta_parities(q)),
+        # distinct characteristics have distinct nonzero differences, so
+        # they span at least a plane
+        "span_dim": 2 if label is OrbitClass.A1 else 3,
+        "noncommuting_pairs": sum(deltas[:3]),
+        "delta_parities": list(deltas),
         "delta_label": classify_by_delta(q).value,
         "base_independent": True,
     }

@@ -34,7 +34,9 @@ def _q0_int(v: int, g: int) -> int:
 
 
 def _pair_arr(a: np.ndarray, b: np.ndarray, g: int) -> np.ndarray:
-    """_pair_int elementwise over broadcast integer mask arrays."""
+    """_pair_int elementwise over broadcast integer mask arrays; also takes
+    plain int masks (the result is then a numpy scalar, or a Python int
+    past int64)."""
     return np.bitwise_count(((a & (b >> g)) ^ ((a >> g) & b))
                             & ((1 << g) - 1)) & 1
 
@@ -177,11 +179,6 @@ def basis_f(g: int, i: int) -> F2Vector:
     if not 0 <= i < g:
         raise DomainError(f"basis index {i} out of range for g={g}")
     return F2Vector(g, 1 << (g + i))
-
-
-def serial_key(v: F2Vector) -> tuple[int, ...]:
-    """Sort key giving lexicographic order on the serialized coordinates."""
-    return tuple(v.to_list())
 
 
 def symplectic_pairing(a: F2Vector, b: F2Vector) -> int:

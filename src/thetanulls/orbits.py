@@ -13,8 +13,11 @@ Changing the base can swap n between 1 and 2 but never crosses these
 buckets, so the class is well defined; delta_parities gives the matching
 parity signature and classify_by_delta the cross-check classifier.
 
-A single Quadruple is classified on the scalar int-mask kernel.  Bulk
-callers use the batched path over (n, 4) numpy arrays of characteristic
+One invariants kernel serves one quadruple and arrays of them: it reads
+span independence and the three pairings off the differences, given as
+plain int masks or as broadcast numpy mask arrays.  classify,
+classify_by_delta and delta_parities call it on one Quadruple.  Bulk
+callers hold quadruples as rows of (n, 4) numpy arrays of characteristic
 masks: classify_array and classify_by_delta_array, the sampler
 random_quadruples, and all_quadruples, which census and census_report
 classify in one array pass.  orbit_bfs keys each node, a sorted 4-subset of
@@ -34,8 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .f2core import (F2Vector, SymplecticMap, _pair_arr, _pair_int, _q0_arr,
-                     _q0_int, _rank_int, serial_key)
+from .f2core import F2Vector, SymplecticMap, _pair_arr, _q0_arr, _q0_int
 from .quadforms import _transvect_char_arr, act_on_char, parity
 
 
@@ -92,6 +94,12 @@ class Quadruple:
         return cls(g, tuple(F2Vector.from_list(c) for c in chars))
 
 
+def _diff_masks(q: Quadruple, base: int) -> tuple[int, int, int]:
+    """The differences k_i + k_base as int masks (base 0-based)."""
+    b = q.chars[base].bits
+    return tuple(k.bits ^ b for i, k in enumerate(q.chars) if i != base)
+
+
 def differences(q: Quadruple, base: int) -> tuple[F2Vector, F2Vector, F2Vector]:
     """a_i = k_i + k_base over the non-base positions, in input order.
 
@@ -99,44 +107,47 @@ def differences(q: Quadruple, base: int) -> tuple[F2Vector, F2Vector, F2Vector]:
     """
     if base not in (1, 2, 3, 4):
         raise DomainError("base must be in 1..4")
-    b = q.chars[base - 1]
-    rest = [k for i, k in enumerate(q.chars) if i != base - 1]
-    return (rest[0] + b, rest[1] + b, rest[2] + b)
+    return tuple(F2Vector(q.g, a) for a in _diff_masks(q, base - 1))
 
 
-def _classify_diffs(a1: int, a2: int, a3: int, g: int) -> OrbitClass:
-    d = _rank_int((a1, a2, a3))
-    if d <= 2:
-        return OrbitClass.A1
-    n = _pair_int(a1, a2, g) + _pair_int(a1, a3, g) + _pair_int(a2, a3, g)
-    if n == 0:
-        return OrbitClass.A2
-    if n == 3:
-        return OrbitClass.A4
-    return OrbitClass.A3
+# One kernel for one quadruple and for arrays of them: the differences are
+# plain int masks or broadcast numpy mask arrays, and classes are codes
+# indexing _CLASSES.
+_CLASSES = tuple(OrbitClass)
 
 
-def _classify_ints(ks: Sequence[int], g: int, base_idx: int) -> OrbitClass:
-    b = ks[base_idx]
-    rest = [k ^ b for i, k in enumerate(ks) if i != base_idx]
-    return _classify_diffs(rest[0], rest[1], rest[2], g)
+def _invariants(a1, a2, a3, g: int):
+    """(independent, p12, p13, p23) of the differences a1, a2, a3: whether
+    they span dimension 3 and their pairings <a_i, a_j>.
+
+    Takes plain int masks or broadcast numpy mask arrays alike.
+    """
+    # three vectors span dimension 3 iff no nonempty subset sums to zero
+    independent = ((a1 != 0) & (a2 != 0) & (a3 != 0) & (a1 != a2)
+                   & (a1 != a3) & (a2 != a3) & ((a1 ^ a2 ^ a3) != 0))
+    return (independent, _pair_arr(a1, a2, g), _pair_arr(a1, a3, g),
+            _pair_arr(a2, a3, g))
+
+
+def _class_code(independent, p12, p13, p23):
+    n = p12 + p13 + p23
+    return independent * (1 + (n > 0) + (n == 3))
+
+
+def _delta_code(independent, p12, p13, p23):
+    # odd deltas number s + (s mod 2) for s = p12 + p13 + p23: always even
+    odd = p23 + p13 + p12 + (p12 ^ p13 ^ p23)
+    return independent * (1 + odd // 2)
 
 
 def classify(q: Quadruple, verify_bases: bool = False) -> OrbitClass:
-    """Orbit class of the quadruple.
-
-    The default base is the lexicographically largest serialized
-    characteristic; with verify_bases=True all four base choices are
-    evaluated and must agree.
-    """
-    ks = [k.bits for k in q.chars]
-    base_idx = max(range(4), key=lambda i: serial_key(q.chars[i]))
-    result = _classify_ints(ks, q.g, base_idx)
-    if verify_bases:
-        for i in range(4):
-            if _classify_ints(ks, q.g, i) != result:
-                raise AssertionError("classification depends on the base")
-    return result
+    """Orbit class of the quadruple, read with base = position 4; with
+    verify_bases=True all four base choices are evaluated and must agree."""
+    codes = {int(_class_code(*_invariants(*_diff_masks(q, base), q.g)))
+             for base in (range(4) if verify_bases else (3,))}
+    if len(codes) > 1:
+        raise AssertionError("classification depends on the base")
+    return _CLASSES[codes.pop()]
 
 
 def delta_parities(q: Quadruple) -> tuple[int, int, int, int]:
@@ -146,27 +157,13 @@ def delta_parities(q: Quadruple) -> tuple[int, int, int, int]:
     d4 is the sum of all three pairings.  As an unordered multiset the
     result is base-independent.
     """
-    g = q.g
-    a1, a2, a3 = (v.bits for v in differences(q, 4))
-    p12 = _pair_int(a1, a2, g)
-    p13 = _pair_int(a1, a3, g)
-    p23 = _pair_int(a2, a3, g)
-    return (p23, p13, p12, p12 ^ p13 ^ p23)
+    _, p12, p13, p23 = _invariants(*_diff_masks(q, 3), q.g)
+    return tuple(int(d) for d in (p23, p13, p12, p12 ^ p13 ^ p23))
 
 
 def classify_by_delta(q: Quadruple) -> OrbitClass:
     """Classify through the parity signature; must agree with classify."""
-    a1, a2, a3 = (v.bits for v in differences(q, 4))
-    if _rank_int((a1, a2, a3)) <= 2:
-        return OrbitClass.A1
-    evens = sum(1 for d in delta_parities(q) if d == 0)
-    if evens == 4:
-        return OrbitClass.A2
-    if evens == 2:
-        return OrbitClass.A3
-    if evens == 0:
-        return OrbitClass.A4
-    raise AssertionError(f"impossible parity signature with {evens} even deltas")
+    return _CLASSES[int(_delta_code(*_invariants(*_diff_masks(q, 3), q.g)))]
 
 
 def apply_map(q: Quadruple, m: SymplecticMap) -> Quadruple:
@@ -175,12 +172,6 @@ def apply_map(q: Quadruple, m: SymplecticMap) -> Quadruple:
 
 
 _BFS_MAX_G = 3
-
-# Batched path: quadruples as rows of an (n, 4) integer array of
-# characteristic masks, classes as codes indexing _CLASSES.  The
-# single-quadruple functions above stay scalar, since one numpy call costs
-# more than a whole scalar classification.
-_CLASSES = tuple(OrbitClass)
 
 
 def _even_masks(g: int) -> np.ndarray:
@@ -196,38 +187,21 @@ def _differences_arr(ks: np.ndarray, base: int) -> np.ndarray:
     return (ks[:, others] ^ ks[:, base:base + 1]).T
 
 
-def _independent_arr(a1: np.ndarray, a2: np.ndarray,
-                     a3: np.ndarray) -> np.ndarray:
-    # three vectors span dimension 3 iff no nonempty subset sums to zero
-    return ((a1 != 0) & (a2 != 0) & (a3 != 0) & (a1 != a2) & (a1 != a3)
-            & (a2 != a3) & ((a1 ^ a2 ^ a3) != 0))
-
-
 def classify_array(ks: np.ndarray, g: int, base: int = 3) -> np.ndarray:
     """classify over an (n, 4) array of distinct even characteristic masks,
     reading the differences from the 0-based column base.
 
     Returns uint8 codes, code i standing for the i-th OrbitClass (A1..A4).
     """
-    a1, a2, a3 = _differences_arr(ks, base)
-    n = _pair_arr(a1, a2, g) + _pair_arr(a1, a3, g) + _pair_arr(a2, a3, g)
-    codes = 1 + (n > 0) + (n == 3)
-    return np.where(_independent_arr(a1, a2, a3), codes, 0).astype(np.uint8)
+    return _class_code(*_invariants(*_differences_arr(ks, base), g)
+                       ).astype(np.uint8)
 
 
 def classify_by_delta_array(ks: np.ndarray, g: int) -> np.ndarray:
     """classify_by_delta over an (n, 4) mask array (base = column 4), as
     codes like classify_array's; the cross-check of classify_array."""
-    a1, a2, a3 = _differences_arr(ks, 3)
-    p12 = _pair_arr(a1, a2, g)
-    p13 = _pair_arr(a1, a3, g)
-    p23 = _pair_arr(a2, a3, g)
-    odd = p23 + p13 + p12 + (p12 ^ p13 ^ p23)
-    if np.any(odd & 1):
-        raise AssertionError("impossible parity signature with an odd "
-                             "number of even deltas")
-    codes = 1 + odd // 2
-    return np.where(_independent_arr(a1, a2, a3), codes, 0).astype(np.uint8)
+    return _delta_code(*_invariants(*_differences_arr(ks, 3), g)
+                       ).astype(np.uint8)
 
 
 def random_quadruples(g: int, n: int, rng: np.random.Generator) -> np.ndarray:

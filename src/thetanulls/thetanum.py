@@ -277,10 +277,10 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     docstring); results are bit-identical to building it afresh.
     """
     global _LATTICE
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    if radius_scale < 1.0:
-        raise DomainError("radius_scale must be >= 1")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError("eps must be finite and positive")
+    if not (math.isfinite(radius_scale) and radius_scale >= 1.0):
+        raise DomainError("radius_scale must be finite and >= 1")
     if k.g != z.g:
         raise DomainError("characteristic/matrix g mismatch")
     # one read of the slot, one tuple written: a lattice is never paired
@@ -320,17 +320,11 @@ def siegel_act(m: IntSymplectic, z: SiegelMatrix) -> SiegelMatrix:
 def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
     """Affine action on characteristics mod 2:
     k'_new = D k' + C k'' + diag(C D^T), k''_new = B k' + A k'' + diag(A B^T).
+
+    This is act_on_char along char_act_form_map(m): bit j of the two
+    diagonals is q0 of row j of (D C; B A) mod 2.
     """
-    if m.g != k.g:
-        raise DomainError("characteristic g mismatch")
-    g = m.g
-    bits = k.to_list()
-    kp = np.array(bits[:g], dtype=np.int64)
-    kpp = np.array(bits[g:], dtype=np.int64)
-    new_p = (m.d @ kp + m.c @ kpp + np.diag(m.c @ m.d.T)) % 2
-    new_pp = (m.b @ kp + m.a @ kpp + np.diag(m.a @ m.b.T)) % 2
-    return F2Vector.from_list([int(v) for v in new_p] +
-                              [int(v) for v in new_pp])
+    return act_on_char(char_act_form_map(m), k)
 
 
 def char_act_form_map(m: IntSymplectic) -> SymplecticMap:
@@ -340,12 +334,6 @@ def char_act_form_map(m: IntSymplectic) -> SymplecticMap:
     bits = (np.block([[m.d, m.c], [m.b, m.a]]) & 1).tolist()
     return SymplecticMap(m.g, tuple(sum(x << j for j, x in enumerate(row))
                                     for row in bits))
-
-
-def char_act_matches_form_action(m: IntSymplectic, k: F2Vector) -> bool:
-    """Check that the affine action equals the quadratic form transport
-    along the F_2 reduction, through the characteristics/forms bijection."""
-    return char_act_int(m, k) == act_on_char(char_act_form_map(m), k)
 
 
 def transform_modulus_check(m: IntSymplectic, z: SiegelMatrix, k: F2Vector,

@@ -81,6 +81,33 @@ class TestClassify:
         assert rep["noncommuting_pairs"] == 0
         assert rep["base_independent"] is True
 
+    def test_report_fields_are_json_ints(self, tmp_path):
+        # one quadruple per class at g = 6, e_i = bit i - 1, f_i = bit i + 5
+        e1, e2, e3, f1, f2 = ([int(j == i) for j in range(12)]
+                              for i in (0, 1, 2, 6, 7))
+        zero = [0] * 12
+
+        def add(*vs):
+            return [sum(bits) % 2 for bits in zip(*vs)]
+        quads = {"A1": [zero, e1, e2, add(e1, e2)],
+                 "A2": [zero, e1, e2, e3],
+                 "A3": [zero, e1, f1, e2],
+                 "A4": [zero, e1, f1, add(e1, f1, e2, f2)]}
+        want = {"A1": (2, 0, [0, 0, 0, 0]), "A2": (3, 0, [0, 0, 0, 0]),
+                "A3": (3, 1, [1, 0, 0, 1]), "A4": (3, 3, [1, 1, 1, 1])}
+        for label, chars in quads.items():
+            path = self._write(tmp_path, chars)
+            args = cli.build_parser().parse_args(["classify", "--input", path])
+            rep = cli.cmd_classify(args)
+            assert rep["label"] == label
+            fields = {key: rep[key] for key in
+                      ("span_dim", "noncommuting_pairs", "delta_parities")}
+            assert json.loads(json.dumps(fields)) == fields
+            assert type(rep["span_dim"]) is int
+            assert type(rep["noncommuting_pairs"]) is int
+            assert all(type(d) is int for d in rep["delta_parities"])
+            assert tuple(fields.values()) == want[label]
+
     def test_duplicate_exits_2(self, capsys, tmp_path):
         z = [0] * 12
         e1 = [1] + [0] * 11

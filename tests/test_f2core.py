@@ -21,7 +21,6 @@ from thetanulls.f2core import (
     is_symplectic,
     q0,
     span_dim,
-    serial_key,
     symplectic_pairing,
     transvection,
     witt_extend,
@@ -77,14 +76,6 @@ def test_numpy_integer_entries_are_accepted():
     assert is_symplectic([[one, zero], [zero, one]])
     assert SymplecticMap.from_lists(np.eye(2, dtype=np.int8)) == \
         SymplecticMap.identity(1)
-
-
-def test_serial_key_is_lex_on_coordinates():
-    # bit 0 is serialized first, so the int order differs from lex order
-    a = F2Vector(2, 0b0001)  # [1,0,0,0]
-    b = F2Vector(2, 0b1110)  # [0,1,1,1]
-    assert serial_key(a) > serial_key(b)
-    assert a.bits < b.bits
 
 
 def test_pairing_dual_basis_pair():

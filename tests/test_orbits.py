@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
-from thetanulls.f2core import F2Vector, basis_e, basis_f, transvection
+from thetanulls.f2core import (F2Vector, basis_e, basis_f, span_dim,
+                               symplectic_pairing, transvection)
 from thetanulls.orbits import (
     OrbitClass,
     Quadruple,
@@ -36,6 +37,32 @@ def quad(g, *bits):
 
 def shifts_quad(g, vectors):
     return Quadruple(g, tuple(vectors))
+
+
+def reference(q, base=4):
+    """(class, delta parities) from f2core's public span_dim and
+    symplectic_pairing over differences(q, base), independent of the
+    orbits kernel."""
+    a = differences(q, base)
+    p12, p13, p23 = (symplectic_pairing(a[i], a[j])
+                     for i, j in ((0, 1), (0, 2), (1, 2)))
+    n = p12 + p13 + p23
+    if span_dim(a) <= 2:
+        cls = OrbitClass.A1
+    else:
+        cls = {0: OrbitClass.A2, 3: OrbitClass.A4}.get(n, OrbitClass.A3)
+    return cls, (p23, p13, p12, n % 2)
+
+
+def assert_matches_reference(q):
+    cls, deltas = reference(q)
+    assert all(reference(q, base)[0] == cls for base in (1, 2, 3))
+    for got in (classify(q), classify(q, verify_bases=True),
+                classify_by_delta(q)):
+        assert type(got) is OrbitClass and got == cls
+    got = delta_parities(q)
+    assert got == deltas
+    assert all(type(d) is int for d in got)
 
 
 Z6 = F2Vector.zero(6)
@@ -124,19 +151,16 @@ def test_classifiers_agree_exhaustive_g2():
     assert quads.shape == (210, 4)
     assert len({frozenset(row) for row in quads.tolist()}) == 210
     for ks in quads.tolist():
-        q = quad(2, *ks)
-        assert classify(q) == classify_by_delta(q)
+        assert_matches_reference(quad(2, *ks))
 
 
 def _assert_batched_matches_scalar(ks, g):
-    label = classify_array(ks, g)
-    delta = classify_by_delta_array(ks, g)
-    for base in range(3):
-        assert np.array_equal(classify_array(ks, g, base), label)
-    for row, code, dcode in zip(ks.tolist(), label, delta):
+    codes = [classify_array(ks, g, base) for base in range(4)]
+    codes.append(classify_by_delta_array(ks, g))
+    for i, row in enumerate(ks.tolist()):
         q = quad(g, *row)
-        assert CLASSES[code] == classify(q)
-        assert CLASSES[dcode] == classify_by_delta(q)
+        assert_matches_reference(q)
+        assert {CLASSES[c[i]] for c in codes} == {reference(q)[0]}
 
 
 def test_batched_classifiers_match_scalar_exhaustive_g2():
@@ -170,8 +194,7 @@ def test_random_quadruples_needs_four_even_characteristics():
 def test_classifiers_agree_random_g6():
     rng = random.Random(53)
     for _ in range(2000):
-        q = random_quadruple(6, rng)
-        assert classify(q) == classify_by_delta(q)
+        assert_matches_reference(random_quadruple(6, rng))
 
 
 def test_classify_invariant_under_transport():

@@ -15,8 +15,7 @@ from thetanulls.quadforms import (all_characteristics,
                                   odd_characteristics, parity)
 from thetanulls.thetanum import (IntSymplectic, SiegelMatrix,
                                  block_diag_split_check, char_act_int,
-                                 char_act_form_map,
-                                 char_act_matches_form_action, char_join,
+                                 char_act_form_map, char_join,
                                  random_int_symplectic, random_level_two,
                                  random_siegel, siegel_act, theta_constant,
                                  transform_modulus_check)
@@ -30,6 +29,20 @@ def _s_matrix(g=1):
 
 def _t_matrix():
     return IntSymplectic([[1]], [[1]], [[0]], [[1]])
+
+
+def _diag_char_act(m, k):
+    """Reference characteristic action by matrices:
+    k'_new = D k' + C k'' + diag(C D^T), k''_new = B k' + A k'' + diag(A B^T)
+    (mod 2; an int64 wrap cannot change a parity)."""
+    g = m.g
+    bits = k.to_list()
+    kp = np.array(bits[:g], dtype=np.int64)
+    kpp = np.array(bits[g:], dtype=np.int64)
+    new_p = (m.d @ kp + m.c @ kpp + np.diag(m.c @ m.d.T)) % 2
+    new_pp = (m.b @ kp + m.a @ kpp + np.diag(m.a @ m.b.T)) % 2
+    return F2Vector.from_list([int(v) for v in new_p]
+                              + [int(v) for v in new_pp])
 
 
 class TestSiegelMatrix:
@@ -172,6 +185,20 @@ class TestThetaValues:
         with pytest.raises(DomainError):
             theta_constant(z, F2Vector.from_list([0, 0, 0, 0]), 1e-8)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN fails every comparison and inf passes the sign check; either
+        # would give a truncation with a bound far above any eps meant
+        with pytest.raises(DomainError):
+            theta_constant(SiegelMatrix([[0.05j]]), F2Vector(1, 0), eps)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_radius_scale_rejected(self, scale):
+        # NaN fails every comparison and inf overflows the lattice box
+        with pytest.raises(DomainError):
+            theta_constant(SiegelMatrix([[0.05j]]), F2Vector(1, 0), 1e-8,
+                           radius_scale=scale)
+
 
 class TestSiegelAction:
     def test_s_fixes_i_identity(self):
@@ -262,7 +289,7 @@ class TestCharAction:
                     gens.append(IntSymplectic(eye, zero, s, eye))
             for m in gens:
                 for k in all_characteristics(g):
-                    assert char_act_matches_form_action(m, k)
+                    assert char_act_int(m, k) == _diag_char_act(m, k)
 
     def test_matches_form_action_random(self):
         rng = random.Random(46)
@@ -270,7 +297,7 @@ class TestCharAction:
             g = rng.choice([1, 2, 3])
             m = random_int_symplectic(g, rng, steps=4)
             k = F2Vector(g, rng.randrange(1 << (2 * g)))
-            assert char_act_matches_form_action(m, k)
+            assert char_act_int(m, k) == _diag_char_act(m, k)
 
     def test_form_map_is_symplectic(self):
         rng = random.Random(47)
@@ -293,7 +320,7 @@ class TestCharAction:
         rng = random.Random(50)
         for _ in range(5):
             k = F2Vector(g, rng.randrange(1 << (2 * g)))
-            assert char_act_matches_form_action(m, k)
+            assert char_act_int(m, k) == _diag_char_act(m, k)
 
 
 class TestTransformModulus:
