@@ -8,7 +8,7 @@ shift = k, which makes parity(k) = arf(q_k) hold identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,10 +91,19 @@ def act_on_char(m: SymplecticMap, k: F2Vector) -> F2Vector:
     with M^-1 = J M^T J the shift of q0 o M^-1 has bit j equal to q0 of
     row j of M (q0 is invariant under the half swap J).
     """
-    if m.g != k.g:
+    return F2Vector(k.g, _act_on_char_rows(m.rows, k.bits, k.g))
+
+
+def _act_on_char_rows(rows: Sequence[int], k: int, g: int) -> int:
+    """act_on_char on int masks, for M given by its 2g row masks (not
+    checked to be symplectic): bit j is the parity of row j & k, plus
+    q0(row j)."""
+    if len(rows) != 2 * g:
         raise DomainError("form/map g mismatch")
-    d = sum(_q0_int(row, k.g) << j for j, row in enumerate(m.rows))
-    return F2Vector(k.g, m.apply_int(k.bits) ^ d)
+    out = 0
+    for j, row in enumerate(rows):
+        out |= (((row & k).bit_count() + _q0_int(row, g)) & 1) << j
+    return out
 
 
 def _transvect_char_int(v: int, k: int, g: int) -> int:

@@ -14,12 +14,16 @@ rounding allowance of 1000 * machine_eps * #terms, so it can exceed eps for
 very small eps (that allowance is dominated by double precision itself, not
 by truncation).
 
-Only the phase x . k'' depends on k'', so theta_constant keeps one memo
-entry: the radius, the tail bound and, for each k' asked for, the coset of
-ball points x = n + k'/2 in summation order with their x^T Z x, all for the
-last (Z, eps, radius_scale) seen.  The 4^g characteristics at one Z then
-share 2^g lattice builds, each made on first use; a new Z replaces the
-entry.  Values and certificates are the same bit for bit as a fresh build.
+A coset of ball points x = n + k'/2 is enumerated coordinate by coordinate
+on the integral y = 2x under an exact integer norm test, put in summation
+order by one stable sort on |y|^2, and stored with 2x by coordinate, so the
+phase x . k'' is an integer sum of the rows k'' picks.  Only that phase
+depends on k'', so theta_constant keeps one memo entry: the radius, the
+tail bound and, for each k' asked for, the coset with its x^T Z x, all for
+the last (Z, eps, radius_scale) seen.  The 4^g characteristics at one Z
+then share 2^g lattice builds, each made on first use; a new Z replaces
+the entry.  Values and certificates are the same bit for bit as a fresh
+build.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
 from .f2core import F2Vector, SymplecticMap
-from .quadforms import act_on_char
+from .quadforms import _act_on_char_rows
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _MAX_TERMS = 5_000_000
@@ -217,6 +221,8 @@ def _radius(z: SiegelMatrix, eps: float,
     if radius_scale > 1.0:
         r *= radius_scale
         tail = _tail_bound(r, lam, g)
+    # the ball is enumerated inside its box of side 2r + 2, so capping the
+    # box still bounds the work and the memory of every coset
     if (2 * r + 2) ** g > _MAX_TERMS:
         raise ResourceCapError(
             f"lattice box of side {2 * r + 2:.0f}^{g} exceeds the term cap")
@@ -227,25 +233,28 @@ def _coset(z: SiegelMatrix, r: float,
            kp: int) -> tuple[np.ndarray, np.ndarray]:
     """The points x = n + k'/2 (n integral) of the ball ||x|| <= r, in the
     fixed summation order (by ||x||^2, then lexicographic in n), as
-    (x^T Z x, 2x); 2x is integral, held in the smallest integer dtype."""
-    g = z.g
-    half = np.array([(kp >> i) & 1 for i in range(g)],
-                    dtype=np.float64) / 2.0
-    los = [math.ceil(-r - half[i]) for i in range(g)]
-    his = [math.floor(r - half[i]) for i in range(g)]
-    axes = [np.arange(lo, hi + 1, dtype=np.float64)
-            for lo, hi in zip(los, his)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    rs = np.stack([m.ravel() for m in mesh], axis=1)
-    x = rs + half
-    norm2 = np.einsum("ij,ij->i", x, x)
-    keep = norm2 <= r * r + 1e-12
-    rs, x, norm2 = rs[keep], x[keep], norm2[keep]
-    order = np.lexsort(tuple(rs[:, j] for j in range(g - 1, -1, -1))
-                       + (norm2,))
-    x = x[order]
+    (x^T Z x, 2x) with 2x as g rows in the smallest integer dtype.
+
+    y = 2x grows one coordinate at a time in lex order, y_i = 2 n_i + k'_i
+    with n_i in the box [ceil(-r - k'_i/2), floor(r - k'_i/2)], keeping a
+    prefix while |y|^2 <= floor(4 (r^2 + 1e-12)): exactly the float test
+    ||x||^2 <= r^2 + 1e-12, as ||x||^2 = |y|^2 / 4 is exact."""
+    nmax = math.floor(4 * (r * r + 1e-12))
+    y = np.zeros((1, 0), dtype=np.int64)
+    norm = np.zeros(1, dtype=np.int64)
+    for i in range(z.g):
+        bit = (kp >> i) & 1
+        vals = 2 * np.arange(math.ceil(-r - bit / 2),
+                             math.floor(r - bit / 2) + 1) + bit
+        cand = (norm[:, None] + vals * vals).ravel()
+        keep = np.flatnonzero(cand <= nmax)
+        y = np.column_stack((y[keep // vals.size], vals[keep % vals.size]))
+        norm = cand[keep]
+    y = y[np.argsort(norm, kind="stable")]
+    x = y / 2
     quad = np.einsum("ij,jk,ik->i", x, z.z, x)
-    twice_x = (2 * x).astype(np.min_scalar_type(-2 * math.ceil(r) - 1))
+    twice_x = y.T.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
+                         order="C")
     return quad, twice_x
 
 
@@ -296,9 +305,9 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     if coset is None:
         coset = memo.cosets[kp] = _coset(z, memo.r, kp)
     quad, twice_x = coset
-    kpp = np.array([(k.second_half >> i) & 1 for i in range(z.g)])
-    # x is half-integral and k'' is 0/1, so the phase is exact
-    lin = (twice_x @ kpp) / 2
+    cols = [i for i in range(z.g) if (k.second_half >> i) & 1]
+    # x is half-integral and k'' is 0/1, so the phase x . k'' is exact
+    lin = twice_x[cols].sum(axis=0, dtype=np.int64) / 2
     value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
     bound = memo.tail + 1000.0 * _EPS_MACH * quad.shape[0]
     return value, bound
@@ -321,19 +330,24 @@ def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
     """Affine action on characteristics mod 2:
     k'_new = D k' + C k'' + diag(C D^T), k''_new = B k' + A k'' + diag(A B^T).
 
-    This is act_on_char along char_act_form_map(m): bit j of the two
-    diagonals is q0 of row j of (D C; B A) mod 2.
+    This is act_on_char's closed form on the rows of (D C; B A) mod 2 (bit
+    j of the two diagonals is q0 of row j), with no map built: M is
+    symplectic by construction.
     """
-    return act_on_char(char_act_form_map(m), k)
+    return F2Vector(k.g, _act_on_char_rows(_form_rows(m), k.bits, k.g))
 
 
 def char_act_form_map(m: IntSymplectic) -> SymplecticMap:
     """F_2 reduction of the characteristic action's linear part, as a
-    pairing-preserving map: (k', k'') -> (D k' + C k'', B k' + A k''),
-    with the rows of (D C; B A) mod 2 as masks of exact Python ints."""
-    bits = (np.block([[m.d, m.c], [m.b, m.a]]) & 1).tolist()
-    return SymplecticMap(m.g, tuple(sum(x << j for j, x in enumerate(row))
-                                    for row in bits))
+    pairing-preserving map: (k', k'') -> (D k' + C k'', B k' + A k'')."""
+    return SymplecticMap(m.g, _form_rows(m))
+
+
+def _form_rows(m: IntSymplectic) -> tuple[int, ...]:
+    """The rows of (D C; B A) mod 2 as masks of exact Python ints."""
+    rows = ([d + c for d, c in zip(m.d.tolist(), m.c.tolist())]
+            + [b + a for b, a in zip(m.b.tolist(), m.a.tolist())])
+    return tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in rows)
 
 
 def transform_modulus_check(m: IntSymplectic, z: SiegelMatrix, k: F2Vector,

@@ -225,6 +225,10 @@ class TestSiegelAction:
 
 
 class TestCharAction:
+    def test_g_mismatch(self):
+        with pytest.raises(DomainError):
+            char_act_int(_s_matrix(2), F2Vector(3, 5))
+
     def test_g1_s_permutation(self):
         s = _s_matrix()
         table = {(0, 0): [0, 0], (0, 1): [1, 0],
@@ -415,10 +419,21 @@ def _reference_theta(z, k, eps, radius_scale=1.0):
     if radius_scale > 1.0:
         r *= radius_scale
         tail = thetanum._tail_bound(r, lam, g)
-    bits = k.to_list()
-    kp = np.array(bits[:g], dtype=np.float64)
-    kpp = np.array(bits[g:], dtype=np.float64)
-    half = kp / 2.0
+    kpp = np.array(k.to_list()[g:], dtype=np.float64)
+    x, quad = _reference_coset(z, r, k.first_half)
+    lin = x @ kpp
+    value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
+    bound = tail + 1000.0 * thetanum._EPS_MACH * int(x.shape[0])
+    return value, bound
+
+
+def _reference_coset(z, r, kp):
+    """The ball points x = n + k'/2 by a meshgrid over their bounding box,
+    filtered by ||x||^2 <= r^2 + 1e-12 and lexsorted into the summation
+    order (by ||x||^2, then lexicographic in n), with x^T Z x."""
+    g = z.g
+    half = np.array([(kp >> i) & 1 for i in range(g)],
+                    dtype=np.float64) / 2.0
     los = [math.ceil(-r - half[i]) for i in range(g)]
     his = [math.floor(r - half[i]) for i in range(g)]
     axes = [np.arange(lo, hi + 1, dtype=np.float64)
@@ -433,10 +448,7 @@ def _reference_theta(z, k, eps, radius_scale=1.0):
                        + (norm2,))
     rs, x = rs[order], x[order]
     quad = np.einsum("ij,jk,ik->i", x, z.z, x)
-    lin = x @ kpp
-    value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
-    bound = tail + 1000.0 * thetanum._EPS_MACH * int(x.shape[0])
-    return value, bound
+    return x, quad
 
 
 def _bits(result):
@@ -461,6 +473,16 @@ class TestLatticeMemo:
                     got = theta_constant(z, k, eps, radius_scale=scale)
                     want = _reference_theta(z, k, eps, radius_scale=scale)
                     assert _bits(got) == _bits(want), (eps, scale, k)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_bit_identical_to_reference_g5(self, eps):
+        # one characteristic per k', so all 32 cosets are built
+        rng = random.Random(65)
+        z = random_siegel(5, rng, min_im=0.1)
+        for kp in range(32):
+            k = F2Vector(5, kp | rng.randrange(32) << 5)
+            assert _bits(theta_constant(z, k, eps)) == \
+                _bits(_reference_theta(z, k, eps)), (eps, k)
 
     def test_wide_lattice_coordinates(self):
         # lambda_min = 1e-3 puts |2x| past int8 (radius about 94)
@@ -549,3 +571,50 @@ class TestLatticeMemo:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
+
+
+class TestCosetEnumeration:
+    """_coset against the meshgrid reference, byte for byte, at radii
+    where lattice points sit on the sphere or just outside the box."""
+
+    @staticmethod
+    def _assert_same(z, r):
+        dtype = np.min_scalar_type(-2 * math.ceil(r) - 1)
+        for kp in range(1 << z.g):
+            quad, twice_x = thetanum._coset(z, r, kp)
+            x, want_quad = _reference_coset(z, r, kp)
+            assert quad.tobytes() == want_quad.tobytes(), kp
+            assert twice_x.dtype == dtype
+            assert twice_x.shape == (z.g, x.shape[0])
+            assert twice_x.tobytes() == \
+                (2 * x).T.astype(dtype, order="C").tobytes(), kp
+
+    @pytest.mark.parametrize("g, r, kp, point, kept", [
+        (1, 1.5, 1, [1.5], True),
+        (2, 2.5, 0b01, [1.5, 2.0], True),
+        (3, math.sqrt(3) / 2, 0b111, [0.5, 0.5, 0.5], True),
+        # within the 1e-12 slack of the sphere but outside the box
+        # n_i <= floor(r - k'_i/2): the box decides, as in the reference
+        (1, 1.5 - 1e-14, 1, [1.5], False),
+    ])
+    def test_points_on_the_sphere(self, g, r, kp, point, kept):
+        z = random_siegel(g, random.Random(80 + g))
+        self._assert_same(z, r)
+        twice = np.array(point) * 2
+        found = (thetanum._coset(z, r, kp)[1].T == twice).all(axis=1).any()
+        assert found == kept
+
+    @pytest.mark.parametrize("g", [6, 7, 8])
+    def test_unit_radius_high_genus(self, g):
+        # the first levels keep almost nothing; at g = 8 the all-odd coset
+        # is empty (|2x|^2 = 8 > 4)
+        z = random_siegel(g, random.Random(90 + g))
+        self._assert_same(z, 1.0)
+        if g == 8:
+            assert thetanum._coset(z, 1.0, 0xFF)[0].shape == (0,)
+
+    def test_int16_coordinates(self):
+        z = SiegelMatrix([[0.3 + 1e-3j]])
+        r, _tail = thetanum._radius(z, 1e-12, 1.0)
+        assert np.min_scalar_type(-2 * math.ceil(r) - 1) == np.int16
+        self._assert_same(z, r)
