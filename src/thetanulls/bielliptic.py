@@ -5,11 +5,16 @@ A characteristic is (fixed_point i in 1..10, twist in the Klein four-group
 V = {0, F1, F2, F3} under xor).  Two model axioms, both forced by the
 distinctness of the 40 classes: pullback twists act faithfully within a
 fixed-point family, and classes from different families never differ by a
-pullback twist.  The parity rule: a combo a + b - c of three of these is
-even iff at least two fixed points coincide.
+pullback twist.  So the combo a + b - s of three characteristics is odd
+iff their fixed points are pairwise distinct, and an even combo is the
+class (f_a ^ f_b ^ f_s, t_a ^ t_b ^ t_s): two fixed points coincide, and
+the xor picks the remaining one.
 
-realization() maps the model to 40 even masks in F_2^12 and checks, once
-per process, that q0 of every three-mask sum reproduces the parity rule;
+One kernel reads this rule off fixed points and twists, as plain ints or
+broadcast numpy arrays, for pairing, triple_sum_is_zero and
+classify_bielliptic (at all four bases, which must agree).  realization()
+maps the model to 40 even masks in F_2^12 and checks once per process, in
+one array pass, that q0 of every three-mask sum is the combo's parity;
 realize_in_f2 is a lookup into that table.
 """
 
@@ -17,16 +22,32 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, MalformedInputError
-from .f2core import F2Vector, _q0_int
-from .orbits import OrbitClass, Quadruple, classify as orbits_classify
+from .f2core import F2Vector, _q0_arr
+from .orbits import (_CLASSES, _class_code, OrbitClass, Quadruple,
+                     classify as orbits_classify)
 
 F1, F2, F3 = 1, 2, 3
 _TWIST_NAMES = {0: "0", 1: "F1", 2: "F2", 3: "F3"}
+
+
+def _int_in(x, lo: int, hi: int, what: str) -> int:
+    """x as a plain int in lo..hi: operator.index takes ints and numpy
+    integers and refuses floats such as 1.0; bools are refused as well."""
+    try:
+        v = None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        v = None
+    if v is None or not lo <= v <= hi:
+        raise DomainError(f"{what} must be an integer in {lo}..{hi}, got {x!r}")
+    return v
 
 
 @dataclass(frozen=True, order=True)
@@ -35,13 +56,9 @@ class BChar:
     twist: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.fixed_point <= 10:
-            raise DomainError(f"fixed_point must be 1..10, got {self.fixed_point}")
-        if self.twist not in (0, 1, 2, 3):
-            raise DomainError(f"twist must be 0..3, got {self.twist}")
-
-    def twisted(self, t: int) -> "BChar":
-        return BChar(self.fixed_point, self.twist ^ t)
+        object.__setattr__(self, "fixed_point",
+                           _int_in(self.fixed_point, 1, 10, "fixed_point"))
+        object.__setattr__(self, "twist", _int_in(self.twist, 0, 3, "twist"))
 
     def __str__(self) -> str:
         return f"({self.fixed_point},{_TWIST_NAMES[self.twist]})"
@@ -55,17 +72,9 @@ class BChar:
             raise MalformedInputError(
                 'BChar JSON needs exactly "fixed_point" and "twist"')
         fp, tw = data["fixed_point"], data["twist"]
-        if not isinstance(fp, int) or not isinstance(tw, int):
+        if type(fp) is not int or type(tw) is not int:
             raise MalformedInputError("BChar JSON fields must be integers")
         return cls(fp, tw)
-
-
-@dataclass(frozen=True)
-class BCombo:
-    """The formal class plus[0] + plus[1] - minus."""
-
-    plus: tuple[BChar, BChar]
-    minus: BChar
 
 
 class Decision(enum.Enum):
@@ -77,36 +86,26 @@ def all_chars() -> list[BChar]:
     return [BChar(i, t) for i in range(1, 11) for t in range(4)]
 
 
-def combo_parity(c: BCombo) -> int:
-    """0 (even) iff at least two of the three fixed points coincide."""
-    fps = {c.plus[0].fixed_point, c.plus[1].fixed_point, c.minus.fixed_point}
-    return 1 if len(fps) == 3 else 0
+def _combo(a, b, s):
+    """(parity, (f, t)) of the combo a + b - s by the closed form above,
+    from (fixed point, twist) pairs of plain ints or broadcast int arrays."""
+    (fa, ta), (fb, tb), (fs, ts) = a, b, s
+    odd = 1 - ((fa == fb) | (fa == fs) | (fb == fs))
+    return odd, (fa ^ fb ^ fs, ta ^ tb ^ ts)
 
 
-def reduce_same_fixed(c: BCombo) -> BChar:
-    a, b = c.plus
-    s = c.minus
-    if not a.fixed_point == b.fixed_point == s.fixed_point:
-        raise DomainError("reduction needs all three fixed points equal")
-    return BChar(a.fixed_point, a.twist ^ b.twist ^ s.twist)
-
-
-def _combo_char(a: BChar, b: BChar, s: BChar) -> BChar | None:
-    """Explicit characteristic equal to a + b - s, when derivable.
-
-    Twisting moves within a family (a - s is the pullback twist t_a ^ t_s
-    when the fixed points agree), so any coincidence with s collapses the
-    combo onto the remaining member's family.  Returns None when the combo
-    keeps the shape (canonical class) + twist - s with s outside the plus
-    family, which is never one of the 40 classes' families to reduce into.
-    """
-    if a.fixed_point == b.fixed_point == s.fixed_point:
-        return reduce_same_fixed(BCombo((a, b), s))
-    if a.fixed_point == s.fixed_point:
-        return b.twisted(a.twist ^ s.twist)
-    if b.fixed_point == s.fixed_point:
-        return a.twisted(b.twist ^ s.twist)
-    return None
+def _code_at_base(s, x, y, z):
+    """Orbit-class code (index into OrbitClass) of {s, x, y, z} at base s,
+    from (fixed point, twist) pairs as in _combo: the differences from s
+    are dependent iff x + y - s = z, which each of the three splits
+    decides (they must agree), and their pairings are the combos' parities."""
+    splits = [(_combo(p, q, s), r) for p, q, r in ((x, y, z), (x, z, y),
+                                                   (y, z, x))]
+    dep = [(par == 0) & (f == r[0]) & (t == r[1])
+           for (par, (f, t)), r in splits]
+    if np.count_nonzero((dep[0] != dep[1]) | (dep[0] != dep[2])):
+        raise AssertionError("inconsistent decisions across splits")
+    return _class_code(1 - dep[0], *(par for (par, _), _ in splits))
 
 
 def _check_distinct(chars: Sequence[BChar]) -> None:
@@ -118,42 +117,19 @@ def pairing(base: BChar, a_src: BChar, b_src: BChar) -> int:
     """<a_src - base, b_src - base>; equals the parity of the combo
     a_src + b_src - base because the three class parities vanish."""
     _check_distinct([base, a_src, b_src])
-    return combo_parity(BCombo((a_src, b_src), base))
-
-
-def _triple_split_decision(base: BChar, a: BChar, b: BChar,
-                           c: BChar) -> Decision:
-    known = _combo_char(a, b, base)
-    if known is not None:
-        return Decision.YES if known == c else Decision.NO
-    if combo_parity(BCombo((a, b), base)) == 1:
-        # odd combo can never equal the even characteristic c
-        return Decision.NO
-    # forced shape: _combo_char found neither a nor b in the base's family
-    # j, and the combo is even, so a, b share a fixed point i != j;
-    # a + b - base = (canonical) + twist(t_a^t_b) - base, which equals c iff
-    # c sits in the base's family with matching twist difference
-    i = a.fixed_point
-    j = base.fixed_point
-    assert i == b.fixed_point and i != j
-    if c.fixed_point == j and (c.twist ^ base.twist) == (a.twist ^ b.twist):
-        return Decision.YES
-    return Decision.NO
+    return _combo(*((c.fixed_point, c.twist) for c in (a_src, b_src, base)))[0]
 
 
 def triple_sum_is_zero(base: BChar, a: BChar, b: BChar, c: BChar) -> Decision:
     """Decide (a-base) + (b-base) + (c-base) = 0.
 
     The sum vanishes iff a + b - base = c as classes (using 2*base =
-    canonical = 2*c).  Each of the three plus-pair splits decides; their
-    answers must agree.
+    canonical = 2*c), that is iff the class code at base is A1's.  Each of
+    the three plus-pair splits decides; their answers must agree.
     """
     _check_distinct([base, a, b, c])
-    answers = {_triple_split_decision(base, x, y, z)
-               for x, y, z in ((a, b, c), (a, c, b), (b, c, a))}
-    if len(answers) > 1:
-        raise AssertionError("inconsistent decisions across splits")
-    return answers.pop()
+    code = _code_at_base(*((k.fixed_point, k.twist) for k in (base, a, b, c)))
+    return Decision.YES if code == 0 else Decision.NO
 
 
 def witness_quadruples() -> list[tuple[tuple[BChar, BChar, BChar, BChar],
@@ -177,19 +153,6 @@ def witness_quadruples() -> list[tuple[tuple[BChar, BChar, BChar, BChar],
     ]
 
 
-def _classify_with_base(chars: Sequence[BChar], base_idx: int) -> OrbitClass:
-    base = chars[base_idx]
-    rest = [k for i, k in enumerate(chars) if i != base_idx]
-    if triple_sum_is_zero(base, *rest) is Decision.YES:
-        return OrbitClass.A1
-    n = sum(pairing(base, x, y) for x, y in combinations(rest, 2))
-    if n == 0:
-        return OrbitClass.A2
-    if n == 3:
-        return OrbitClass.A4
-    return OrbitClass.A3
-
-
 def classify_bielliptic(quad: Iterable[BChar]) -> OrbitClass:
     """Orbit class of four distinct model characteristics.
 
@@ -199,10 +162,11 @@ def classify_bielliptic(quad: Iterable[BChar]) -> OrbitClass:
     if len(chars) != 4:
         raise MalformedInputError("need exactly 4 characteristics")
     _check_distinct(chars)
-    results = {_classify_with_base(chars, i) for i in range(4)}
-    if len(results) > 1:
+    ft = [(c.fixed_point, c.twist) for c in chars]
+    codes = {_code_at_base(ft[i], *(ft[:i] + ft[i + 1:])) for i in range(4)}
+    if len(codes) > 1:
         raise AssertionError("classification depends on the base")
-    return results.pop()
+    return _CLASSES[codes.pop()]
 
 
 # d_1..d_8 in F_2^12 (g = 6): even, with <d_i, d_j> = 1 for all i != j
@@ -214,7 +178,7 @@ def realization() -> tuple[int, ...]:
     """Masks in F_2^12 of the 40 characteristics, in all_chars() order:
     (i, t) maps to d_i + (t << 4), with d_9 = d_1 + ... + d_8 and d_10 = 0.
     The twist part is linear in t, so F1, F2 and F3 = F1 ^ F2 map to e_4,
-    e_5 and e_4 + e_5, and BChar.twisted is xor with that part.
+    e_5 and e_4 + e_5, and a twist acts by xor with that part.
 
     The Gram matrix J + I of d_1..d_8 is invertible ((J + I)^2 = I), so
     their sum d_9 is the only relation, and <e_4, e_5> is a totally
@@ -225,14 +189,19 @@ def realization() -> tuple[int, ...]:
     fams = _FAMILIES + (functools.reduce(int.__xor__, _FAMILIES), 0)
     chars = all_chars()
     masks = tuple(fams[c.fixed_point - 1] ^ (c.twist << 4) for c in chars)
+    m = np.array(masks, dtype=np.int64)
     if len(set(masks)) != 40:
         raise AssertionError("realization masks must be distinct")
-    if any(_q0_int(m, 6) for m in masks):
+    if _q0_arr(m, 6).any():
         raise AssertionError("realization masks must be even")
-    for (a, ma), (b, mb), (s, ms) in combinations(zip(chars, masks), 3):
-        if _q0_int(ma ^ mb ^ ms, 6) != combo_parity(BCombo((a, b), s)):
-            raise AssertionError(f"realization breaks the parity rule at "
-                                 f"{a}, {b}, {s}")
+    tri = np.fromiter(chain.from_iterable(combinations(range(40), 3)),
+                      dtype=np.int8).reshape(-1, 3).T  # indices of a, b, s
+    parity, _ = _combo(*zip(tri // 4 + 1, tri % 4))
+    bad = np.flatnonzero(_q0_arr(np.bitwise_xor.reduce(m[tri]), 6) != parity)
+    if bad.size:
+        a, b, s = (chars[i] for i in tri[:, bad[0]])
+        raise AssertionError(f"realization breaks the parity rule at "
+                             f"{a}, {b}, {s}")
     return masks
 
 

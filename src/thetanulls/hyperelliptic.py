@@ -52,7 +52,7 @@ class PartitionClass:
     def from_labels(cls, g: int, labels: Iterable[int]) -> "PartitionClass":
         mask = 0
         for lab in labels:
-            if not isinstance(lab, int) or not 1 <= lab <= 2 * g + 2:
+            if type(lab) is not int or not 1 <= lab <= 2 * g + 2:
                 raise MalformedInputError(
                     f"label {lab!r} outside 1..{2 * g + 2}")
             bit = 1 << (lab - 1)

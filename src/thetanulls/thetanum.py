@@ -221,11 +221,15 @@ def _radius(z: SiegelMatrix, eps: float,
     if radius_scale > 1.0:
         r *= radius_scale
         tail = _tail_bound(r, lam, g)
-    # the ball is enumerated inside its box of side 2r + 2, so capping the
-    # box still bounds the work and the memory of every coset
-    if (2 * r + 2) ** g > _MAX_TERMS:
+    # the ball's points lie on a shifted integer lattice, and their disjoint
+    # unit cubes fit in the ball of radius r + sqrt(g)/2: its volume bounds
+    # the point count, and so the work and the memory of every coset
+    reach = math.sqrt(r * r + 1e-12) + math.sqrt(g) / 2
+    points = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * reach ** g
+    if points > _MAX_TERMS:
         raise ResourceCapError(
-            f"lattice box of side {2 * r + 2:.0f}^{g} exceeds the term cap")
+            f"lattice ball of radius {r:.3g} may hold {points:.2g} points "
+            f"in genus {g}, above the term cap")
     return r, tail
 
 

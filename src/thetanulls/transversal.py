@@ -70,11 +70,11 @@ def _check_s(ns: NodeSet, s: Sequence[int]) -> list[int]:
     if len(labels) != ns.g - 2:
         raise MalformedInputError(
             f"S needs exactly g-2 = {ns.g - 2} indices, got {len(labels)}")
+    for idx in labels:
+        if type(idx) is not int or not 1 <= idx <= 2 * ns.g + 2:
+            raise MalformedInputError(f"index {idx!r} outside 1..{2 * ns.g + 2}")
     if len(set(labels)) != len(labels):
         raise MalformedInputError("duplicate indices in S")
-    for idx in labels:
-        if not isinstance(idx, int) or not 1 <= idx <= 2 * ns.g + 2:
-            raise MalformedInputError(f"index {idx!r} outside 1..{2 * ns.g + 2}")
     return sorted(labels)
 
 

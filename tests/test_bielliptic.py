@@ -10,18 +10,15 @@ import pytest
 from thetanulls import bielliptic
 from thetanulls.bielliptic import (
     BChar,
-    BCombo,
     Decision,
     F1,
     F2,
     F3,
     all_chars,
     classify_bielliptic,
-    combo_parity,
     pairing,
     realization,
     realize_in_f2,
-    reduce_same_fixed,
     triple_sum_is_zero,
     verify_witnesses,
     witness_quadruples,
@@ -54,29 +51,52 @@ def test_bchar_validation_and_json():
         BChar.from_json_dict({"fixed_point": 1})
 
 
-def test_combo_parity_rule():
-    assert combo_parity(BCombo((BChar(1, 0), BChar(1, F1)), BChar(2, 0))) == 0
-    assert combo_parity(BCombo((BChar(1, 0), BChar(2, 0)), BChar(3, 0))) == 1
-    assert combo_parity(BCombo((BChar(1, 0), BChar(1, F1)), BChar(1, F2))) == 0
+@pytest.mark.parametrize("fp, tw", [(1.0, 0), (1, 0.0), (True, 0), (1, False),
+                                    ("1", 0), (None, 0), (np.True_, 0)])
+def test_bchar_refuses_non_integers(fp, tw):
+    # the kernel xors fixed points and twists, so both must be true ints
+    with pytest.raises(DomainError, match="must be an integer"):
+        BChar(fp, tw)
 
 
-def test_combo_parity_plus_swap_invariant():
+def test_bchar_takes_numpy_integers_as_ints():
+    c = BChar(np.int64(3), np.uint8(2))
+    assert c == BChar(3, F2)
+    assert type(c.fixed_point) is int and type(c.twist) is int
+
+
+@pytest.mark.parametrize("data", [{"fixed_point": True, "twist": False},
+                                  {"fixed_point": 1, "twist": False},
+                                  {"fixed_point": 1.0, "twist": 0}])
+def test_bchar_json_refuses_booleans_and_floats(data):
+    with pytest.raises(MalformedInputError):
+        BChar.from_json_dict(data)
+
+
+def test_pairing_parity_rule():
+    # the parity of the combo a + b - base: odd iff three distinct families
+    assert pairing(BChar(2, 0), BChar(1, 0), BChar(1, F1)) == 0
+    assert pairing(BChar(3, 0), BChar(1, 0), BChar(2, 0)) == 1
+    assert pairing(BChar(1, F2), BChar(1, 0), BChar(1, F1)) == 0
+
+
+def test_pairing_swap_invariant():
     rng = random.Random(67)
     chars = all_chars()
     for _ in range(200):
         a, b, s = rng.sample(chars, 3)
-        assert combo_parity(BCombo((a, b), s)) == combo_parity(BCombo((b, a), s))
+        assert pairing(s, a, b) == pairing(s, b, a)
 
 
-def test_reduce_same_fixed():
-    assert reduce_same_fixed(
-        BCombo((BChar(1, F1), BChar(1, F2)), BChar(1, 0))) == BChar(1, F3)
-    assert reduce_same_fixed(
-        BCombo((BChar(3, 0), BChar(3, 0)), BChar(3, F1))) == BChar(3, F1)
-    a = BChar(2, F2)
-    assert reduce_same_fixed(BCombo((a, a), BChar(2, F3))) == BChar(2, F3)
-    with pytest.raises(DomainError):
-        reduce_same_fixed(BCombo((BChar(1, 0), BChar(2, 0)), BChar(1, F1)))
+def test_triple_sum_same_family():
+    # (1,F1) + (1,F2) - (1,0) = (1,F3): one family reduces by xor of twists
+    assert triple_sum_is_zero(BChar(1, 0), BChar(1, F1), BChar(1, F2),
+                              BChar(1, F3)) is Decision.YES
+    # (2,0) + (2,F1) - (2,F3) = (2,F2), which is not (5,F2)
+    assert triple_sum_is_zero(BChar(2, F3), BChar(2, 0), BChar(2, F1),
+                              BChar(2, F2)) is Decision.YES
+    assert triple_sum_is_zero(BChar(2, F3), BChar(2, 0), BChar(2, F1),
+                              BChar(5, F2)) is Decision.NO
 
 
 def test_pairing_examples():
@@ -193,19 +213,16 @@ def test_classify_validation():
 
 
 def test_model_census_counts():
-    counts = {c: 0 for c in OrbitClass}
-    labels = []
-    for quad in combinations(all_chars(), 4):
-        labels.append(classify_bielliptic(quad))
-        counts[labels[-1]] += 1
-    assert sum(counts.values()) == 91390
-    # label by label, the realization's census agrees with the parity rules
-    rows = np.array(list(combinations(realization(), 4)), dtype=np.int64)
-    classes = list(OrbitClass)
-    assert [classes[c] for c in classify_array(rows, 6)] == labels
-    assert counts == {OrbitClass.A1: 550, OrbitClass.A2: 2520,
-                      OrbitClass.A3: 34560, OrbitClass.A4: 53760}
-    assert all(v > 0 for v in counts.values())
+    # every quadruple through the kernel at all four bases (each asserting
+    # that its three splits agree), matched label by label against one
+    # classify_array call on the realization's masks
+    idx = np.array(list(combinations(range(40), 4)))
+    cols = list(zip(idx.T // 4 + 1, idx.T % 4))  # (fixed point, twist)
+    want = classify_array(np.array(realization())[idx], 6)
+    for i in range(4):
+        got = bielliptic._code_at_base(cols[i], *(cols[:i] + cols[i + 1:]))
+        assert np.array_equal(got, want)
+    assert np.bincount(want).tolist() == [550, 2520, 34560, 53760]
 
 
 def test_realization_agrees_on_sample():

@@ -48,6 +48,10 @@ def test_label_validation():
         pc(2, 0)
     with pytest.raises(MalformedInputError):
         PartitionClass.from_labels(2, [1, 1])
+    # True == 1 and 1.0 == 1, but neither is a label
+    for label in (True, 1.0):
+        with pytest.raises(MalformedInputError):
+            PartitionClass.from_labels(3, [label])
 
 
 def test_add_examples():

@@ -539,9 +539,21 @@ class TestLatticeMemo:
         theta_constant(z, F2Vector(2, 0), 1e-10)
         memo = thetanum._LATTICE
         tiny = SiegelMatrix(np.eye(6) * 1e-3j)
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError, match=r"lattice ball of radius "
+                           r"167 may hold 1.2e\+14 points in genus 6"):
             theta_constant(tiny, F2Vector(6, 0), 1e-10)
         assert thetanum._LATTICE is memo
+
+    def test_term_cap_counts_the_ball_not_its_box(self):
+        # r = 5.35: the box 13^7 = 6.3e7 is over the 5e6 cap, but the
+        # ball-volume bound is 2.8e6, and the ball holds 589,307 points
+        z = SiegelMatrix(0.5j * np.eye(7))
+        value, bound = theta_constant(z, F2Vector(7, 0), 1e-8)
+        assert thetanum._LATTICE.cosets[0][0].size == 589_307
+        # Im Z = I/2 splits into seven genus-1 factors
+        one, one_bound = theta_constant(SiegelMatrix([[0.5j]]),
+                                        F2Vector(1, 0), 1e-14)
+        assert abs(value - one ** 7) <= bound + 100 * one_bound
 
     def test_threads_sharing_the_memo(self):
         rng = random.Random(73)

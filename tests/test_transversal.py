@@ -70,6 +70,16 @@ def test_nodeset_validation():
         unit_nodes(33)
 
 
+@pytest.mark.parametrize("s", [[True], [1.0], [[1]]])
+def test_s_refuses_non_int_indices(s):
+    # a bool would otherwise reach the report as "S": [true]
+    ns = NodeSet.from_values(3, list(range(1, 9)))
+    with pytest.raises(MalformedInputError, match="outside"):
+        transversality_report(ns, s)
+    with pytest.raises(MalformedInputError, match="outside"):
+        basis_polys(ns, s)
+
+
 def test_nodeset_json_roundtrip():
     ns = NodeSet.from_values(3, ["1/2", "3", "-7/5", 2, 5, -1, 9, "11/3"])
     back = NodeSet.from_json_dict(ns.to_json_dict())
