@@ -16,14 +16,17 @@ by truncation).
 
 A coset of ball points x = n + k'/2 is enumerated coordinate by coordinate
 on the integral y = 2x under an exact integer norm test, put in summation
-order by one stable sort on |y|^2, and stored with 2x by coordinate, so the
-phase x . k'' is an integer sum of the rows k'' picks.  Only that phase
-depends on k'', so theta_constant keeps one memo entry: the radius, the
-tail bound and, for each k' asked for, the coset with its x^T Z x, all for
-the last (Z, eps, radius_scale) seen.  The 4^g characteristics at one Z
-then share 2^g lattice builds, each made on first use; a new Z replaces
-the entry.  Values and certificates are the same bit for bit as a fresh
-build.
+order by one stable sort on |y|^2, and stored with its terms
+exp(pi*i x^T Z x) and with 2x by coordinate.  Only the phase
+exp(pi*i x . k'') depends on k'', and as 2x . k'' is an integer that phase
+is the power i^(2x . k'') of i: a characteristic's value is the sum of the
+coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
+theta_constant keeps one memo entry: the radius, the tail bound and, for
+each k' asked for, the coset with its terms, all for the last
+(Z, eps, radius_scale) seen.  The 4^g characteristics at one Z then share
+2^g lattice builds and 2^g term evaluations, each made on first use; a new
+Z replaces the entry.  Values and certificates are the same bit for bit as
+a fresh build.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .quadforms import _act_on_char_rows
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _MAX_TERMS = 5_000_000
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i^0 .. i^3
 _COND_CAP = 1e12
 _INT64 = range(-2 ** 63, 2 ** 63)
 
@@ -192,11 +196,16 @@ class IntSymplectic:
 def _tail_bound(r: float, lam: float, g: int) -> float:
     """Rigorous bound on the sum of exp(-pi lam ||x||^2) over ||x|| > r:
     the shell r+m < ||x|| <= r+m+1 holds at most (2 ceil(r) + 2m + 3)^g
-    lattice translates, each term bounded by the shell's inner radius."""
+    lattice translates, each term bounded by the shell's inner radius.
+    A shell count past the float range gives the bound inf."""
     total = 0.0
     base = 2 * math.ceil(r) + 3
     for m in range(10_001):
-        term = float(base + 2 * m) ** g * math.exp(-math.pi * lam * (r + m) ** 2)
+        try:
+            term = (float(base + 2 * m) ** g
+                    * math.exp(-math.pi * lam * (r + m) ** 2))
+        except OverflowError:
+            return math.inf
         if term == 0.0:
             # exp underflowed; later shells underflow too
             return total
@@ -206,7 +215,8 @@ def _tail_bound(r: float, lam: float, g: int) -> float:
 
 def _radius(z: SiegelMatrix, eps: float,
             radius_scale: float) -> tuple[float, float]:
-    """Truncation radius r and its tail bound, which is <= eps."""
+    """Truncation radius r and its tail bound, which is <= eps.  The term
+    cap is checked on the final radius, before a scaled radius's tail."""
     g = z.g
     lam = z.lambda_min
     r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
@@ -218,18 +228,21 @@ def _radius(z: SiegelMatrix, eps: float,
         grow += 1
         if grow > 200:
             raise ResourceCapError("truncation radius failed to converge")
-    if radius_scale > 1.0:
-        r *= radius_scale
-        tail = _tail_bound(r, lam, g)
+    r *= radius_scale
     # the ball's points lie on a shifted integer lattice, and their disjoint
     # unit cubes fit in the ball of radius r + sqrt(g)/2: its volume bounds
     # the point count, and so the work and the memory of every coset
     reach = math.sqrt(r * r + 1e-12) + math.sqrt(g) / 2
-    points = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * reach ** g
+    try:
+        points = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * reach ** g
+    except OverflowError:
+        points = math.inf
     if points > _MAX_TERMS:
         raise ResourceCapError(
             f"lattice ball of radius {r:.3g} may hold {points:.2g} points "
             f"in genus {g}, above the term cap")
+    if radius_scale > 1.0:
+        tail = _tail_bound(r, lam, g)
     return r, tail
 
 
@@ -254,16 +267,34 @@ def _coset(z: SiegelMatrix, r: float,
         keep = np.flatnonzero(cand <= nmax)
         y = np.column_stack((y[keep // vals.size], vals[keep % vals.size]))
         norm = cand[keep]
-    y = y[np.argsort(norm, kind="stable")]
-    x = y / 2
-    quad = np.einsum("ij,jk,ik->i", x, z.z, x)
+    # a stable sort on keys of at most 16 bits is a radix sort
+    y = y[np.argsort(norm.astype(np.min_scalar_type(nmax)), kind="stable")]
     twice_x = y.T.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
                          order="C")
-    return quad, twice_x
+    return _quad_form(twice_x / 2, z.z), twice_x
+
+
+def _quad_form(xt: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x^T Z x for each column x of xt (g rows), summed over the upper
+    triangle of the symmetric Z, real and imaginary parts apart.  Each
+    product x_j x_k of half-integers is exact, and every operation is
+    elementwise, so a point's value does not depend on its neighbours."""
+    g, n = xt.shape
+    re, im, prod = np.zeros(n), np.zeros(n), np.empty(n)
+    for j in range(g):
+        for k in range(j, g):
+            np.multiply(xt[j], xt[k], out=prod)
+            weight = 1.0 if j == k else 2.0
+            re += (weight * z[j, k].real) * prod
+            im += (weight * z[j, k].imag) * prod
+    quad = np.empty(n, dtype=np.complex128)
+    quad.real, quad.imag = re, im
+    return quad
 
 
 class _Lattice(NamedTuple):
-    """One (Z, eps, radius_scale) with its radius, tail and cosets by k'."""
+    """One (Z, eps, radius_scale) with its radius, tail and, by k', the
+    coset's terms exp(pi i x^T Z x) with its 2x."""
     z: SiegelMatrix
     eps: float
     radius_scale: float
@@ -307,13 +338,15 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     kp = k.first_half
     coset = memo.cosets.get(kp)
     if coset is None:
-        coset = memo.cosets[kp] = _coset(z, memo.r, kp)
-    quad, twice_x = coset
+        quad, twice_x = _coset(z, memo.r, kp)
+        coset = memo.cosets[kp] = (np.exp(1j * math.pi * quad), twice_x)
+    terms, twice_x = coset
     cols = [i for i in range(z.g) if (k.second_half >> i) & 1]
-    # x is half-integral and k'' is 0/1, so the phase x . k'' is exact
-    lin = twice_x[cols].sum(axis=0, dtype=np.int64) / 2
-    value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
-    bound = memo.tail + 1000.0 * _EPS_MACH * quad.shape[0]
+    # exp(pi i x . k'') = i^(2x . k''), and 2x . k'' is an integer sum of
+    # the rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i
+    turns = twice_x[cols].sum(axis=0, dtype=np.int64) & 3
+    value = complex(np.sum(terms * _QUARTER_TURNS[turns]))
+    bound = memo.tail + 1000.0 * _EPS_MACH * terms.shape[0]
     return value, bound
 
 

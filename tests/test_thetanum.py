@@ -406,9 +406,9 @@ class TestGenerators:
 
 
 def _reference_theta(z, k, eps, radius_scale=1.0):
-    """theta_constant built from scratch on every call, as the engine did
-    before the lattice memo: radius search, meshgrid over the ball, fixed
-    summation order, then the sum with the phase x . k''."""
+    """theta_constant built from scratch on every call: radius search,
+    meshgrid over the ball, fixed summation order, then the sum of the
+    terms exp(pi i x^T Z x), each times i^(2 x . k'') mod 4."""
     g = z.g
     lam = z.lambda_min
     r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
@@ -419,12 +419,24 @@ def _reference_theta(z, k, eps, radius_scale=1.0):
     if radius_scale > 1.0:
         r *= radius_scale
         tail = thetanum._tail_bound(r, lam, g)
-    kpp = np.array(k.to_list()[g:], dtype=np.float64)
+    kpp = np.array(k.to_list()[g:], dtype=np.int64)
     x, quad = _reference_coset(z, r, k.first_half)
-    lin = x @ kpp
-    value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
+    turns = (np.rint(2 * x).astype(np.int64) @ kpp) % 4
+    units = np.array([1, 1j, -1, -1j])[turns]
+    value = complex(np.sum(np.exp(1j * math.pi * quad) * units))
     bound = tail + 1000.0 * thetanum._EPS_MACH * int(x.shape[0])
     return value, bound
+
+
+def _direct_phase_theta(z, k, eps):
+    """The ball sum with the phase inside the exponential,
+    exp(pi i (x^T Z x + x . k'')), in the same order and with the same
+    bound: the arithmetic the engine used before it shared the terms."""
+    r, tail = thetanum._radius(z, eps, 1.0)
+    x, quad = _reference_coset(z, r, k.first_half)
+    lin = x @ np.array(k.to_list()[z.g:], dtype=np.float64)
+    value = complex(np.sum(np.exp(1j * math.pi * (quad + lin))))
+    return value, tail + 1000.0 * thetanum._EPS_MACH * x.shape[0]
 
 
 def _reference_coset(z, r, kp):
@@ -447,7 +459,9 @@ def _reference_coset(z, r, kp):
     order = np.lexsort(tuple(rs[:, j] for j in range(g - 1, -1, -1))
                        + (norm2,))
     rs, x = rs[order], x[order]
-    quad = np.einsum("ij,jk,ik->i", x, z.z, x)
+    # the engine's pointwise x^T Z x; test_quad_form_matches_einsum checks
+    # it against the plain double sum
+    quad = thetanum._quad_form(x.T, z.z)
     return x, quad
 
 
@@ -544,6 +558,25 @@ class TestLatticeMemo:
             theta_constant(tiny, F2Vector(6, 0), 1e-10)
         assert thetanum._LATTICE is memo
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_huge_radius_scale_is_resource_cap(self, g):
+        # the scaled radius meets the term cap before its tail, whose shell
+        # count would overflow a float
+        z = random_siegel(2, random.Random(74))
+        theta_constant(z, F2Vector(2, 0), 1e-10)
+        memo = thetanum._LATTICE
+        with pytest.raises(ResourceCapError, match="above the term cap"):
+            theta_constant(SiegelMatrix(1j * np.eye(g)), F2Vector(g, 0), 1e-8,
+                           radius_scale=1e300)
+        assert thetanum._LATTICE is memo
+
+    def test_overflowing_tail_is_resource_cap(self):
+        # (2 ceil(r) + 3)^60 overflows at r = 3e5: the tail reads inf and
+        # the radius search gives up
+        z = SiegelMatrix(1e-10j * np.eye(60))
+        with pytest.raises(ResourceCapError):
+            theta_constant(z, F2Vector(60, 0), 1e-8)
+
     def test_term_cap_counts_the_ball_not_its_box(self):
         # r = 5.35: the box 13^7 = 6.3e7 is over the 5e6 cap, but the
         # ball-volume bound is 2.8e6, and the ball holds 589,307 points
@@ -585,6 +618,42 @@ class TestLatticeMemo:
         assert bad == []
 
 
+class TestSharedTerms:
+    """The memo keeps each coset's terms exp(pi i x^T Z x); a
+    characteristic multiplies them by powers of i and sums them."""
+
+    def test_terms_are_the_cosets_exponentials_built_once(self):
+        z = random_siegel(3, random.Random(75))
+        theta_constant(z, F2Vector(3, 0b000_101), 1e-10)
+        memo = thetanum._LATTICE
+        terms, twice_x = memo.cosets[0b101]
+        quad, want_twice_x = thetanum._coset(z, memo.r, 0b101)
+        assert terms.tobytes() == np.exp(1j * math.pi * quad).tobytes()
+        assert twice_x.tobytes() == want_twice_x.tobytes()
+        # the other seven k'' of that k' reuse the same arrays
+        for kpp in range(8):
+            theta_constant(z, F2Vector(3, 0b101 | kpp << 3), 1e-10)
+            assert memo.cosets[0b101][0] is terms
+        assert thetanum._LATTICE is memo and list(memo.cosets) == [0b101]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_direct_phase_within_the_rounding_allowance(self, g):
+        # moving the phase out of the exponential changes only rounding:
+        # k'' = 0 is bit for bit the direct sum, and every other value is
+        # within a small part of the rounding allowance of it
+        rng = random.Random(80 + g)
+        z = random_siegel(g, rng, min_im=0.5)
+        for eps in (1e-8, 1e-12):
+            for k in all_characteristics(g):
+                value, bound = theta_constant(z, k, eps)
+                want, want_bound = _direct_phase_theta(z, k, eps)
+                assert bound == want_bound
+                if k.second_half == 0:
+                    assert _bits((value, bound)) == _bits((want, want_bound))
+                allowance = bound - thetanum._radius(z, eps, 1.0)[1]
+                assert abs(value - want) <= allowance / 100, (eps, k)
+
+
 class TestCosetEnumeration:
     """_coset against the meshgrid reference, byte for byte, at radii
     where lattice points sit on the sphere or just outside the box."""
@@ -615,6 +684,23 @@ class TestCosetEnumeration:
         twice = np.array(point) * 2
         found = (thetanum._coset(z, r, kp)[1].T == twice).all(axis=1).any()
         assert found == kept
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 5])
+    def test_quad_form_matches_einsum(self, g):
+        # the upper-triangle sum agrees with sum_jk x_j Z_jk x_k to within
+        # a few roundings of sum_jk |x_j Z_jk x_k|
+        z = random_siegel(g, random.Random(90 + g), min_im=0.3)
+        r = thetanum._radius(z, 1e-10, 1.0)[0]
+        quad, twice_x = thetanum._coset(z, r, (1 << g) - 2)
+        x = twice_x.T / 2
+        want = np.einsum("ij,jk,ik->i", x, z.z, x)
+        scale = np.einsum("ij,jk,ik->i", np.abs(x), np.abs(z.z), np.abs(x))
+        assert np.all(np.abs(quad - want)
+                      <= 4 * g * g * thetanum._EPS_MACH * scale)
+        # a point's value does not depend on the array it sits in
+        for i in (0, len(quad) // 2, len(quad) - 1):
+            alone = thetanum._quad_form(twice_x[:, i:i + 1] / 2, z.z)
+            assert alone.tobytes() == quad[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("g", [6, 7, 8])
     def test_unit_radius_high_genus(self, g):
