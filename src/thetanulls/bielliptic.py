@@ -22,32 +22,19 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MalformedInputError
+from .errors import DomainError, MalformedInputError, _int_in
 from .f2core import F2Vector, _q0_arr
 from .orbits import (_CLASSES, _class_code, OrbitClass, Quadruple,
                      classify as orbits_classify)
 
 F1, F2, F3 = 1, 2, 3
 _TWIST_NAMES = {0: "0", 1: "F1", 2: "F2", 3: "F3"}
-
-
-def _int_in(x, lo: int, hi: int, what: str) -> int:
-    """x as a plain int in lo..hi: operator.index takes ints and numpy
-    integers and refuses floats such as 1.0; bools are refused as well."""
-    try:
-        v = None if isinstance(x, bool) else operator.index(x)
-    except TypeError:
-        v = None
-    if v is None or not lo <= v <= hi:
-        raise DomainError(f"{what} must be an integer in {lo}..{hi}, got {x!r}")
-    return v
 
 
 @dataclass(frozen=True, order=True)

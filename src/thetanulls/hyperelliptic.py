@@ -6,29 +6,66 @@ symmetric difference, parity is cardinality mod 2, and on even classes
 |A & B| mod 2 is a nondegenerate symplectic pairing.  A class T with
 |T| = g+1 (mod 2) is a theta characteristic with
 
-    h0 = (g + 1 - |T_red|) / 2,   T_red the representative with <= g+1 labels,
+    h0 = (g + 1 - |T_red|) / 2 = |g + 1 - |T|| / 2,
 
-and theta parity h0 mod 2.  A ComponentLabel carries a symplectic
-identification of F_2^(2g) with the even classes plus the unique base class
-that makes the induced parity form equal to q0.
+T_red the representative with <= g+1 labels, and theta parity h0 mod 2.  A
+ComponentLabel carries a symplectic identification c of F_2^(2g) with the
+even classes plus the unique base class B with theta parity of B + c(j)
+equal to q0(j).
 
-The bulk computations (class counts, formula agreement, the vanishing set
-and the image table of all 4^g characteristics) run on numpy arrays of
-class masks; PartitionClass objects are built only for single classes.
+One private kernel holds the int-mask rules: canonicalization, h0, the
+closed-form parity and the image map c.  Each takes a plain Python int
+(past int64 too: masks have 2g+2 bits, 66 at g = 32) or a broadcast numpy
+int64 array alike, so PartitionClass, the labeling check, torsor_base, the
+image table of all 4^g characteristics, the class counts and the vanishing
+set all read the same rules; PartitionClass objects are built only for
+single classes.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MalformedInputError
-from .f2core import F2Vector, _q0_arr
-from .quadforms import (QuadraticForm, form_from_function, form_shift,
-                        induced_form)
+from .errors import DomainError, MalformedInputError, _int_in
+from .f2core import F2Vector, _q0_arr, _q0_int, _swap_halves
+
+
+def _popcount(m):
+    """|A| of class masks: a plain int for a plain int, int64 elementwise
+    for numpy masks (np.bitwise_count gives uint8, which would wrap)."""
+    if isinstance(m, int):
+        return m.bit_count()
+    return np.bitwise_count(m).astype(np.int64)
+
+
+def _canonical(m, g: int):
+    """The representative without label 2g+2: complement a mask holding it."""
+    size = 2 * g + 2
+    return m ^ (-((m >> (size - 1)) & 1) & ((1 << size) - 1))
+
+
+def _h0(m, g: int):
+    """h0 of classes with valid support, from either representative:
+    (g + 1 - min(|A|, 2g+2 - |A|)) / 2 = |g + 1 - |A|| / 2."""
+    return abs(_popcount(m) - (g + 1)) // 2
+
+
+def _closed_form_parity(m):
+    """(|A|+1)/2 mod 2 for odd |A| and |A|/2 mod 2 for even |A|: both are
+    floor((|A|+1)/2) mod 2."""
+    return ((_popcount(m) + 1) >> 1) & 1
+
+
+def _image(k, images: Sequence[int]):
+    """c(k): XOR of the masks images[i] over the set bits i of k."""
+    out = 0
+    for i, img in enumerate(images):
+        out ^= img * ((k >> i) & 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -39,14 +76,10 @@ class PartitionClass:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.g < 1:
-            raise DomainError(f"g must be >= 1, got {self.g}")
-        size = 2 * self.g + 2
-        if not 0 <= self.mask < 1 << size:
-            raise DomainError("labels out of range")
-        if (self.mask >> (size - 1)) & 1:
-            object.__setattr__(self, "mask",
-                               self.mask ^ ((1 << size) - 1))
+        g = _int_in(self.g, 1, None, "g")
+        mask = _int_in(self.mask, 0, (1 << (2 * g + 2)) - 1, "mask")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "mask", _canonical(mask, g))
 
     @classmethod
     def from_labels(cls, g: int, labels: Iterable[int]) -> "PartitionClass":
@@ -68,11 +101,6 @@ class PartitionClass:
 
     def cardinality(self) -> int:
         return self.mask.bit_count()
-
-    def reduced_cardinality(self) -> int:
-        """Size of the smaller of the two representatives."""
-        c = self.mask.bit_count()
-        return min(c, 2 * self.g + 2 - c)
 
     def __add__(self, other: "PartitionClass") -> "PartitionClass":
         if self.g != other.g:
@@ -104,7 +132,7 @@ def _check_support(t: PartitionClass) -> None:
 
 def h0(t: PartitionClass) -> int:
     _check_support(t)
-    return (t.g + 1 - t.reduced_cardinality()) // 2
+    return _h0(t.mask, t.g)
 
 
 def theta_parity(t: PartitionClass) -> int:
@@ -117,10 +145,9 @@ def q_minus_parity(t: PartitionClass) -> int:
     Complement-stable on its domain; agrees with theta_parity iff
     g = 2 (mod 4), e.g. at g = 6.
     """
-    c = t.cardinality()
-    if c % 2 == 0:
+    if t.cardinality() % 2 == 0:
         raise DomainError("formula needs an odd-cardinality class")
-    return ((c + 1) // 2) & 1
+    return _closed_form_parity(t.mask)
 
 
 def q_plus_parity(t: PartitionClass) -> int:
@@ -129,47 +156,21 @@ def q_plus_parity(t: PartitionClass) -> int:
     Complement-stable on its domain; agrees with theta_parity iff
     g = 3 (mod 4), e.g. at g = 3.
     """
-    c = t.cardinality()
-    if c % 2:
+    if t.cardinality() % 2:
         raise DomainError("formula needs an even-cardinality class")
-    return (c // 2) & 1
-
-
-def all_classes(g: int) -> Iterable[PartitionClass]:
-    """Every class once (canonical representatives omit label 2g+2)."""
-    for mask in range(1 << (2 * g + 1)):
-        yield PartitionClass(g, mask)
-
-
-def theta_support_classes(g: int) -> Iterable[PartitionClass]:
-    want = (g + 1) % 2
-    return (t for t in all_classes(g) if t.cardinality() % 2 == want)
-
-
-def _canonical_arr(masks: np.ndarray, g: int) -> np.ndarray:
-    """PartitionClass canonicalization elementwise: complement each mask
-    holding label 2g+2."""
-    size = 2 * g + 2
-    return np.where((masks >> (size - 1)) & 1, masks ^ ((1 << size) - 1),
-                    masks)
-
-
-def _h0_arr(masks: np.ndarray, g: int) -> np.ndarray:
-    """h0 elementwise over masks of classes with valid support."""
-    c = np.bitwise_count(masks).astype(np.int64)
-    return (g + 1 - np.minimum(c, 2 * g + 2 - c)) // 2
+    return _closed_form_parity(t.mask)
 
 
 def _support_masks(g: int) -> np.ndarray:
     """Canonical masks of the classes T with |T| = g+1 (mod 2)."""
     masks = np.arange(1 << (2 * g + 1), dtype=np.int64)
-    return masks[(np.bitwise_count(masks) & 1) == (g + 1) % 2]
+    return masks[(_popcount(masks) & 1) == (g + 1) % 2]
 
 
 def class_counts(g: int) -> tuple[int, int, int]:
     """Numbers of theta-support classes: all, even and odd theta parity."""
     masks = _support_masks(g)
-    odd = int(np.count_nonzero(_h0_arr(masks, g) & 1))
+    odd = int(np.count_nonzero(_h0(masks, g) & 1))
     return masks.size, masks.size - odd, odd
 
 
@@ -178,9 +179,23 @@ def formula_agreement(g: int) -> bool:
     at even g, q_plus_parity at odd g) against h0 parity; diagnostic for the
     convention mismatch at g = 0, 1 (mod 4)."""
     masks = _support_masks(g)
-    c = np.bitwise_count(masks).astype(np.int64)
-    formula = ((c + 1) // 2 if g % 2 == 0 else c // 2) & 1
-    return bool(np.array_equal(formula, _h0_arr(masks, g) & 1))
+    return bool(np.array_equal(_closed_form_parity(masks),
+                               _h0(masks, g) & 1))
+
+
+def _induces_q0(images: Sequence[int], base: int, g: int) -> bool:
+    """Whether theta_parity(base + c(j)) = q0(j) for every j of Hamming
+    weight <= 2, c the image map of images.
+
+    On a symplectic basis of images both sides are functions of degree <= 2
+    in j, and those values fix such a function, so this decides equality
+    on all of F_2^(2g).
+    """
+    # (j, c(j)) for j = 0 and the unit vectors; c is linear, so the pairs
+    # give every j of weight <= 2 (the diagonal gives j = 0)
+    units = [(0, 0)] + [(1 << i, img) for i, img in enumerate(images)]
+    return all((_h0(base ^ ci ^ ck, g) & 1) == _q0_int(i ^ k, g)
+               for n, (i, ci) in enumerate(units) for k, ck in units[n:])
 
 
 @dataclass(frozen=True)
@@ -207,49 +222,38 @@ class ComponentLabel:
         if self.torsor_base.g != g:
             raise DomainError("torsor base has wrong g")
         _check_support(self.torsor_base)
-        if theta_parity(self.torsor_base) != 0:
-            raise DomainError("torsor base must have even theta parity")
-        induced = form_from_function(_parity_form(imgs, self.torsor_base), g)
-        if induced != QuadraticForm.standard(g):
+        if not _induces_q0([p.mask for p in imgs], self.torsor_base.mask, g):
             raise DomainError("torsor base does not induce the standard form")
 
     def vector_image(self, k: F2Vector) -> PartitionClass:
         """Sum of basis images over the set bits of k (the map c)."""
-        if k.g != self.g:
-            raise DomainError("vector/labeling g mismatch")
-        return _image(self.basis_images, k)
+        return PartitionClass(self.g, _image_mask(k, self))
 
 
-def _image(images: Sequence[PartitionClass], k: F2Vector) -> PartitionClass:
-    """Sum of images[i] over the set bits i of k."""
-    mask, bits = 0, k.bits
-    while bits:
-        low = bits & -bits
-        mask ^= images[low.bit_length() - 1].mask
-        bits ^= low
-    return PartitionClass(k.g, mask)
-
-
-def _parity_form(images: Sequence[PartitionClass],
-                 base: PartitionClass) -> Callable[[F2Vector], int]:
-    """The induced parity form j -> theta_parity(base) + theta_parity(c(j)
-    + base), with c the map j -> _image(images, j)."""
-    return induced_form(theta_parity, base,
-                        lambda j, t: _image(images, j) + t)
+def _image_mask(k: F2Vector, label: ComponentLabel) -> int:
+    """c(k) as a mask, for k of the label's genus."""
+    if k.g != label.g:
+        raise DomainError("vector/labeling g mismatch")
+    return _image(k.bits, [p.mask for p in label.basis_images])
 
 
 def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
     """The unique class B with valid support, theta_parity 0 and induced
     parity form equal to q0.
 
-    Start from any valid-support class B0; the induced form at B0 differs
-    from q0 by a linear functional <d, .>, and B = B0 + c(d) corrects it.
-    theta_parity(B) = 0 then comes for free: translating by B matches the
-    even/odd class census against the zero count of q0, which pins the
-    parity. Uniqueness makes this also the lexicographically first choice.
+    Start from any valid-support class B0; the induced form
+    j -> theta_parity(B0) + theta_parity(B0 + c(j)) is q0 + <d, .>, with
+    d read off its values at the basis vectors (d''_i at e_i, d'_i at f_i),
+    and B = B0 + c(d) corrects it.  theta_parity(B) = 0 then comes for
+    free: translating by B matches the even/odd class census against the
+    zero count of q0, which pins the parity.  Uniqueness makes this also
+    the lexicographically first choice.
     """
-    b0 = PartitionClass(g, 0) if g % 2 else PartitionClass(g, 1)
-    return _image(images, form_shift(_parity_form(images, b0), g)) + b0
+    masks = [p.mask for p in images]
+    b0 = 0 if g % 2 else 1
+    vals = sum(((_h0(b0, g) ^ _h0(b0 ^ m, g)) & 1) << i
+               for i, m in enumerate(masks))
+    return PartitionClass(g, _image(_swap_halves(vals, g), masks) ^ b0)
 
 
 @functools.cache
@@ -271,7 +275,8 @@ def std_labeling(g: int) -> ComponentLabel:
 
 
 def char_to_partition(k: F2Vector, label: ComponentLabel) -> PartitionClass:
-    return label.vector_image(k) + label.torsor_base
+    return PartitionClass(label.g,
+                          _image_mask(k, label) ^ label.torsor_base.mask)
 
 
 def partition_to_char(t: PartitionClass, label: ComponentLabel) -> F2Vector:
@@ -292,12 +297,11 @@ def partition_to_char(t: PartitionClass, label: ComponentLabel) -> F2Vector:
 
 def char_table(label: ComponentLabel) -> np.ndarray:
     """Canonical masks of char_to_partition(k, label) for all 4^g
-    characteristics k, indexed by k.bits: XOR of the basis-image masks over
-    the set bits of k, plus the torsor base."""
-    table = np.array([label.torsor_base.mask], dtype=np.int64)
-    for img in label.basis_images:
-        table = np.concatenate((table, table ^ img.mask))
-    return _canonical_arr(table, label.g)
+    characteristics k, indexed by k.bits: the image map over every k, plus
+    the torsor base."""
+    ks = np.arange(1 << (2 * label.g), dtype=np.int64)
+    images = [p.mask for p in label.basis_images]
+    return _canonical(_image(ks, images) ^ label.torsor_base.mask, label.g)
 
 
 def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
@@ -306,7 +310,7 @@ def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
     image table of all characteristics."""
     g = label.g
     ks = np.arange(1 << (2 * g), dtype=np.int64)
-    hit = (_q0_arr(ks, g) == 0) & (_h0_arr(char_table(label), g) >= 2)
+    hit = (_q0_arr(ks, g) == 0) & (_h0(char_table(label), g) >= 2)
     return {F2Vector(g, int(bits)) for bits in np.flatnonzero(hit)}
 
 

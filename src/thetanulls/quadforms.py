@@ -2,13 +2,15 @@
 
 Every such form is q_a(v) = q0(v) + <a, v> for a unique shift vector a, so
 forms are stored by shift alone.  Characteristics k correspond to forms via
-shift = k, which makes parity(k) = arf(q_k) hold identically.
+shift = k, which makes parity(k) = arf(q_k) hold identically.  Symplectic
+maps act on characteristics by the closed form k -> M k + d(M), on
+F2Vector and on int masks, and transvections also on mask arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,8 +25,6 @@ from .f2core import (
     q0,
     symplectic_pairing,
 )
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -116,58 +116,6 @@ def _transvect_char_int(v: int, k: int, g: int) -> int:
 def _transvect_char_arr(v: np.ndarray, k: np.ndarray, g: int) -> np.ndarray:
     """_transvect_char_int elementwise over broadcast mask arrays."""
     return np.where(_q0_arr(v, g) ^ _pair_arr(k, v, g), k, k ^ v)
-
-
-def induced_form(parity_oracle: Callable[[T], int], base: T,
-                 add: Callable[[F2Vector, T], T]) -> Callable[[F2Vector], int]:
-    """The function j -> Q(base) + Q(j + base) on a J_2-torsor.
-
-    parity_oracle gives the bit Q on torsor elements; add is the torsor
-    action of F2Vector translations.  The result satisfies the four-term
-    quadratic relation whenever Q does.
-    """
-    base_val = parity_oracle(base)
-    if base_val not in (0, 1):
-        raise DomainError("parity oracle must return bits")
-
-    def q(j: F2Vector) -> int:
-        val = parity_oracle(add(j, base))
-        if val not in (0, 1):
-            raise DomainError("parity oracle must return bits")
-        return base_val ^ val
-
-    return q
-
-
-def form_shift(fn: Callable[[F2Vector], int], g: int) -> F2Vector:
-    """The shift c with c'_i = fn(f_i) and c''_i = fn(e_i): the shift of fn
-    if fn is a pairing-refining form, which is not checked here."""
-    bits = 0
-    for i in range(g):
-        bits |= fn(F2Vector(g, 1 << (g + i))) << i
-        bits |= fn(F2Vector(g, 1 << i)) << (g + i)
-    return F2Vector(g, bits)
-
-
-def form_from_function(fn: Callable[[F2Vector], int], g: int) -> QuadraticForm:
-    """Extract the shift of a bit-valued function known to be a form.
-
-    Verifies fn(0) = 0 and the polarization identity on all basis pairs;
-    together with the shift extraction this certifies fn = q_c everywhere.
-    """
-    if fn(F2Vector.zero(g)) != 0:
-        raise DomainError("function does not vanish at 0")
-    cand = QuadraticForm(g, form_shift(fn, g))
-    n = 2 * g
-    for i in range(n):
-        x = F2Vector(g, 1 << i)
-        if fn(x) != evaluate(cand, x):
-            raise DomainError("function is not a pairing-refining form")
-        for j in range(i + 1, n):
-            y = F2Vector(g, 1 << j)
-            if fn(x + y) != (fn(x) ^ fn(y) ^ symplectic_pairing(x, y)):
-                raise DomainError("function violates the polarization identity")
-    return cand
 
 
 def all_characteristics(g: int) -> Iterator[F2Vector]:

@@ -9,10 +9,11 @@ in the shell ||x|| in (R+m, R+m+1] number at most (2*ceil(R)+2m+3)^g, so
 
     tail <= sum_m (2*ceil(R)+2m+3)^g * exp(-pi * lambda_min * (R+m)^2).
 
-R grows until the tail bound is <= eps; the issued certificate adds a fixed
-rounding allowance of 1000 * machine_eps * #terms, so it can exceed eps for
-very small eps (that allowance is dominated by double precision itself, not
-by truncation).
+R grows until the tail bound is <= eps, and a ball of R that may hold more
+points than the term cap is refused before its tail is computed.  The
+issued certificate adds a fixed rounding allowance of
+1000 * machine_eps * #terms, so it can exceed eps for very small eps (that
+allowance is dominated by double precision itself, not by truncation).
 
 A coset of ball points x = n + k'/2 is enumerated coordinate by coordinate
 on the integral y = 2x under an exact integer norm test, put in summation
@@ -215,20 +216,33 @@ def _tail_bound(r: float, lam: float, g: int) -> float:
 
 def _radius(z: SiegelMatrix, eps: float,
             radius_scale: float) -> tuple[float, float]:
-    """Truncation radius r and its tail bound, which is <= eps.  The term
-    cap is checked on the final radius, before a scaled radius's tail."""
+    """Truncation radius r and its tail bound, which is <= eps.
+
+    The term cap is checked on every radius tried, before that radius's
+    tail, and it also ends the search: a radius under the cap is below
+    2.5e6 at every genus (the bound is 2(r + 1/2) at g = 1, and it allows
+    smaller radii at higher genus), so at most 66 steps of x1.25 from
+    r >= 1 pass it.  A call the cap accepts is unchanged by the earlier
+    checks, as the point bound grows with r and the final radius is the
+    largest one tried."""
     g = z.g
     lam = z.lambda_min
     r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
+    _check_term_cap(r, g)
     tail = _tail_bound(r, lam, g)
-    grow = 0
     while tail > eps:
         r *= 1.25
+        _check_term_cap(r, g)
         tail = _tail_bound(r, lam, g)
-        grow += 1
-        if grow > 200:
-            raise ResourceCapError("truncation radius failed to converge")
-    r *= radius_scale
+    if radius_scale > 1.0:
+        r *= radius_scale
+        _check_term_cap(r, g)
+        tail = _tail_bound(r, lam, g)
+    return r, tail
+
+
+def _check_term_cap(r: float, g: int) -> None:
+    """Refuse a ball of radius r whose point count may pass _MAX_TERMS."""
     # the ball's points lie on a shifted integer lattice, and their disjoint
     # unit cubes fit in the ball of radius r + sqrt(g)/2: its volume bounds
     # the point count, and so the work and the memory of every coset
@@ -241,9 +255,6 @@ def _radius(z: SiegelMatrix, eps: float,
         raise ResourceCapError(
             f"lattice ball of radius {r:.3g} may hold {points:.2g} points "
             f"in genus {g}, above the term cap")
-    if radius_scale > 1.0:
-        tail = _tail_bound(r, lam, g)
-    return r, tail
 
 
 def _coset(z: SiegelMatrix, r: float,

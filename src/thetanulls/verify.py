@@ -22,9 +22,8 @@ import numpy as np
 from . import __version__
 from .bielliptic import verify_witnesses
 from .f2core import F2Vector, _pair_arr, _pair_int, _q0_arr, _q0_int
-from .hyperelliptic import (_canonical_arr, _h0_arr, char_table,
-                            formula_agreement, std_labeling,
-                            vanishing_thetanulls)
+from .hyperelliptic import (_canonical, _h0, char_table, formula_agreement,
+                            std_labeling, vanishing_thetanulls)
 from .orbits import (all_quadruples, census_report, classify_array,
                      classify_by_delta_array, random_quadruples)
 from .quadforms import (_transvect_char_arr, characteristic_counts,
@@ -163,11 +162,11 @@ def criterion_7(seed: int = 0) -> dict:
     agree3 = formula_agreement(3)  # g=3 uses q_plus
     ks = np.arange(1 << (2 * g), dtype=np.int64)
     table = char_table(label6)
-    parity_ok = bool(np.array_equal(_h0_arr(table, g) & 1, _q0_arr(ks, g)))
+    parity_ok = bool(np.array_equal(_h0(table, g) & 1, _q0_arr(ks, g)))
     bijective = np.unique(table).size == ks.size
     torsor_ok = all(
         np.array_equal(table[ks ^ (1 << j)],
-                       _canonical_arr(table ^ img.mask, g))
+                       _canonical(table ^ img.mask, g))
         for j, img in enumerate(label6.basis_images))
     ok = (vanishing == 364 and agree6 and agree3 and parity_ok
           and bijective and torsor_ok)

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from thetanulls import verify
 from thetanulls.errors import DomainError, MalformedInputError
-from thetanulls.f2core import F2Vector, _rank_int
+from thetanulls.f2core import F2Vector, _rank_int, transvection
 from thetanulls.hyperelliptic import (
     ComponentLabel,
     PartitionClass,
-    all_classes,
+    _induces_q0,
     char_table,
     char_to_partition,
     class_counts,
@@ -23,7 +24,7 @@ from thetanulls.hyperelliptic import (
     q_plus_parity,
     std_labeling,
     theta_parity,
-    theta_support_classes,
+    torsor_base,
     trans_config,
     vanishing_thetanulls,
 )
@@ -32,6 +33,58 @@ from thetanulls.quadforms import QuadraticForm, parity
 
 def pc(g, *labels):
     return PartitionClass.from_labels(g, labels)
+
+
+# Reference definitions on label sets, independent of the module's mask
+# kernel: h0 from the smaller representative, the complement rule and the
+# two closed-form parities.
+
+def _ref_h0(g, labels):
+    n = len(labels)
+    return (g + 1 - min(n, 2 * g + 2 - n)) // 2
+
+
+def _ref_canonical(g, labels):
+    """The representative without label 2g+2, as a sorted tuple."""
+    labels = set(labels)
+    if 2 * g + 2 in labels:
+        labels = set(range(1, 2 * g + 3)) - labels
+    return tuple(sorted(labels))
+
+
+def _ref_closed_form(labels):
+    n = len(labels)
+    return ((n + 1) // 2) % 2 if n % 2 else (n // 2) % 2
+
+
+def _ref_mask(labels):
+    return sum(1 << (x - 1) for x in labels)
+
+
+def _support_labels(g):
+    """Labels of every class with |T| = g+1 (mod 2), by the representative
+    without 2g+2."""
+    for mask in range(1 << (2 * g + 1)):
+        labels = tuple(i + 1 for i in range(2 * g + 1) if (mask >> i) & 1)
+        if len(labels) % 2 == (g + 1) % 2:
+            yield labels
+
+
+def _ref_image(g, images, base, bits):
+    """c(k) + base for k = bits, as a canonical label tuple, by symmetric
+    difference of the label sets of the images over the set bits of k."""
+    t = set(base)
+    for i, img in enumerate(images):
+        if (bits >> i) & 1:
+            t ^= set(img)
+    return _ref_canonical(g, t)
+
+
+def _ref_images(lab):
+    """c(k) + B for every k, as canonical label tuples."""
+    images = [p.labels for p in lab.basis_images]
+    return [_ref_image(lab.g, images, lab.torsor_base.labels, bits)
+            for bits in range(1 << (2 * lab.g))]
 
 
 def test_canonical_representative():
@@ -52,6 +105,22 @@ def test_label_validation():
     for label in (True, 1.0):
         with pytest.raises(MalformedInputError):
             PartitionClass.from_labels(3, [label])
+
+
+@pytest.mark.parametrize("g, mask", [(3, True), (3, 1.0), (3, "1"),
+                                     (3, None), (True, 1), (3.0, 1)])
+def test_partition_class_refuses_bools_and_non_integers(g, mask):
+    with pytest.raises(DomainError, match="must be an integer"):
+        PartitionClass(g, mask)
+
+
+def test_partition_class_reads_numpy_integers_as_ints():
+    t = PartitionClass(np.int64(3), np.int64(0b1000_0001))
+    assert type(t.g) is int and type(t.mask) is int
+    assert t == PartitionClass(3, 0b0111_1110)
+    for g, mask in ((0, 0), (3, -1), (3, 1 << 8)):
+        with pytest.raises(DomainError):
+            PartitionClass(g, mask)
 
 
 def test_add_examples():
@@ -86,7 +155,8 @@ def test_pairing_examples():
 
 def test_pairing_complement_stable_and_nondegenerate():
     g = 2
-    evens = [t for t in all_classes(g) if partition_parity(t) == 0]
+    evens = [PartitionClass(g, m) for m in range(1 << (2 * g + 1))
+             if m.bit_count() % 2 == 0]
     for a in evens:
         comp = PartitionClass(g, a.mask ^ ((1 << (2 * g + 2)) - 1))
         for b in evens:
@@ -108,9 +178,9 @@ def test_h0_and_theta_parity():
 
 def test_even_odd_census_g2_to_g6():
     for g in range(2, 7):
-        evens = sum(1 for t in theta_support_classes(g)
-                    if theta_parity(t) == 0)
-        total = sum(1 for _ in theta_support_classes(g))
+        classes = [pc(g, *t) for t in _support_labels(g)]
+        evens = sum(1 for t in classes if theta_parity(t) == 0)
+        total = len(classes)
         assert total == 1 << (2 * g)
         assert evens == (1 << (g - 1)) * ((1 << g) + 1)
 
@@ -162,7 +232,7 @@ def test_torsor_base_is_unique_and_lex_first():
         base = lab.torsor_base
         assert theta_parity(base) == 0
         valid = []
-        for cand in theta_support_classes(g):
+        for cand in (pc(g, *t) for t in _support_labels(g)):
             if theta_parity(cand) != 0:
                 continue
             try:
@@ -172,6 +242,46 @@ def test_torsor_base_is_unique_and_lex_first():
             valid.append(cand)
         assert valid == [base]
         assert base == min(valid, key=lambda t: t.sort_key())
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_labeling_check_decides_the_whole_induced_form(g):
+    # the check on j of weight <= 2 accepts a base B exactly when
+    # theta_parity(B + c(j)) = q0(j) holds at every j, for each of the
+    # 4^g classes of valid support
+    lab = std_labeling(g)
+    images = [p.labels for p in lab.basis_images]
+    masks = [p.mask for p in lab.basis_images]
+    q0 = [parity(F2Vector(g, bits)) for bits in range(1 << (2 * g))]
+    accepted = []
+    for t in _support_labels(g):
+        exhaustive = all(_ref_h0(g, _ref_image(g, images, t, bits)) % 2 == q
+                         for bits, q in enumerate(q0))
+        assert _induces_q0(masks, _ref_mask(t), g) == exhaustive
+        if exhaustive:
+            accepted.append(t)
+    assert accepted == [lab.torsor_base.labels]
+
+
+def test_torsor_base_for_other_symplectic_bases_g3():
+    # images c(M e_i) for symplectic M: torsor_base reads the shift of the
+    # induced form off the basis values, whatever the basis
+    g = 3
+    lab = std_labeling(g)
+    rng = random.Random(33)
+    for _ in range(20):
+        m = transvection(F2Vector(g, rng.randrange(1, 1 << (2 * g))))
+        for _ in range(5):
+            v = F2Vector(g, rng.randrange(1, 1 << (2 * g)))
+            m = transvection(v) @ m
+        images = [lab.vector_image(F2Vector(g, m.column(i)))
+                  for i in range(2 * g)]
+        base = torsor_base(g, images)
+        ComponentLabel(g, tuple(images), base)  # validates the base
+        labels = [p.labels for p in images]
+        for bits in range(1 << (2 * g)):
+            t = _ref_image(g, labels, base.labels, bits)
+            assert _ref_h0(g, t) % 2 == parity(F2Vector(g, bits))
 
 
 def test_torsor_base_induced_form_exhaustive_g4():
@@ -189,9 +299,7 @@ def test_torsor_base_induced_form_exhaustive_g4():
 def _parity_table(g):
     size = 2 * g + 2
     full = (1 << size) - 1
-    tab = {}
-    for t in theta_support_classes(g):
-        tab[t.mask] = theta_parity(t)
+    tab = {_ref_mask(t): _ref_h0(g, t) % 2 for t in _support_labels(g)}
     def can(m):
         return m ^ full if (m >> (size - 1)) & 1 else m
     return tab, can
@@ -200,7 +308,7 @@ def _parity_table(g):
 def test_four_term_relation_exhaustive_g_le_3():
     for g in (2, 3):
         tab, can = _parity_table(g)
-        evens = [t.mask for t in all_classes(g) if partition_parity(t) == 0]
+        evens = [m for m in range(1 << (2 * g + 1)) if m.bit_count() % 2 == 0]
         bases = list(tab)
         for s in bases:
             for j1 in evens:
@@ -308,19 +416,57 @@ def test_trans_config_validation():
 
 @pytest.mark.parametrize("g", range(2, 7))
 def test_array_model_matches_scalar_definitions(g):
+    # against the reference definitions on labels, not the mask kernel
     lab = std_labeling(g)
-    chars = [F2Vector(g, bits) for bits in range(1 << (2 * g))]
-    images = [char_to_partition(k, lab) for k in chars]
-    assert char_table(lab).tolist() == [t.mask for t in images]
-    assert vanishing_thetanulls(lab) == {
-        k for k, t in zip(chars, images) if parity(k) == 0 and h0(t) >= 2}
-    classes = list(theta_support_classes(g))
-    even = sum(1 for t in classes if theta_parity(t) == 0)
-    odd = sum(1 for t in classes if theta_parity(t) == 1)
-    assert class_counts(g) == (len(classes), even, odd)
+    classes = list(_support_labels(g))
+    ref_h0 = [_ref_h0(g, t) for t in classes]
+    odd = sum(h % 2 for h in ref_h0)
+    assert class_counts(g) == (len(classes), len(classes) - odd, odd)
+    assert formula_agreement(g) == all(
+        _ref_closed_form(t) == h % 2 for t, h in zip(classes, ref_h0))
     formula = q_minus_parity if g % 2 == 0 else q_plus_parity
-    assert formula_agreement(g) == all(formula(t) == theta_parity(t)
-                                       for t in classes)
+    complement = set(range(1, 2 * g + 3))
+    for t, h in zip(classes, ref_h0):
+        cls = pc(g, *(complement - set(t)))  # holds 2g+2: complemented
+        assert cls.labels == t
+        assert h0(cls) == h and theta_parity(cls) == h % 2
+        assert formula(cls) == _ref_closed_form(t)
+    table = _ref_images(lab)
+    assert char_table(lab).tolist() == [_ref_mask(t) for t in table]
+    assert vanishing_thetanulls(lab) == {
+        F2Vector(g, bits) for bits, t in enumerate(table)
+        if parity(F2Vector(g, bits)) == 0 and _ref_h0(g, t) >= 2}
+    for bits in range(0, 1 << (2 * g), 7):
+        assert char_to_partition(F2Vector(g, bits), lab).labels == table[bits]
+
+
+@pytest.mark.parametrize("g", [31, 32])
+def test_std_labeling_past_int64(g):
+    # class masks have 2g+2 = 64 and 66 bits; the labeling validates on
+    # plain ints, and its base induces q0 on random characteristics
+    lab = std_labeling(g)
+    assert ComponentLabel(g, lab.basis_images, lab.torsor_base) == lab
+    assert theta_parity(lab.torsor_base) == 0
+    images = [p.labels for p in lab.basis_images]
+    rng = random.Random(g)
+    for _ in range(100):
+        bits = rng.getrandbits(2 * g)
+        t = _ref_image(g, images, lab.torsor_base.labels, bits)
+        assert _ref_h0(g, t) % 2 == parity(F2Vector(g, bits))
+
+
+def test_char_partition_roundtrip_g32():
+    g = 32
+    lab = std_labeling(g)
+    images = [p.labels for p in lab.basis_images]
+    rng = random.Random(3232)
+    for _ in range(200):
+        k = F2Vector(g, rng.getrandbits(2 * g))
+        t = char_to_partition(k, lab)
+        assert t.labels == _ref_image(g, images, lab.torsor_base.labels,
+                                      k.bits)
+        assert partition_to_char(t, lab) == k
+        assert theta_parity(t) == parity(k)
 
 
 def test_std_labeling_built_once_per_genus():

@@ -24,9 +24,7 @@ from thetanulls.quadforms import (
     char_to_form,
     evaluate,
     even_characteristics,
-    form_from_function,
     form_to_char,
-    induced_form,
     parity,
 )
 
@@ -207,37 +205,3 @@ def test_transvect_char_arr_matches_scalar_exhaustive(g):
     assert _transvect_char_arr(v, k, g).tolist() == \
         [[_transvect_char_int(x, y, g) for y in range(n)]
          for x in range(1, n)]
-
-
-def test_induced_form_recovers_evaluation_on_quad_torsor():
-    g = 3
-    rng = random.Random(41)
-    for _ in range(40):
-        base = QuadraticForm(g, F2Vector(g, rng.randrange(1 << (2 * g))))
-        q = induced_form(arf, base, lambda j, t: t.shifted(j))
-        for _ in range(30):
-            j = F2Vector(g, rng.randrange(1 << (2 * g)))
-            assert q(j) == evaluate(base, j)
-
-
-def test_induced_form_four_term_relation_exhaustive_g2():
-    g = 2
-    for shift in all_characteristics(g):
-        base = QuadraticForm(g, shift)
-        q = induced_form(arf, base, lambda j, t: t.shifted(j))
-        for j1 in all_characteristics(g):
-            for j2 in all_characteristics(g):
-                lhs = q(F2Vector.zero(g)) ^ q(j1) ^ q(j2) ^ q(j1 + j2)
-                assert lhs == (j1.first_half & j2.second_half).bit_count() % 2 \
-                    ^ (j1.second_half & j2.first_half).bit_count() % 2
-
-
-def test_form_from_function_roundtrip_and_validation():
-    g = 2
-    for shift in all_characteristics(g):
-        q = QuadraticForm(g, shift)
-        assert form_from_function(lambda v: evaluate(q, v), g) == q
-    with pytest.raises(DomainError):
-        form_from_function(lambda v: 1, g)
-    with pytest.raises(DomainError):
-        form_from_function(lambda v: v.bits & 1, g)  # linear, wrong polar form

@@ -553,8 +553,9 @@ class TestLatticeMemo:
         theta_constant(z, F2Vector(2, 0), 1e-10)
         memo = thetanum._LATTICE
         tiny = SiegelMatrix(np.eye(6) * 1e-3j)
+        # the first radius tried is already past the cap
         with pytest.raises(ResourceCapError, match=r"lattice ball of radius "
-                           r"167 may hold 1.2e\+14 points in genus 6"):
+                           r"85.6 may hold 2.2e\+12 points in genus 6"):
             theta_constant(tiny, F2Vector(6, 0), 1e-10)
         assert thetanum._LATTICE is memo
 
@@ -571,11 +572,30 @@ class TestLatticeMemo:
         assert thetanum._LATTICE is memo
 
     def test_overflowing_tail_is_resource_cap(self):
-        # (2 ceil(r) + 3)^60 overflows at r = 3e5: the tail reads inf and
-        # the radius search gives up
+        # (2 ceil(r) + 3)^60 overflows at r = 3e5, but the term cap refuses
+        # the first radius tried, before its tail is computed
         z = SiegelMatrix(1e-10j * np.eye(60))
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError, match=r"lattice ball of radius "
+                           r"2.43e\+05 may hold inf points in genus 60, "
+                           r"above the term cap"):
             theta_constant(z, F2Vector(60, 0), 1e-8)
+
+    def test_radius_search_checks_the_cap_before_each_tail(self,
+                                                           monkeypatch):
+        # the first radius 7.98 passes the cap, its tail is above eps, and
+        # the next radius 9.98 is refused before its tail is computed
+        tails = []
+        bound = thetanum._tail_bound
+
+        def recording(r, lam, g):
+            tails.append(r)
+            return bound(r, lam, g)
+        monkeypatch.setattr(thetanum, "_tail_bound", recording)
+        z = SiegelMatrix(0.115j * np.eye(6))
+        with pytest.raises(ResourceCapError, match=r"lattice ball of radius "
+                           r"9.98 may hold 1e\+07 points in genus 6"):
+            theta_constant(z, F2Vector(6, 0), 1e-10)
+        assert len(tails) == 1 and round(tails[0], 2) == 7.98
 
     def test_term_cap_counts_the_ball_not_its_box(self):
         # r = 5.35: the box 13^7 = 6.3e7 is over the 5e6 cap, but the

@@ -165,6 +165,16 @@ def test_report_unit_nodes_g3_to_g8():
         assert all(sum(d.values()) == 4 * g - 4 for d in report["divisors"])
 
 
+@pytest.mark.parametrize("g", [31, 32])
+def test_report_past_int64_masks(g):
+    # class masks have 2g+2 = 64 and 66 bits: the labeling, trans_config
+    # and h0 run on plain ints
+    report = transversality_report(unit_nodes(g), list(range(1, g - 1)))
+    assert report["pass"] and report["rank"] == g - 2
+    assert report["h0"] == [2] * (g - 2)
+    assert all(len(t) == g - 3 for t in report["partitions"])
+
+
 def test_report_random_rational_nodes_g6():
     rng = random.Random(83)
     for _ in range(20):
