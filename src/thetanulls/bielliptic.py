@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, _int_in
-from .f2core import F2Vector, _q0_arr
+from .f2core import F2Vector, _q0
 from .orbits import (_CLASSES, _class_code, OrbitClass, Quadruple,
                      classify as orbits_classify)
 
@@ -179,12 +179,12 @@ def realization() -> tuple[int, ...]:
     m = np.array(masks, dtype=np.int64)
     if len(set(masks)) != 40:
         raise AssertionError("realization masks must be distinct")
-    if _q0_arr(m, 6).any():
+    if _q0(m, 6).any():
         raise AssertionError("realization masks must be even")
     tri = np.fromiter(chain.from_iterable(combinations(range(40), 3)),
                       dtype=np.int8).reshape(-1, 3).T  # indices of a, b, s
     parity, _ = _combo(*zip(tri // 4 + 1, tri % 4))
-    bad = np.flatnonzero(_q0_arr(np.bitwise_xor.reduce(m[tri]), 6) != parity)
+    bad = np.flatnonzero(_q0(np.bitwise_xor.reduce(m[tri]), 6) != parity)
     if bad.size:
         a, b, s = (chars[i] for i in tri[:, bad[0]])
         raise AssertionError(f"realization breaks the parity rule at "

@@ -40,10 +40,11 @@ def _load_json(path: str):
 
 
 def _parse_points(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise MalformedInputError(f"bad point list {text!r}") from exc
+    # ASCII digits only: int() also takes 1_0, signs and other scripts' digits
+    items = [p.strip() for p in text.split(",") if p.strip()]
+    if not all(p.isascii() and p.isdigit() for p in items):
+        raise MalformedInputError(f"bad point list {text!r}")
+    return [int(p) for p in items]
 
 
 def _genus_cap(g: int, lo: int, hi: int) -> None:
@@ -182,6 +183,8 @@ def _print_timing(rep: dict, elapsed: float) -> None:
 
 
 def cmd_verify_all(args) -> dict:
+    if args.seed < 0:
+        raise MalformedInputError(f"--seed must be >= 0; got {args.seed}")
     return run_all(args.seed, _print_timing)
 
 
@@ -237,12 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path) -> None:
-    if path:
+def _emit(report: dict, path) -> None:
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(
+            f"the report holds a non-finite number ({exc})") from exc
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise MalformedInputError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -251,23 +263,15 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "output") and v is not None}
     try:
-        payload = args.func(args)
+        report = {"version": __version__, "config": config}
+        report.update(args.func(args))
+        _emit(report, args.output)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    report = {"version": __version__, "config": config}
-    report.update(payload)
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
-    except ValueError as exc:
-        print(f"error: the report holds a non-finite number ({exc})",
-              file=sys.stderr)
-        return 3
-    _emit(text, args.output)
     failed = any(report.get(key) is False
                  for key in ("pass", "all_pass", "all_ok"))
     return 1 if failed else 0

@@ -7,6 +7,11 @@ coordinates g..2g-1 the second half v''.  The symplectic pairing is
     <a, b> = a'.b'' + a''.b'   (mod 2)
 
 and q0(v) = v'.v'' is the standard quadratic form refining it.
+
+The F_2 mask rules live here once: popcount, pairing, q0, the row product
+M x and the sum of masks over the set bits of k.  Each takes plain Python
+ints (exact past int64) and broadcast numpy int64 mask arrays alike, and
+every other module reads them.
 """
 
 from __future__ import annotations
@@ -24,26 +29,40 @@ from .errors import DomainError
 # int-mask kernel, shared with the sibling modules
 
 
-def _pair_int(a: int, b: int, g: int) -> int:
-    m = (1 << g) - 1
-    return ((a & (b >> g) & m).bit_count() + ((a >> g) & b & m).bit_count()) & 1
+def _popcount(m):
+    """Set bits of masks: a plain int for a plain int, int64 elementwise for
+    numpy masks (np.bitwise_count gives uint8, which would wrap)."""
+    if isinstance(m, int):
+        return m.bit_count()
+    return np.bitwise_count(m).astype(np.int64)
 
 
-def _q0_int(v: int, g: int) -> int:
-    return (v & (v >> g) & ((1 << g) - 1)).bit_count() & 1
+def _pair(a, b, g: int):
+    """The pairing <a, b> of masks in F_2^(2g)."""
+    return _popcount(((a & (b >> g)) ^ ((a >> g) & b)) & ((1 << g) - 1)) & 1
 
 
-def _pair_arr(a: np.ndarray, b: np.ndarray, g: int) -> np.ndarray:
-    """_pair_int elementwise over broadcast integer mask arrays; also takes
-    plain int masks (the result is then a numpy scalar, or a Python int
-    past int64)."""
-    return np.bitwise_count(((a & (b >> g)) ^ ((a >> g) & b))
-                            & ((1 << g) - 1)) & 1
+def _q0(v, g: int):
+    """q0(v) = v'.v'' of masks in F_2^(2g)."""
+    return _popcount(v & (v >> g) & ((1 << g) - 1)) & 1
 
 
-def _q0_arr(v: np.ndarray, g: int) -> np.ndarray:
-    """_q0_int elementwise over an integer mask array."""
-    return np.bitwise_count(v & (v >> g) & ((1 << g) - 1)) & 1
+def _dot_rows(rows: Sequence[int], x):
+    """M x for the matrix M with row masks rows: bit i is the parity of
+    rows[i] & x."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= (_popcount(row & x) & 1) << i
+    return out
+
+
+def _combine(k, masks: Sequence[int]):
+    """The XOR of masks[i] over the set bits i of k (the row vector k times
+    the matrix with row masks masks)."""
+    out = 0
+    for i, m in enumerate(masks):
+        out ^= m * ((k >> i) & 1)
+    return out
 
 
 def _swap_halves(v: int, g: int) -> int:
@@ -184,12 +203,12 @@ def basis_f(g: int, i: int) -> F2Vector:
 def symplectic_pairing(a: F2Vector, b: F2Vector) -> int:
     if a.g != b.g:
         raise DomainError("pairing needs vectors of the same g")
-    return _pair_int(a.bits, b.bits, a.g)
+    return _pair(a.bits, b.bits, a.g)
 
 
 def q0(v: F2Vector) -> int:
     """Standard quadratic form q0(v) = v'.v'' (mod 2)."""
-    return _q0_int(v.bits, v.g)
+    return _q0(v.bits, v.g)
 
 
 def span_dim(vectors: Iterable[F2Vector]) -> int:
@@ -221,8 +240,7 @@ def _preserves_pairing(rows: Sequence[int], g: int) -> bool:
     the rows of M are the columns of M^T.  Preserving a nondegenerate
     pairing forces invertibility, so no rank check is needed."""
     n = 2 * g
-    dual = [_swap_halves(r, g) for r in rows]  # <a, b> = popcount(a & dual b)
-    return all((rows[i] & dual[j]).bit_count() & 1 == (j - i == g)
+    return all(_pair(rows[i], rows[j], g) == (j - i == g)
                for i in range(n) for j in range(i + 1, n))
 
 
@@ -268,31 +286,18 @@ class SymplecticMap:
         return F2Vector(self.g, self.apply_int(v.bits))
 
     def apply_int(self, x: int) -> int:
-        bits = 0
-        for i, row in enumerate(self.rows):
-            bits |= ((row & x).bit_count() & 1) << i
-        return bits
+        return _dot_rows(self.rows, x)
 
     def column(self, j: int) -> int:
-        c = 0
-        for i, row in enumerate(self.rows):
-            c |= ((row >> j) & 1) << i
-        return c
+        return _dot_rows(self.rows, 1 << j)
 
     def compose(self, other: "SymplecticMap") -> "SymplecticMap":
         """Matrix product self @ other (apply other first): row i is the
         XOR of other's rows j over the set bits j of self's row i."""
         if self.g != other.g:
             raise DomainError("cannot compose maps of different g")
-        rows = []
-        for r in self.rows:
-            mask = 0
-            while r:
-                low = r & -r
-                mask ^= other.rows[low.bit_length() - 1]
-                r ^= low
-            rows.append(mask)
-        return SymplecticMap(self.g, tuple(rows))
+        return SymplecticMap(self.g, tuple(_combine(r, other.rows)
+                                           for r in self.rows))
 
     __matmul__ = compose
 
@@ -351,10 +356,10 @@ def witt_extend(sources: Sequence[F2Vector],
     if _rank_int(src) != m or _rank_int(tgt) != m:
         raise DomainError("tuples must be linearly independent")
     for i in range(m):
-        if _q0_int(src[i], g) != _q0_int(tgt[i], g):
+        if _q0(src[i], g) != _q0(tgt[i], g):
             raise DomainError(f"q0 mismatch at position {i}")
         for j in range(i):
-            if _pair_int(src[i], src[j], g) != _pair_int(tgt[i], tgt[j], g):
+            if _pair(src[i], src[j], g) != _pair(tgt[i], tgt[j], g):
                 raise DomainError(f"pairing mismatch at positions {i},{j}")
 
     n = 2 * g
@@ -364,15 +369,15 @@ def witt_extend(sources: Sequence[F2Vector],
     while len(tgt) < n:
         k = len(tgt)
         sol = _solve_f2([_swap_halves(t, g) for t in tgt],
-                        [_pair_int(src[k], s, g) for s in src[:k]], n)
+                        [_pair(src[k], s, g) for s in src[:k]], n)
         assert sol is not None, "independent functionals are always solvable"
         (cand,), null = sol
-        want_q0 = _q0_int(src[k], g)
+        want_q0 = _q0(src[k], g)
         # walk the solution coset in Gray-code order, one flip per step
         for idx in range(1 << len(null)):
             if idx:
                 cand ^= null[(idx & -idx).bit_length() - 1]
-            if _q0_int(cand, g) == want_q0 and _rank_int(tgt + [cand]) > k:
+            if _q0(cand, g) == want_q0 and _rank_int(tgt + [cand]) > k:
                 tgt.append(cand)
                 break
         else:
@@ -387,6 +392,6 @@ def witt_extend(sources: Sequence[F2Vector],
     # q0 o M and q0 share the polar form, so their difference is linear and
     # vanishing on a basis means vanishing everywhere.
     for i in range(2 * g):
-        assert _q0_int(acc.apply_int(1 << i), g) == _q0_int(1 << i, g), \
+        assert _q0(acc.apply_int(1 << i), g) == _q0(1 << i, g), \
             "postcondition: q0 preserved"
     return acc

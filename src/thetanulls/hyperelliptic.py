@@ -13,13 +13,15 @@ ComponentLabel carries a symplectic identification c of F_2^(2g) with the
 even classes plus the unique base class B with theta parity of B + c(j)
 equal to q0(j).
 
-One private kernel holds the int-mask rules: canonicalization, h0, the
-closed-form parity and the image map c.  Each takes a plain Python int
-(past int64 too: masks have 2g+2 bits, 66 at g = 32) or a broadcast numpy
-int64 array alike, so PartitionClass, the labeling check, torsor_base, the
-image table of all 4^g characteristics, the class counts and the vanishing
-set all read the same rules; PartitionClass objects are built only for
-single classes.
+The class rules are int-mask formulas: canonicalization, h0 and the
+closed-form parity here, on f2core's popcount, and the image map c, which
+is f2core's sum of masks over the set bits of k (its inverse reads the
+pairings with the images as one row product).  Each takes a plain Python
+int (past int64 too: masks have 2g+2 bits, 66 at g = 32) or a broadcast
+numpy int64 array alike, so PartitionClass, the labeling check,
+torsor_base, the image table of all 4^g characteristics, the class counts
+and the vanishing set all read the same rules; PartitionClass objects are
+built only for single classes.
 """
 
 from __future__ import annotations
@@ -31,15 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, _int_in
-from .f2core import F2Vector, _q0_arr, _q0_int, _swap_halves
-
-
-def _popcount(m):
-    """|A| of class masks: a plain int for a plain int, int64 elementwise
-    for numpy masks (np.bitwise_count gives uint8, which would wrap)."""
-    if isinstance(m, int):
-        return m.bit_count()
-    return np.bitwise_count(m).astype(np.int64)
+from .f2core import (F2Vector, _combine, _dot_rows, _popcount, _q0,
+                     _swap_halves)
 
 
 def _canonical(m, g: int):
@@ -58,14 +53,6 @@ def _closed_form_parity(m):
     """(|A|+1)/2 mod 2 for odd |A| and |A|/2 mod 2 for even |A|: both are
     floor((|A|+1)/2) mod 2."""
     return ((_popcount(m) + 1) >> 1) & 1
-
-
-def _image(k, images: Sequence[int]):
-    """c(k): XOR of the masks images[i] over the set bits i of k."""
-    out = 0
-    for i, img in enumerate(images):
-        out ^= img * ((k >> i) & 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -100,7 +87,7 @@ class PartitionClass:
                      if (self.mask >> i) & 1)
 
     def cardinality(self) -> int:
-        return self.mask.bit_count()
+        return _popcount(self.mask)
 
     def __add__(self, other: "PartitionClass") -> "PartitionClass":
         if self.g != other.g:
@@ -120,7 +107,7 @@ def partition_pairing(a: PartitionClass, b: PartitionClass) -> int:
         raise DomainError("pairing needs classes of the same g")
     if partition_parity(a) or partition_parity(b):
         raise DomainError("pairing is defined on even classes only")
-    return (a.mask & b.mask).bit_count() & 1
+    return _popcount(a.mask & b.mask) & 1
 
 
 def _check_support(t: PartitionClass) -> None:
@@ -194,7 +181,7 @@ def _induces_q0(images: Sequence[int], base: int, g: int) -> bool:
     # (j, c(j)) for j = 0 and the unit vectors; c is linear, so the pairs
     # give every j of weight <= 2 (the diagonal gives j = 0)
     units = [(0, 0)] + [(1 << i, img) for i, img in enumerate(images)]
-    return all((_h0(base ^ ci ^ ck, g) & 1) == _q0_int(i ^ k, g)
+    return all((_h0(base ^ ci ^ ck, g) & 1) == _q0(i ^ k, g)
                for n, (i, ci) in enumerate(units) for k, ck in units[n:])
 
 
@@ -214,15 +201,15 @@ class ComponentLabel:
             raise DomainError("need 2g images with matching g")
         if any(partition_parity(p) for p in imgs):
             raise DomainError("basis images must be even classes")
-        for i in range(2 * g):
-            for j in range(i + 1, 2 * g):
-                expect = 1 if abs(i - j) == g else 0
-                if partition_pairing(imgs[i], imgs[j]) != expect:
-                    raise DomainError("images do not form a symplectic basis")
+        # row i of the Gram matrix |A_i & A_j| mod 2 must be row i of J
+        masks = [p.mask for p in imgs]
+        if any(_dot_rows(masks, m) != 1 << ((i + g) % (2 * g))
+               for i, m in enumerate(masks)):
+            raise DomainError("images do not form a symplectic basis")
         if self.torsor_base.g != g:
             raise DomainError("torsor base has wrong g")
         _check_support(self.torsor_base)
-        if not _induces_q0([p.mask for p in imgs], self.torsor_base.mask, g):
+        if not _induces_q0(masks, self.torsor_base.mask, g):
             raise DomainError("torsor base does not induce the standard form")
 
     def vector_image(self, k: F2Vector) -> PartitionClass:
@@ -234,7 +221,7 @@ def _image_mask(k: F2Vector, label: ComponentLabel) -> int:
     """c(k) as a mask, for k of the label's genus."""
     if k.g != label.g:
         raise DomainError("vector/labeling g mismatch")
-    return _image(k.bits, [p.mask for p in label.basis_images])
+    return _combine(k.bits, [p.mask for p in label.basis_images])
 
 
 def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
@@ -253,7 +240,7 @@ def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
     b0 = 0 if g % 2 else 1
     vals = sum(((_h0(b0, g) ^ _h0(b0 ^ m, g)) & 1) << i
                for i, m in enumerate(masks))
-    return PartitionClass(g, _image(_swap_halves(vals, g), masks) ^ b0)
+    return PartitionClass(g, _combine(_swap_halves(vals, g), masks) ^ b0)
 
 
 @functools.cache
@@ -285,14 +272,11 @@ def partition_to_char(t: PartitionClass, label: ComponentLabel) -> F2Vector:
     _check_support(t)
     g = label.g
     # t and the base both have the parity of g+1, so diff is even, as are
-    # the validated images: the pairings need no parity re-checks
-    diff = t.mask ^ label.torsor_base.mask
+    # the validated images: bit i of k is the pairing of diff with the
+    # image of the dual basis vector, f_i for i < g and e_(i-g) after
     imgs = [p.mask for p in label.basis_images]
-    bits = 0
-    for i in range(g):
-        bits |= ((diff & imgs[g + i]).bit_count() & 1) << i
-        bits |= ((diff & imgs[i]).bit_count() & 1) << (g + i)
-    return F2Vector(g, bits)
+    return F2Vector(g, _dot_rows(imgs[g:] + imgs[:g],
+                                 t.mask ^ label.torsor_base.mask))
 
 
 def char_table(label: ComponentLabel) -> np.ndarray:
@@ -301,7 +285,8 @@ def char_table(label: ComponentLabel) -> np.ndarray:
     the torsor base."""
     ks = np.arange(1 << (2 * label.g), dtype=np.int64)
     images = [p.mask for p in label.basis_images]
-    return _canonical(_image(ks, images) ^ label.torsor_base.mask, label.g)
+    return _canonical(_combine(ks, images) ^ label.torsor_base.mask,
+                      label.g)
 
 
 def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
@@ -310,7 +295,7 @@ def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
     image table of all characteristics."""
     g = label.g
     ks = np.arange(1 << (2 * g), dtype=np.int64)
-    hit = (_q0_arr(ks, g) == 0) & (_h0(char_table(label), g) >= 2)
+    hit = (_q0(ks, g) == 0) & (_h0(char_table(label), g) >= 2)
     return {F2Vector(g, int(bits)) for bits in np.flatnonzero(hit)}
 
 

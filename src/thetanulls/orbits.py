@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .f2core import F2Vector, SymplecticMap, _pair_arr, _q0_arr, _q0_int
-from .quadforms import _transvect_char_arr, act_on_char, parity
+from .f2core import F2Vector, SymplecticMap, _pair, _q0
+from .quadforms import _transvect_char, act_on_char, parity
 
 
 class OrbitClass(enum.Enum):
@@ -125,8 +125,8 @@ def _invariants(a1, a2, a3, g: int):
     # three vectors span dimension 3 iff no nonempty subset sums to zero
     independent = ((a1 != 0) & (a2 != 0) & (a3 != 0) & (a1 != a2)
                    & (a1 != a3) & (a2 != a3) & ((a1 ^ a2 ^ a3) != 0))
-    return (independent, _pair_arr(a1, a2, g), _pair_arr(a1, a3, g),
-            _pair_arr(a2, a3, g))
+    return (independent, _pair(a1, a2, g), _pair(a1, a3, g),
+            _pair(a2, a3, g))
 
 
 def _class_code(independent, p12, p13, p23):
@@ -177,7 +177,7 @@ _BFS_MAX_G = 3
 def _even_masks(g: int) -> np.ndarray:
     """The even characteristic masks of genus g, ascending."""
     v = np.arange(1 << (2 * g), dtype=np.int64)
-    return v[_q0_arr(v, g) == 0]
+    return v[_q0(v, g) == 0]
 
 
 def _differences_arr(ks: np.ndarray, base: int) -> np.ndarray:
@@ -249,7 +249,7 @@ def _orbit(start: Sequence[int], g: int) -> np.ndarray:
     index_of[evens] = np.arange(len(evens))
     vs = np.arange(1, 1 << (2 * g), dtype=np.int64)
     # steps[v - 1, i]: index of the image of evens[i] under T_v
-    steps = index_of[_transvect_char_arr(vs[:, None], evens[None, :], g)]
+    steps = index_of[_transvect_char(vs[:, None], evens[None, :], g)]
     if np.any(steps < 0):
         raise AssertionError("a transvection moved an even characteristic "
                              "to an odd one")
@@ -325,7 +325,7 @@ def random_quadruple(g: int, rng) -> Quadruple:
     chars = []
     while len(chars) < 4:
         k = rng.randrange(1 << (2 * g))
-        if _q0_int(k, g) == 0 and k not in seen:
+        if _q0(k, g) == 0 and k not in seen:
             seen.add(k)
             chars.append(F2Vector(g, k))
     return Quadruple(g, tuple(chars))

@@ -4,7 +4,9 @@ Every such form is q_a(v) = q0(v) + <a, v> for a unique shift vector a, so
 forms are stored by shift alone.  Characteristics k correspond to forms via
 shift = k, which makes parity(k) = arf(q_k) hold identically.  Symplectic
 maps act on characteristics by the closed form k -> M k + d(M), on
-F2Vector and on int masks, and transvections also on mask arrays.
+F2Vector and on int masks, and a transvection acts by one rule on plain
+int masks and on mask arrays alike.  Every formula here reads the mask
+rules of f2core (pairing, q0 and the row product M x).
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from .errors import DomainError
 from .f2core import (
     F2Vector,
     SymplecticMap,
-    _pair_arr,
-    _pair_int,
-    _q0_arr,
-    _q0_int,
+    _dot_rows,
+    _pair,
+    _q0,
     q0,
     symplectic_pairing,
 )
@@ -100,22 +101,15 @@ def _act_on_char_rows(rows: Sequence[int], k: int, g: int) -> int:
     q0(row j)."""
     if len(rows) != 2 * g:
         raise DomainError("form/map g mismatch")
-    out = 0
-    for j, row in enumerate(rows):
-        out |= (((row & k).bit_count() + _q0_int(row, g)) & 1) << j
-    return out
+    return _dot_rows(rows, k) ^ sum(_q0(row, g) << j
+                                    for j, row in enumerate(rows))
 
 
-def _transvect_char_int(v: int, k: int, g: int) -> int:
-    # action of the transvection T_v on shifts: k + (q_k(v) + 1) v, where
-    # q_k(v) = q0(v) + <k, v>; fast path for orbit enumeration
-    qv = _q0_int(v, g) ^ _pair_int(k, v, g)
-    return k if qv else k ^ v
-
-
-def _transvect_char_arr(v: np.ndarray, k: np.ndarray, g: int) -> np.ndarray:
-    """_transvect_char_int elementwise over broadcast mask arrays."""
-    return np.where(_q0_arr(v, g) ^ _pair_arr(k, v, g), k, k ^ v)
+def _transvect_char(v, k, g: int):
+    """The action of the transvection T_v on characteristics, k + (q_k(v) +
+    1) v with q_k(v) = q0(v) + <k, v>, on plain int masks or broadcast mask
+    arrays."""
+    return k ^ (v * (_q0(v, g) ^ _pair(k, v, g) ^ 1))
 
 
 def all_characteristics(g: int) -> Iterator[F2Vector]:
@@ -134,5 +128,5 @@ def odd_characteristics(g: int) -> Iterator[F2Vector]:
 def characteristic_counts(g: int) -> tuple[int, int]:
     """Numbers of even and odd characteristics, by q0 over all 4^g masks."""
     n = 1 << (2 * g)
-    odd = int(np.count_nonzero(_q0_arr(np.arange(n, dtype=np.int64), g)))
+    odd = int(np.count_nonzero(_q0(np.arange(n, dtype=np.int64), g)))
     return n - odd, odd

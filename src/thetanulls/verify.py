@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .bielliptic import verify_witnesses
-from .f2core import F2Vector, _pair_arr, _pair_int, _q0_arr, _q0_int
+from .f2core import F2Vector, _pair, _q0
 from .hyperelliptic import (_canonical, _h0, char_table, formula_agreement,
                             std_labeling, vanishing_thetanulls)
 from .orbits import (all_quadruples, census_report, classify_array,
                      classify_by_delta_array, random_quadruples)
-from .quadforms import (_transvect_char_arr, characteristic_counts,
+from .quadforms import (_transvect_char, characteristic_counts,
                         odd_characteristics)
 from .thetanum import (random_int_symplectic, random_level_two,
                        random_siegel, block_diag_split_check,
@@ -60,8 +60,8 @@ def criterion_1(seed: int = 0) -> dict:
 
 def criterion_2(seed: int = 0) -> dict:
     """Arf shift law and the four-term relation, exhaustive for g <= 3, on
-    the array kernel, which is checked against the scalar kernel on every
-    pair."""
+    the mask kernel, which is checked on every pair, as int64 arrays and
+    as plain ints, against the coordinate-wise definitions."""
     arf_checked = 0
     four_checked = 0
     ok = True
@@ -69,20 +69,24 @@ def criterion_2(seed: int = 0) -> dict:
         n = 1 << (2 * g)
         v = np.arange(n, dtype=np.int64)
         a, j = v[:, None], v[None, :]
-        pair = _pair_arr(a, j, g)
-        q0 = _q0_arr(v, g)
-        ok = (ok and pair.tolist() == [[_pair_int(x, y, g) for y in range(n)]
-                                       for x in range(n)]
-              and q0.tolist() == [_q0_int(x, g) for x in range(n)])
+        pair = _pair(a, j, g)
+        q0 = _q0(v, g)
+        # <a, b> = sum_i a_i b_(g+i) + a_(g+i) b_i and q0(v) = sum_i v_i
+        # v_(g+i), coordinate by coordinate
+        lo, hi = np.split((a >> np.arange(2 * g)) & 1, 2, axis=1)
+        ok = (ok and pair.tolist() == ((lo @ hi.T + hi @ lo.T) % 2).tolist()
+              == [[_pair(x, y, g) for y in range(n)] for x in range(n)]
+              and q0.tolist() == ((lo * hi).sum(axis=1) % 2).tolist()
+              == [_q0(x, g) for x in range(n)])
         # arf(q_c) = q0(c) and q_a(j) = q0(j) + <a, j>, so the shift law
         # arf(q_{a+j}) = arf(q_a) + q_a(j) reads:
-        ok = ok and np.array_equal(_q0_arr(a ^ j, g), q0[a] ^ q0[j] ^ pair)
+        ok = ok and np.array_equal(_q0(a ^ j, g), q0[a] ^ q0[j] ^ pair)
         arf_checked += n * n
         # parity(k+j1+j2) + parity(k+j1) + parity(k+j2) + parity(k)
         # = <j1, j2>, with parity = q0
         k, j1, j2 = v[:, None, None], v[:, None], v[None, :]
-        lhs = (_q0_arr(k ^ j1 ^ j2, g) ^ _q0_arr(k ^ j1, g)
-               ^ _q0_arr(k ^ j2, g) ^ q0[k])
+        lhs = (_q0(k ^ j1 ^ j2, g) ^ _q0(k ^ j1, g)
+               ^ _q0(k ^ j2, g) ^ q0[k])
         ok = ok and bool(np.all(lhs == pair))
         four_checked += n ** 3
     return {"criterion": 2, "name": "arf and four-term laws",
@@ -106,7 +110,7 @@ def criterion_3(seed: int = 0) -> dict:
     moved = ks
     for _ in range(20):
         v = rng.integers(1, 1 << (2 * g), size=(trials, 1))
-        moved = _transvect_char_arr(v, moved, g)
+        moved = _transvect_char(v, moved, g)
     bad |= classify_array(moved, g) != label
     violations = int(np.count_nonzero(bad))
     return {"criterion": 3, "name": "classifier well-definedness",
@@ -162,7 +166,7 @@ def criterion_7(seed: int = 0) -> dict:
     agree3 = formula_agreement(3)  # g=3 uses q_plus
     ks = np.arange(1 << (2 * g), dtype=np.int64)
     table = char_table(label6)
-    parity_ok = bool(np.array_equal(_h0(table, g) & 1, _q0_arr(ks, g)))
+    parity_ok = bool(np.array_equal(_h0(table, g) & 1, _q0(ks, g)))
     bijective = np.unique(table).size == ks.size
     torsor_ok = all(
         np.array_equal(table[ks ^ (1 << j)],

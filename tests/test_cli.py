@@ -15,6 +15,16 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_refused(capsys, argv, code=2):
+    """The call exits with code, one error line on stderr and no stdout."""
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
 def run_json(capsys, argv):
     code, out, _ = run_cli(capsys, argv)
     return code, json.loads(out)
@@ -171,6 +181,20 @@ class TestOtherSubcommands:
                              ["hyperelliptic", "cut", "--genus", "6"])
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["1_0,2", "\u0663,4", "\uff13,4",
+                                        "+1,2", "-1,2"])
+    def test_hyperelliptic_cut_refuses_non_ascii_digits(self, capsys,
+                                                        points):
+        err = assert_refused(capsys, ["hyperelliptic", "cut", "--genus", "4",
+                                      f"--points={points}"])
+        assert "bad point list" in err
+
+    def test_hyperelliptic_cut_allows_spaces(self, capsys):
+        code, rep = run_json(capsys, ["hyperelliptic", "cut", "--genus", "4",
+                                      "--points", " 1 , 2 "])
+        assert code == 0
+        assert rep["S"] == [1, 2]
+
     def test_bielliptic_verify(self, capsys):
         code, rep = run_json(capsys, ["bielliptic", "verify"])
         assert code == 0
@@ -217,6 +241,11 @@ class TestVerifyAll:
         assert rep["all_pass"] is False
         assert [c["criterion"] for c in rep["criteria"]] == [1, 2]
         assert rep == {**verify.run_all(7), "config": rep["config"]}
+
+    def test_negative_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CRITERIA", [_timing_criterion(1, True)])
+        err = assert_refused(capsys, ["verify-all", "--seed", "-1"])
+        assert "--seed" in err
 
 
 class TestTheta:
@@ -417,6 +446,17 @@ class TestTransversal:
                               "--nodes", str(path), "--points", "1,2,3,4"])
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["1_0,2,3,4", "\u0663,2,3,4",
+                                        "\uff13,2,3,4"])
+    def test_refuses_non_ascii_digits(self, capsys, tmp_path, points):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(
+            {"g": 6, "nodes": [str(x) for x in range(1, 15)]}))
+        err = assert_refused(capsys, ["transversal", "--genus", "6",
+                                      "--nodes", str(path),
+                                      "--points", points])
+        assert "bad point list" in err
+
 
 class TestOutputFile:
     def test_write_to_file(self, capsys, tmp_path):
@@ -434,6 +474,18 @@ class TestOutputFile:
         run_cli(capsys, ["--output", str(a), "enumerate", "--genus", "5"])
         run_cli(capsys, ["--output", str(b), "enumerate", "--genus", "5"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        err = assert_refused(capsys, ["--output", str(path),
+                                      "enumerate", "--genus", "2"])
+        assert f"cannot write {path}" in err
+        assert not path.parent.exists()
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        err = assert_refused(capsys, ["--output", str(tmp_path),
+                                      "enumerate", "--genus", "2"])
+        assert f"cannot write {tmp_path}" in err
 
 
 def test_module_entry_point():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thetanulls.cli import main
-from thetanulls.f2core import _q0_int
+from thetanulls.f2core import _q0
 from thetanulls.thetanum import random_int_symplectic
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -64,7 +64,7 @@ def bit_lists(n):
 @st.composite
 def quadruples(draw):
     g = draw(st.integers(2, 3))
-    evens = [m for m in range(1 << (2 * g)) if _q0_int(m, g) == 0]
+    evens = [m for m in range(1 << (2 * g)) if _q0(m, g) == 0]
     masks = draw(st.lists(st.sampled_from(evens), min_size=4, max_size=4,
                           unique=True))
     return {"g": g,

@@ -9,10 +9,11 @@ import pytest
 from thetanulls.errors import DomainError
 from thetanulls.f2core import (
     F2Vector,
-    _pair_arr,
-    _pair_int,
-    _q0_arr,
-    _q0_int,
+    _combine,
+    _dot_rows,
+    _pair,
+    _popcount,
+    _q0,
     _rank_int,
     _solve_f2,
     SymplecticMap,
@@ -31,14 +32,125 @@ def all_vectors(g):
     return [F2Vector(g, b) for b in range(1 << (2 * g))]
 
 
+# Reference definitions, coordinate by coordinate and independent of the
+# mask kernel: <a, b> = sum_i a_i b_(g+i) + a_(g+i) b_i and
+# q0(v) = sum_i v_i v_(g+i), mod 2.
+
+def _coords(v, n):
+    return [(v >> i) & 1 for i in range(n)]
+
+
+def _ref_pair(a, b, g):
+    x, y = _coords(a, 2 * g), _coords(b, 2 * g)
+    return sum(x[i] * y[g + i] + x[g + i] * y[i] for i in range(g)) % 2
+
+
+def _ref_q0(v, g):
+    x = _coords(v, 2 * g)
+    return sum(x[i] * x[g + i] for i in range(g)) % 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kernel_matches_coordinate_definition_exhaustive(g):
+    n = 1 << (2 * g)
+    ref_pair = [[_ref_pair(x, y, g) for y in range(n)] for x in range(n)]
+    ref_q0 = [_ref_q0(x, g) for x in range(n)]
+    v = np.arange(n, dtype=np.int64)
+    pair = _pair(v[:, None], v[None, :], g)
+    assert pair.dtype == np.int64
+    assert pair.tolist() == ref_pair
+    assert _q0(v, g).tolist() == ref_q0
+    assert [[_pair(x, y, g) for y in range(n)] for x in range(n)] == ref_pair
+    assert [_q0(x, g) for x in range(n)] == ref_q0
+
+
+@pytest.mark.parametrize("g", [40, 70])
+def test_kernel_matches_coordinate_definition_past_int64(g):
+    # 2g = 80 and 140 bits: past int64 and past uint64
+    rng = random.Random(g)
+    vs = [rng.getrandbits(2 * g) for _ in range(300)] + [(1 << (2 * g)) - 1]
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        assert _pair(a, b, g) == _ref_pair(a, b, g)
+        assert _pair(a, a, g) == 0
+    assert [_q0(v, g) for v in vs] == [_ref_q0(v, g) for v in vs]
+    assert _popcount(vs[-1]) == 2 * g
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 6])
 def test_array_kernel_matches_scalar_kernel(g):
+    # the one kernel on int64 arrays agrees with it on Python ints
     rng = np.random.default_rng(g)
     a = rng.integers(1 << (2 * g), size=400)
     b = rng.integers(1 << (2 * g), size=400)
-    assert _pair_arr(a, b, g).tolist() == \
-        [_pair_int(x, y, g) for x, y in zip(a.tolist(), b.tolist())]
-    assert _q0_arr(a, g).tolist() == [_q0_int(x, g) for x in a.tolist()]
+    assert _pair(a, b, g).tolist() == \
+        [_pair(x, y, g) for x, y in zip(a.tolist(), b.tolist())]
+    assert _q0(a, g).tolist() == [_q0(x, g) for x in a.tolist()]
+
+
+def test_array_popcount_is_int64():
+    # np.bitwise_count gives uint8; differences of counts must not wrap
+    m = np.array([0, 1, 0b1011, (1 << 63) - 1], dtype=np.int64)
+    assert _popcount(m).dtype == np.int64
+    assert (_popcount(m) - 64).tolist() == [-64, -63, -61, -1]
+
+
+def _matrix(rows, n):
+    """The 0/1 matrix with row masks rows and n columns."""
+    return [_coords(r, n) for r in rows]
+
+
+def _matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) % 2 for col in zip(*y)]
+            for row in x]
+
+
+def _mat_vec(a, x):
+    """A x for the 0/1 matrix A, as a mask."""
+    col = _matmul(a, [[b] for b in _coords(x, len(a[0]))])
+    return sum(r[0] << i for i, r in enumerate(col))
+
+
+def _vec_mat(k, a):
+    """k^T A for the 0/1 matrix A, as a mask."""
+    (row,) = _matmul([_coords(k, len(a))], a)
+    return sum(b << j for j, b in enumerate(row))
+
+
+@pytest.mark.parametrize("g", [1, 3, 40])
+def test_row_products_match_matrix_products(g):
+    rng = random.Random(g)
+    n = 2 * g
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    a = _matrix(rows, n)
+    xs = [rng.getrandbits(n) for _ in range(40)] + [0, (1 << n) - 1]
+    want_dot = [_mat_vec(a, x) for x in xs]
+    want_combine = [_vec_mat(x, a) for x in xs]
+    assert [_dot_rows(rows, x) for x in xs] == want_dot
+    assert [_combine(x, rows) for x in xs] == want_combine
+    if g < 32:
+        arr = np.array(xs, dtype=np.int64)
+        assert _dot_rows(rows, arr).tolist() == want_dot
+        assert _combine(arr, rows).tolist() == want_combine
+
+
+@pytest.mark.parametrize("g", [3, 40])
+def test_compose_and_apply_are_matrix_products(g):
+    rng = random.Random(g)
+    n = 2 * g
+
+    def random_map():
+        m = SymplecticMap.identity(g)
+        for _ in range(4):
+            m = transvection(F2Vector(g, rng.randrange(1, 1 << n))) @ m
+        return m
+
+    m, p = random_map(), random_map()
+    a, b = _matrix(m.rows, n), _matrix(p.rows, n)
+    assert list((m @ p).rows) == [sum(x << j for j, x in enumerate(row))
+                                  for row in _matmul(a, b)]
+    for _ in range(20):
+        x = rng.getrandbits(n)
+        assert m.apply(F2Vector(g, x)).bits == _mat_vec(a, x)
 
 
 def test_vector_roundtrip():
@@ -319,8 +431,8 @@ def test_witt_extend_exhaustive_group_g2():
     n = 2 * g
     std = [F2Vector(g, 1 << i) for i in range(n)]
     group = [cols for cols in itertools.product(range(1 << n), repeat=n)
-             if all(_q0_int(c, g) == 0 for c in cols)
-             and all(_pair_int(cols[i], cols[j], g) == (j - i == g)
+             if all(_q0(c, g) == 0 for c in cols)
+             and all(_pair(cols[i], cols[j], g) == (j - i == g)
                      for i in range(n) for j in range(i + 1, n))]
     assert len(group) == 72
     for cols in group:

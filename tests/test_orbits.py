@@ -25,7 +25,7 @@ from thetanulls.orbits import (
     random_quadruple,
     random_quadruples,
 )
-from thetanulls.quadforms import (QuadraticForm, _transvect_char_int,
+from thetanulls.quadforms import (QuadraticForm, _transvect_char,
                                   evaluate, parity)
 
 CLASSES = list(OrbitClass)
@@ -229,7 +229,7 @@ def _orbit_by_tuple_keys(q):
         nxt = []
         for node in frontier:
             for v in range(1, 1 << (2 * g)):
-                moved = tuple(sorted(_transvect_char_int(v, k, g)
+                moved = tuple(sorted(_transvect_char(v, k, g)
                                      for k in node))
                 if moved not in seen:
                     seen.add(moved)
