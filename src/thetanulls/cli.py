@@ -39,12 +39,22 @@ def _load_json(path: str):
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _ascii_int(text: str) -> int:
+    """A non-negative integer written in ASCII digits only: int() also takes
+    signs, spaces, digit grouping such as 1_0 and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_points(text: str) -> list[int]:
-    # ASCII digits only: int() also takes 1_0, signs and other scripts' digits
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    if not all(p.isascii() and p.isdigit() for p in items):
-        raise MalformedInputError(f"bad point list {text!r}")
-    return [int(p) for p in items]
+    # a blank list is S = [] (g = 2); an empty item in a list is refused
+    items = text.split(",") if text.strip() else []
+    try:
+        return [_ascii_int(p.strip()) for p in items]
+    except argparse.ArgumentTypeError as exc:
+        raise MalformedInputError(f"bad point list {text!r}: {exc}") from exc
 
 
 def _genus_cap(g: int, lo: int, hi: int) -> None:
@@ -183,13 +193,19 @@ def _print_timing(rep: dict, elapsed: float) -> None:
 
 
 def cmd_verify_all(args) -> dict:
-    if args.seed < 0:
-        raise MalformedInputError(f"--seed must be >= 0; got {args.seed}")
     return run_all(args.seed, _print_timing)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as MalformedInputError, so that it
+    prints one error line and exits 2 like any other malformed input."""
+
+    def error(self, message):
+        raise MalformedInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetanulls",
         description="Theta characteristics, orbit classification and "
                     "certified theta constants.")
@@ -198,22 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="characteristic and class counts")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_ascii_int, required=True)
     p.add_argument("--parity", choices=["even", "odd"])
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="orbit label of a quadruple")
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=_ascii_int)
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("orbit-census", help="full census of quadruples")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_ascii_int, required=True)
     p.set_defaults(func=cmd_orbit_census)
 
     p = sub.add_parser("hyperelliptic", help="partition model reports")
     p.add_argument("action", choices=["counts", "vanishing", "cut"])
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_ascii_int, required=True)
     p.add_argument("--points", help="comma-separated branch labels for cut")
     p.set_defaults(func=cmd_hyperelliptic)
 
@@ -228,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("transversal", help="rank certificate for a node set")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_ascii_int, required=True)
     p.add_argument("--nodes", required=True)
     p.add_argument("--points", required=True)
     p.set_defaults(func=cmd_transversal)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.set_defaults(func=cmd_verify_all)
 
     return parser
@@ -258,11 +274,10 @@ def _emit(report: dict, path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("func", "output") and v is not None}
     try:
+        args = build_parser().parse_args(argv)
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "output") and v is not None}
         report = {"version": __version__, "config": config}
         report.update(args.func(args))
         _emit(report, args.output)

@@ -22,15 +22,17 @@ masks: classify_array and classify_by_delta_array, the sampler
 random_quadruples, and all_quadruples, which census and census_report
 classify in one array pass.  orbit_bfs keys each node, a sorted 4-subset of
 indices into the even characteristics, by its colex rank, so its visited set
-is a boolean array over all C(#even, 4) subsets, and it expands the frontier
-one transvection at a time, vectorised over the frontier.
+is a boolean array over all C(#even, 4) subsets.  It acts by 2g + 1
+transvections, not all 4^g - 1: a set certified to generate Sp(2g, F_2)
+each time it is built, so the orbits are the same.  Each BFS level applies
+all of them to the whole frontier in one batched step.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -227,9 +229,54 @@ def all_quadruples(g: int) -> np.ndarray:
         raise ResourceCapError(f"census supports g <= {_BFS_MAX_G}, got {g}")
     evens = _even_masks(g)
     n = len(evens)
-    idx = np.fromiter(combinations(range(n), 4),
-                      dtype=np.dtype((np.int64, 4)), count=comb(n, 4))
+    # the lexicographic 4-subsets of range(n), one column at a time: column
+    # k runs up to n - 4 + k, and each row repeats once per value of its
+    # next column, which counts up from its last value + 1
+    idx = np.arange(n - 3, dtype=np.int64)[:, None]
+    for k in (1, 2, 3):
+        counts = n - 4 + k - idx[:, -1]
+        starts = np.cumsum(counts) - counts
+        col = (np.arange(counts.sum(), dtype=np.int64)
+               + np.repeat(idx[:, -1] + 1 - starts, counts))
+        idx = np.column_stack((np.repeat(idx, counts, axis=0), col))
     return evens[idx]
+
+
+def _certify_generates(vs: Sequence[int], g: int) -> None:
+    """Raise AssertionError unless the transvections T_v, v in vs, generate
+    Sp(2g, F_2).
+
+    The check closes vs under the linear maps T_u(x) = x + <x, u> u, u in
+    vs, and asks for every nonzero vector of F_2^(2g).  That suffices:
+    T_(Mv) = M T_v M^-1, so once every nonzero w is M v for some M in the
+    generated group and v in vs, the group holds every transvection T_w,
+    and the transvections generate Sp(2g, F_2).
+    """
+    reached = frontier = set(vs)
+    while frontier:
+        frontier = {x ^ (u * _pair(x, u, g))
+                    for x in frontier for u in vs} - reached
+        reached |= frontier
+    if reached != set(range(1, 1 << (2 * g))):
+        raise AssertionError("the transvections do not generate "
+                             f"Sp({2 * g}, F_2)")
+
+
+@cache
+def _generators(g: int) -> tuple[int, ...]:
+    """2g + 1 vectors whose transvections generate Sp(2g, F_2), certified by
+    _certify_generates: f_1, e_1, f_1 + f_2, e_2, ..., f_(g-1) + f_g, e_g and
+    f_2 (just f_1, e_1 at g = 1), the mod-2 classes of Humphries'
+    Dehn-twist generators."""
+    e = [1 << i for i in range(g)]
+    f = [1 << (g + i) for i in range(g)]
+    vs = [f[0], e[0]]
+    for i in range(1, g):
+        vs += [f[i - 1] ^ f[i], e[i]]
+    if g > 1:
+        vs.append(f[1])
+    _certify_generates(vs, g)
+    return tuple(vs)
 
 
 _SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network
@@ -238,17 +285,23 @@ _SORT4 = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))  # a sorting network
 def _orbit(start: Sequence[int], g: int) -> np.ndarray:
     """Mask rows of the transvection orbit of one quadruple of even masks.
 
+    The orbit is the closure under the characteristic action of the
+    transvections T_v, v in _generators(g).  That action, k -> k +
+    (q_k(v) + 1) v, is q_k -> q_k o T_v, an action of Sp(2g, F_2) on the
+    quadratic forms; as these T_v generate Sp(2g, F_2), the orbit is the
+    one under all 4^g - 1 transvections.
+
     A node is a sorted 4-subset of indices into the even masks, keyed by
     its colex rank, so the visited set is a boolean array over all
-    C(#even, 4) subsets.  Each level expands the whole frontier by one
-    transvection at a time: doing all of them at once multiplies peak
-    memory by their number without being faster.
+    C(#even, 4) subsets.  Each level applies all 2g + 1 steps to the whole
+    frontier in one gather, at most 2g + 1 times the frontier's memory: with
+    this few generators one batched step costs less than a loop over them.
     """
     evens = _even_masks(g)
     index_of = np.full(1 << (2 * g), -1, dtype=np.int64)
     index_of[evens] = np.arange(len(evens))
-    vs = np.arange(1, 1 << (2 * g), dtype=np.int64)
-    # steps[v - 1, i]: index of the image of evens[i] under T_v
+    vs = np.array(_generators(g), dtype=np.int64)
+    # steps[s, i]: index of the image of evens[i] under T_(vs[s])
     steps = index_of[_transvect_char(vs[:, None], evens[None, :], g)]
     if np.any(steps < 0):
         raise AssertionError("a transvection moved an even characteristic "
@@ -262,18 +315,15 @@ def _orbit(start: Sequence[int], g: int) -> np.ndarray:
     seen[sum(b[c] for b, c in zip(binom, frontier))] = True
     visited = [frontier]
     while frontier.shape[1]:
-        found = [np.empty((4, 0), dtype=np.int64)]
-        for step in steps:
-            x = list(step[frontier])
-            for i, j in _SORT4:
-                x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
-            rank = sum(b[c] for b, c in zip(binom, x))
-            new = np.flatnonzero(~seen[rank])
-            if len(new):
-                rank, first = np.unique(rank[new], return_index=True)
-                seen[rank] = True
-                found.append(np.stack(x)[:, new[first]])
-        frontier = np.concatenate(found, axis=1)
+        # the (steps, 4, n) images, as 4 rows of one column per image node
+        x = list(steps[:, frontier].swapaxes(0, 1).reshape(4, -1))
+        for i, j in _SORT4:
+            x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
+        rank = sum(b[c] for b, c in zip(binom, x))
+        new = np.flatnonzero(~seen[rank])
+        rank, first = np.unique(rank[new], return_index=True)
+        seen[rank] = True
+        frontier = np.stack(x)[:, new[first]]
         visited.append(frontier)
     return evens[np.concatenate(visited, axis=1).T]
 

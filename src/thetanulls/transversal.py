@@ -85,7 +85,12 @@ def quadratic_differential_divisor(ns: NodeSet, s: Sequence[int],
     labels = _check_s(ns, s)
     if k not in labels:
         raise DomainError(f"k={k} is not in S")
-    div = {i: 1 for i in range(1, 2 * ns.g + 3)}
+    return _divisor(ns.g, labels, k)
+
+
+def _divisor(g: int, labels: Sequence[int], k: int) -> dict[int, int]:
+    """quadratic_differential_divisor for labels already checked."""
+    div = {i: 1 for i in range(1, 2 * g + 3)}
     for idx in labels:
         if idx != k:
             div[idx] += 2
@@ -164,8 +169,7 @@ def transversality_report(ns: NodeSet, s: Sequence[int]) -> dict:
         "chars": [k.to_list() for k in chars],
         "partitions": [list(t.labels) for t in classes],
         "h0": [h0(t) for t in classes],
-        "divisors": [quadratic_differential_divisor(ns, labels, k)
-                     for k in labels],
+        "divisors": [_divisor(ns.g, labels, k) for k in labels],
         "rank": rk,
         "expected_rank": ns.g - 2,
         "pass": rk == ns.g - 2,

@@ -182,12 +182,19 @@ class TestOtherSubcommands:
         assert code == 2
 
     @pytest.mark.parametrize("points", ["1_0,2", "\u0663,4", "\uff13,4",
-                                        "+1,2", "-1,2"])
+                                        "+1,2", "-1,2", ",1,,2,", "1,,2",
+                                        "1,2,"])
     def test_hyperelliptic_cut_refuses_non_ascii_digits(self, capsys,
                                                         points):
         err = assert_refused(capsys, ["hyperelliptic", "cut", "--genus", "4",
                                       f"--points={points}"])
         assert "bad point list" in err
+
+    def test_hyperelliptic_cut_blank_list_is_empty_s(self, capsys):
+        code, rep = run_json(capsys, ["hyperelliptic", "cut", "--genus", "2",
+                                      "--points", " "])
+        assert code == 0
+        assert rep["S"] == [] and rep["count"] == 0
 
     def test_hyperelliptic_cut_allows_spaces(self, capsys):
         code, rep = run_json(capsys, ["hyperelliptic", "cut", "--genus", "4",
@@ -456,6 +463,29 @@ class TestTransversal:
                                       "--nodes", str(path),
                                       "--points", points])
         assert "bad point list" in err
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--genus", "\u0663"],
+        ["enumerate", "--genus", "+3"],
+        ["classify", "--input", "q.json", "--genus", "3_0"],
+        ["orbit-census", "--genus", "\uff13"],
+        ["hyperelliptic", "counts", "--genus", " 4"],
+        ["transversal", "--nodes", "n.json", "--points", "1", "--genus",
+         "6.0"],
+        ["verify-all", "--seed", "1_0"],
+        ["verify-all", "--seed", "0x1"],
+    ])
+    def test_refuses_all_but_ascii_digits(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(verify, "CRITERIA", [])
+        err = assert_refused(capsys, argv)
+        assert f"argument {argv[-2]}" in err and repr(argv[-1]) in err
+
+    @pytest.mark.parametrize("argv", [[], ["enumerate"], ["bogus"],
+                                      ["enumerate", "--genus", "3", "-x"]])
+    def test_malformed_command_line_is_one_error_line(self, capsys, argv):
+        assert_refused(capsys, argv)
 
 
 class TestOutputFile:

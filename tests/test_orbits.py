@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from thetanulls import orbits
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.f2core import (F2Vector, basis_e, basis_f, span_dim,
                                symplectic_pairing, transvection)
@@ -244,6 +246,57 @@ def test_orbit_bfs_matches_tuple_keyed_reference_g2():
     for code in np.unique(labels):
         q = quad(2, *quads[np.argmax(labels == code)].tolist())
         assert orbit_bfs(q) == _orbit_by_tuple_keys(q)
+
+
+def test_orbit_bfs_matches_tuple_keyed_reference_g3_a1():
+    quads = all_quadruples(3)
+    code = CLASSES.index(OrbitClass.A1)
+    q = quad(3, *quads[np.argmax(classify_array(quads, 3) == code)].tolist())
+    orbit = orbit_bfs(q)
+    assert len(orbit) == 945
+    assert orbit == _orbit_by_tuple_keys(q)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_generators_certified(g):
+    vs = orbits._generators(g)
+    assert len(vs) == (2 if g == 1 else 2 * g + 1)
+    assert len(set(vs)) == len(vs) and all(0 < v < 1 << (2 * g) for v in vs)
+    orbits._certify_generates(vs, g)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_non_generating_set_refused(g):
+    # e_1..e_g, f_1..f_g: their transvections keep every hyperbolic plane
+    # <e_j, f_j>, so they generate only SL(2, F_2)^g
+    with pytest.raises(AssertionError, match="do not generate"):
+        orbits._certify_generates([1 << i for i in range(2 * g)], g)
+    # the chain without its last vector, f_2, falls short too
+    with pytest.raises(AssertionError):
+        orbits._certify_generates(orbits._generators(g)[:-1], g)
+
+
+def test_generators_are_certified_each_time_they_are_built(monkeypatch):
+    calls = []
+    monkeypatch.setattr(orbits, "_certify_generates",
+                        lambda vs, g: calls.append((tuple(vs), g)))
+    orbits._generators.cache_clear()
+    try:
+        vs = orbits._generators(3)
+    finally:
+        orbits._generators.cache_clear()
+    assert calls == [(vs, 3)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_all_quadruples_matches_combinations(g):
+    evens = [k for k in range(1 << (2 * g))
+             if parity(F2Vector(g, k)) == 0]
+    ref = [list(c) for c in combinations(evens, 4)]
+    got = all_quadruples(g)
+    assert got.dtype == np.int64
+    assert got.shape == (len(ref), 4)
+    assert got.tolist() == ref
 
 
 @pytest.mark.parametrize("g", [2, 3])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetanulls import transversal
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.transversal import (
     NodeSet,
@@ -163,6 +164,20 @@ def test_report_unit_nodes_g3_to_g8():
         assert len(report["chars"]) == g - 2
         assert all(v == 2 for v in report["h0"])
         assert all(sum(d.values()) == 4 * g - 4 for d in report["divisors"])
+
+
+def test_report_checks_s_once(monkeypatch):
+    # the report's own check and basis_polys' check, not one per divisor
+    calls = []
+    check = transversal._check_s
+    monkeypatch.setattr(transversal, "_check_s",
+                        lambda ns, s: calls.append(s) or check(ns, s))
+    ns = unit_nodes(8)
+    s = [5, 1, 3, 6, 2, 4]
+    report = transversality_report(ns, s)
+    assert len(calls) == 2
+    assert report["divisors"] == [quadratic_differential_divisor(ns, s, k)
+                                  for k in sorted(s)]
 
 
 @pytest.mark.parametrize("g", [31, 32])
