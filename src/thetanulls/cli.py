@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -46,6 +47,20 @@ def _ascii_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer in ASCII digits, got {text!r}")
     return int(text)
+
+
+# a decimal float literal: no digit grouping, no other scripts' digits and
+# no inf or nan, which float() would all take
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _ascii_eps(text: str) -> float:
+    """A finite positive number written as an ASCII decimal literal; the
+    refusal quotes the text typed, as 1e-400 reads as 0.0."""
+    if _FLOAT.fullmatch(text) is None or not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number in ASCII digits, got {text!r}")
+    return float(text)
 
 
 def _parse_points(text: str) -> list[int]:
@@ -148,9 +163,6 @@ def _char_from_bits(bits, g: int) -> F2Vector:
 
 
 def cmd_theta(args) -> dict:
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        raise MalformedInputError(
-            f"--eps must be finite and positive; got {args.eps}")
     data = _load_json(args.input)
     if not isinstance(data, dict):
         raise MalformedInputError("theta input must be a JSON object")
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="certified theta computations")
     p.add_argument("action", choices=["eval", "transform", "split"])
     p.add_argument("--input", required=True)
-    p.add_argument("--eps", type=float, default=1e-10)
+    p.add_argument("--eps", type=_ascii_eps, default=1e-10)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("transversal", help="rank certificate for a node set")

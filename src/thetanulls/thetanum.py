@@ -15,19 +15,25 @@ issued certificate adds a fixed rounding allowance of
 1000 * machine_eps * #terms, so it can exceed eps for very small eps (that
 allowance is dominated by double precision itself, not by truncation).
 
-A coset of ball points x = n + k'/2 is enumerated coordinate by coordinate
-on the integral y = 2x under an exact integer norm test, put in summation
-order by one stable sort on |y|^2, and stored with its terms
-exp(pi*i x^T Z x) and with 2x by coordinate.  Only the phase
-exp(pi*i x . k'') depends on k'', and as 2x . k'' is an integer that phase
-is the power i^(2x . k'') of i: a characteristic's value is the sum of the
-coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
-theta_constant keeps one memo entry: the radius, the tail bound and, for
-each k' asked for, the coset with its terms, all for the last
-(Z, eps, radius_scale) seen.  The 4^g characteristics at one Z then share
-2^g lattice builds and 2^g term evaluations, each made on first use; a new
-Z replaces the entry.  Values and certificates are the same bit for bit as
-a fresh build.
+The work splits into a part that does not depend on Z and one that does,
+each with its own store.  The ball points of a coset x = n + k'/2 depend
+only on (g, k') and the radius: the integral y = 2x are enumerated
+coordinate by coordinate under an exact integer norm test and put in
+summation order by one stable sort on |y|^2.  The process-wide cache
+_BALLS keeps, for each (g, k'), the largest such ball asked for, and every
+radius reads its coset as a prefix of it, cut by a binary search on the
+distinct norms; it holds g small integers per point (plus one norm and one
+offset per distinct norm) for the largest ball requested.  The terms
+exp(pi*i x^T Z x) depend on Z.  Only the phase exp(pi*i x . k'') depends
+on k'', and as 2x . k'' is an integer that phase is the power i^(2x . k'')
+of i: a characteristic's value is the sum of the coset's terms, each
+multiplied exactly by one of 1, i, -1, -i.  So theta_constant keeps one
+memo entry: the radius, the tail bound and, for each k' asked for, the
+coset's terms (16 bytes per point) with its 2x (a view of the cache), all
+for the last (Z, eps, radius_scale) seen.  The 4^g characteristics at one
+Z then share 2^g term evaluations, each made on first use; a new Z
+replaces the entry.  Values and certificates are the same bit for bit as a
+fresh build.
 """
 
 from __future__ import annotations
@@ -257,31 +263,82 @@ def _check_term_cap(r: float, g: int) -> None:
             f"in genus {g}, above the term cap")
 
 
+class _Ball(NamedTuple):
+    """The integral y = 2x (y = k' mod 2) of one coset with |y|^2 <= nmax,
+    in summation order, as g rows; norms holds the distinct values of
+    |y|^2 in increasing order and ends[j] counts the points of norm at most
+    norms[j - 1], so a prefix is cut with no table indexed by the norm."""
+    nmax: int
+    twice_x: np.ndarray
+    norms: np.ndarray
+    ends: np.ndarray
+
+
+# (g, k') -> the largest ball asked for so far.  The points do not depend
+# on Z, so every Z, eps and radius_scale reads its coset as a prefix.
+_BALLS: dict[tuple[int, int], _Ball] = {}
+
+
+def _ball(g: int, kp: int, nmax: int) -> _Ball:
+    """The ball |y|^2 <= nmax of coset k', built coordinate by coordinate
+    in lex order under the exact integer norm test, each |y_i| at most
+    isqrt(nmax), then put in summation order by one stable sort on |y|^2."""
+    root = math.isqrt(nmax)
+    # the points are kept in their smallest dtype from the start, which
+    # keeps the build's peak memory down
+    dtype = np.min_scalar_type(-root - 1)
+    y = np.zeros((1, 0), dtype=dtype)
+    norm = np.zeros(1, dtype=np.int64)
+    for i in range(g):
+        bit = (kp >> i) & 1
+        top = root - ((root - bit) & 1)  # the largest y_i = k'_i mod 2
+        vals = np.arange(-top, top + 1, 2)
+        cand = (norm[:, None] + vals * vals).ravel()
+        keep = np.flatnonzero(cand <= nmax)
+        y = np.column_stack((y[keep // vals.size],
+                             vals[keep % vals.size].astype(dtype)))
+        norm = cand[keep]
+    # a stable sort on keys of at most 16 bits is a radix sort
+    norm = norm.astype(np.min_scalar_type(nmax))
+    order = np.argsort(norm, kind="stable")
+    # one norm per distinct value, not per point, keeps the cache small
+    norms, counts = np.unique(norm, return_counts=True)
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    return _Ball(nmax, y[order].T.copy(), norms,
+                 ends.astype(np.min_scalar_type(norm.size)))
+
+
 def _coset(z: SiegelMatrix, r: float,
            kp: int) -> tuple[np.ndarray, np.ndarray]:
     """The points x = n + k'/2 (n integral) of the ball ||x|| <= r, in the
     fixed summation order (by ||x||^2, then lexicographic in n), as
     (x^T Z x, 2x) with 2x as g rows in the smallest integer dtype.
 
-    y = 2x grows one coordinate at a time in lex order, y_i = 2 n_i + k'_i
-    with n_i in the box [ceil(-r - k'_i/2), floor(r - k'_i/2)], keeping a
-    prefix while |y|^2 <= floor(4 (r^2 + 1e-12)): exactly the float test
-    ||x||^2 <= r^2 + 1e-12, as ||x||^2 = |y|^2 / 4 is exact."""
+    The points are the prefix |y|^2 <= floor(4 (r^2 + 1e-12)) of the cached
+    ball of y = 2x (_BALLS): exactly the float test ||x||^2 <= r^2 + 1e-12,
+    as ||x||^2 = |y|^2 / 4 is exact.  The prefix of a larger ball in
+    (norm, lex) order is the smaller ball in the same order, so a cached
+    ball gives the points of a fresh build.  The box
+    n_i in [ceil(-r - k'_i/2), floor(r - k'_i/2)], that is
+    |y_i| <= 2 floor(r - k'_i/2) + k'_i, removes only points within the
+    1e-12 slack, and it is applied only where such a point can exist.  The
+    cache owns the points and x^T Z x is all that depends on Z; the 2x
+    returned may be a view of the cache."""
     nmax = math.floor(4 * (r * r + 1e-12))
-    y = np.zeros((1, 0), dtype=np.int64)
-    norm = np.zeros(1, dtype=np.int64)
-    for i in range(z.g):
-        bit = (kp >> i) & 1
-        vals = 2 * np.arange(math.ceil(-r - bit / 2),
-                             math.floor(r - bit / 2) + 1) + bit
-        cand = (norm[:, None] + vals * vals).ravel()
-        keep = np.flatnonzero(cand <= nmax)
-        y = np.column_stack((y[keep // vals.size], vals[keep % vals.size]))
-        norm = cand[keep]
-    # a stable sort on keys of at most 16 bits is a radix sort
-    y = y[np.argsort(norm.astype(np.min_scalar_type(nmax)), kind="stable")]
-    twice_x = y.T.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
-                         order="C")
+    # one read of the slot, one tuple written: a racing call may store a
+    # smaller ball, but each call cuts the ball it read
+    ball = _BALLS.get((z.g, kp))
+    if ball is None or ball.nmax < nmax:
+        ball = _BALLS[z.g, kp] = _ball(z.g, kp, nmax)
+    cut = ball.ends[np.searchsorted(ball.norms, nmax, side="right")]
+    twice_x = ball.twice_x[:, :cut]
+    box = [2 * math.floor(r - bit / 2) + bit
+           for bit in ((kp >> i) & 1 for i in range(z.g))]
+    if math.isqrt(nmax) >= min(box) + 2:
+        inside = np.abs(twice_x) <= np.array(box)[:, None]
+        twice_x = twice_x[:, inside.all(axis=0)]
+    twice_x = twice_x.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
+                             copy=False)
     return _quad_form(twice_x / 2, z.z), twice_x
 
 
@@ -328,8 +385,9 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     rounding allowance 1000 * eps_mach * #terms.  radius_scale inflates the
     truncation radius past the certified one (self-consistency checks).
 
-    The lattice of the last (Z, eps, radius_scale) is memoized (module
-    docstring); results are bit-identical to building it afresh.
+    The ball points of each (g, k') are cached and the terms of the last
+    (Z, eps, radius_scale) are memoized (module docstring); results are
+    bit-identical to building both afresh.
     """
     global _LATTICE
     if not (math.isfinite(eps) and eps > 0):
@@ -363,15 +421,22 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
 
 def siegel_act(m: IntSymplectic, z: SiegelMatrix) -> SiegelMatrix:
     """M.Z = (AZ + B)(CZ + D)^-1."""
+    return _act(m, z)[0]
+
+
+def _act(m: IntSymplectic,
+         z: SiegelMatrix) -> tuple[SiegelMatrix, np.ndarray, float]:
+    """M.Z with CZ + D and its condition number, each computed once."""
     if m.g != z.g:
         raise DomainError("matrix g mismatch")
     num = m.a.astype(np.complex128) @ z.z + m.b.astype(np.complex128)
     den = m.c.astype(np.complex128) @ z.z + m.d.astype(np.complex128)
-    if np.linalg.cond(den) > _COND_CAP:
+    cond = float(np.linalg.cond(den))
+    if cond > _COND_CAP:
         raise DomainError("CZ + D too ill-conditioned")
     moved = np.linalg.solve(den.T, num.T).T
     moved = (moved + moved.T) / 2
-    return SiegelMatrix(moved)
+    return SiegelMatrix(moved), den, cond
 
 
 def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
@@ -401,11 +466,9 @@ def _form_rows(m: IntSymplectic) -> tuple[int, ...]:
 def transform_modulus_check(m: IntSymplectic, z: SiegelMatrix, k: F2Vector,
                             eps: float) -> dict:
     """Compare |theta[M.k](M.Z)| with |det(CZ+D)|^(1/2) |theta[k](Z)|."""
-    moved_z = siegel_act(m, z)
+    moved_z, den, cond = _act(m, z)
     moved_k = char_act_int(m, k)
-    den = m.c.astype(np.complex128) @ z.z + m.d.astype(np.complex128)
     det_root = math.sqrt(abs(complex(np.linalg.det(den))))
-    cond = float(np.linalg.cond(den))
     val_l, bound_l = theta_constant(moved_z, moved_k, eps)
     val_r, bound_r = theta_constant(z, k, eps)
     r_abs = abs(val_l)

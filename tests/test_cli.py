@@ -413,6 +413,30 @@ class TestTheta:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("eps", ["1_0e-9", "\u0661e-9", "1e-\uff19",
+                                     " 1e-9", "0x1p-30", "1e-400", "1e999",
+                                     "infinity", "1e-9j"])
+    @pytest.mark.parametrize("action", ["eval", "transform", "split"])
+    def test_eps_refuses_all_but_ascii_decimals(self, capsys, tmp_path,
+                                                action, eps):
+        # float() takes each of these or reads it as 0.0 or inf
+        err = assert_refused(capsys, ["theta", action, "--input",
+                                      str(tmp_path / "unread.json"),
+                                      "--eps", eps])
+        assert f"argument --eps: expected a finite positive number in " \
+            f"ASCII digits, got {eps!r}" in err
+
+    @pytest.mark.parametrize("eps, value", [("1e-9", 1e-9), ("1E-9", 1e-9),
+                                            ("+.5", 0.5), ("2.", 2.0),
+                                            ("1e-08", 1e-8)])
+    def test_eps_ascii_decimals(self, capsys, tmp_path, eps, value):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"z": {"g": 1, "re": [[0.0]], "im": [[1.0]]}, "k": [0, 0]}))
+        code, rep = run_json(capsys, ["theta", "eval", "--input", str(path),
+                                      "--eps", eps])
+        assert code == 0 and rep["config"]["eps"] == value
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, ["theta", "eval", "--input",
                                       str(tmp_path / "nope.json")])

@@ -357,6 +357,22 @@ class TestTransformModulus:
         assert rep["lhs_modulus"] < 1e-10
         assert rep["rhs_modulus"] < 1e-10
 
+    def test_fields_match_a_fresh_cz_plus_d(self):
+        # CZ + D is built once per check: its determinant, condition number
+        # and moved matrix are those of a fresh build, bit for bit
+        rng = random.Random(51)
+        for g in (1, 2, 3):
+            m = random_int_symplectic(g, rng, steps=3)
+            z = random_siegel(g, rng, min_im=0.8)
+            k = F2Vector(g, rng.randrange(1 << (2 * g)))
+            rep = transform_modulus_check(m, z, k, 1e-8)
+            den = m.c.astype(np.complex128) @ z.z + m.d.astype(np.complex128)
+            assert rep["cond"] == float(np.linalg.cond(den))
+            assert rep["det_root"] == \
+                math.sqrt(abs(complex(np.linalg.det(den))))
+            moved = theta_constant(siegel_act(m, z), char_act_int(m, k), 1e-8)
+            assert rep["lhs_modulus"] == abs(moved[0])
+
 
 class TestBlockDiagSplit:
     def test_known_product(self):
@@ -736,3 +752,100 @@ class TestCosetEnumeration:
         r, _tail = thetanum._radius(z, 1e-12, 1.0)
         assert np.min_scalar_type(-2 * math.ceil(r) - 1) == np.int16
         self._assert_same(z, r)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty ball cache and memo, put back as they were after the test."""
+    monkeypatch.setattr(thetanum, "_BALLS", {})
+    monkeypatch.setattr(thetanum, "_LATTICE", None)
+
+
+@pytest.mark.usefixtures("cold_cache")
+class TestBallCache:
+    """_BALLS keeps the largest ball of each (g, k') asked for; every radius
+    reads its coset as a prefix, equal to a fresh build byte for byte."""
+
+    @pytest.mark.parametrize("g, radii", [
+        # the box decides within the 1e-12 slack of the sphere
+        (1, (9.0, 1.5 - 1e-14, 1.5, 2.5, 1.5 - 1e-14)),
+        # the 2x dtype turns from int8 to int16 past ceil(r) = 63, and the
+        # cached ball's dtype past isqrt(nmax) = 127
+        (1, (70.0, 63.0, 63.5, 63.4, 64.0, 62.9, 64.0)),
+        (2, (64.0, 62.5, 63.2, 63.5, 3.0)),
+        (2, (2.5, 3.0, 63.1, 64.0, 2.5)),
+        (3, (1.0, 2.5, math.sqrt(3) / 2, 4.0, 3.5)),
+    ])
+    def test_prefix_of_a_warm_ball(self, g, radii):
+        z = random_siegel(g, random.Random(100 + g))
+        for r in radii:
+            TestCosetEnumeration._assert_same(z, r)
+        nmax = math.floor(4 * (max(radii) ** 2 + 1e-12))
+        assert sorted(thetanum._BALLS) == [(g, kp) for kp in range(1 << g)]
+        assert all(ball.nmax == nmax for ball in thetanum._BALLS.values())
+
+    def test_point_in_the_slack_left_out_of_a_warm_ball(self):
+        z = random_siegel(1, random.Random(81))
+        thetanum._coset(z, 9.0, 1)
+        twice_x = thetanum._coset(z, 1.5 - 1e-14, 1)[1]
+        assert twice_x.tolist() == [[-1, 1]]
+        assert thetanum._coset(z, 1.5, 1)[1].tolist() == [[-1, 1, -3, 3]]
+
+    def test_coset_shares_the_cached_points(self):
+        z = random_siegel(2, random.Random(82))
+        twice_x = thetanum._coset(z, 3.0, 0b01)[1]
+        ball = thetanum._BALLS[2, 0b01]
+        assert np.shares_memory(twice_x, ball.twice_x)
+        assert thetanum._coset(z, 2.0, 0b01)[1].base is ball.twice_x
+        # the norms are held once per value, not per point
+        assert ball.norms.size < ball.twice_x.shape[1]
+        assert ball.ends.size == ball.norms.size + 1
+
+    @pytest.mark.parametrize("g, min_im", [(1, 0.5), (2, 0.5), (3, 1.0)])
+    def test_theta_cold_and_warm_bit_identical(self, g, min_im):
+        rng = random.Random(110 + g)
+        z = random_siegel(g, rng, min_im=min_im)
+        chars = list(all_characteristics(g))
+        runs = []
+        for warm_scale in (None, 3.0):
+            thetanum._BALLS.clear()
+            if warm_scale is not None:
+                theta_constant(z, chars[0], 1e-12, radius_scale=warm_scale)
+                for kp in range(1, 1 << g):
+                    theta_constant(z, F2Vector(g, kp), 1e-12,
+                                   radius_scale=warm_scale)
+            runs.append([])
+            for eps in (1e-8, 1e-12, 1e-10):
+                for scale in (1.0, 2.0):
+                    thetanum._LATTICE = None
+                    runs[-1].extend(_bits(theta_constant(z, k, eps, scale))
+                                    for k in chars)
+        assert runs[0] == runs[1]
+        assert runs[0][:len(chars)] == [_bits(_reference_theta(z, k, 1e-8))
+                                        for k in chars]
+
+    def test_term_cap_refusal_leaves_the_cache_alone(self):
+        z = random_siegel(2, random.Random(83))
+        for k in all_characteristics(2):
+            theta_constant(z, k, 1e-10)
+        before = dict(thetanum._BALLS)
+        with pytest.raises(ResourceCapError, match="above the term cap"):
+            theta_constant(SiegelMatrix(1e-3j * np.eye(6)), F2Vector(6, 0),
+                           1e-10)
+        with pytest.raises(ResourceCapError, match="above the term cap"):
+            theta_constant(z, F2Vector(2, 0), 1e-8, radius_scale=1e300)
+        assert thetanum._BALLS.keys() == before.keys()
+        assert all(thetanum._BALLS[key] is ball
+                   for key, ball in before.items())
+
+    def test_tiny_imaginary_part_genus_one(self):
+        # r is about 1.8e6 and nmax about 1.3e13: a table indexed by the
+        # norm would not fit in memory, the ball holds 3.6e6 points
+        z = SiegelMatrix([[1e-10j]])
+        value, bound = theta_constant(z, F2Vector(1, 0), 1e-8)
+        # theta(0, it) = t^(-1/2) theta(0, i/t), and theta(0, i/t) = 1
+        # to far below double precision at t = 1e-10
+        assert abs(value - 1e5) <= bound
+        ball = thetanum._BALLS[1, 0]
+        assert ball.nmax > 10 ** 13
+        assert ball.norms.size <= ball.twice_x.shape[1] < 4_000_000
