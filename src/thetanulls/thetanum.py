@@ -15,6 +15,14 @@ issued certificate adds a fixed rounding allowance of
 1000 * machine_eps * #terms, so it can exceed eps for very small eps (that
 allowance is dominated by double precision itself, not by truncation).
 
+The real part of Z is reduced first: theta[k](Z + 2S) = i^(k'^T S k')
+theta[k](Z) for every integer symmetric S, so the series is summed at
+Z - 2S with S = round(Re Z / 2), whose real part is exact and lies in
+[-1, 1], and the value is turned by that power of i exactly (the parts
+are swapped and negated).  The bound does not change, and where every
+|Re z_jk| <= 1, S = 0 and nothing is reduced.  A direct sum at a large
+Re Z would lose the low bits of every x^T Z x.
+
 The work splits into a part that does not depend on Z and one that does,
 each with its own store.  The ball points of a coset x = n + k'/2 depend
 only on (g, k') and the radius: the integral y = 2x are enumerated
@@ -22,18 +30,23 @@ coordinate by coordinate under an exact integer norm test and put in
 summation order by one stable sort on |y|^2.  The process-wide cache
 _BALLS keeps, for each (g, k'), the largest such ball asked for, and every
 radius reads its coset as a prefix of it, cut by a binary search on the
-distinct norms; it holds g small integers per point (plus one norm and one
-offset per distinct norm) for the largest ball requested.  The terms
-exp(pi*i x^T Z x) depend on Z.  Only the phase exp(pi*i x . k'') depends
-on k'', and as 2x . k'' is an integer that phase is the power i^(2x . k'')
-of i: a characteristic's value is the sum of the coset's terms, each
-multiplied exactly by one of 1, i, -1, -i.  So theta_constant keeps one
-memo entry: the radius, the tail bound and, for each k' asked for, the
-coset's terms (16 bytes per point) with its 2x (a view of the cache), all
-for the last (Z, eps, radius_scale) seen.  The 4^g characteristics at one
-Z then share 2^g term evaluations, each made on first use; a new Z
-replaces the entry.  Values and certificates are the same bit for bit as a
-fresh build.
+distinct norms.  With the points it keeps their antipodal fold: a shell of
+one norm read backwards is the shell negated, and x^T Z x is even in x, so
+x^T Z x and its exponential are computed on the first half of each shell
+only and read at every point through the fold index.  The cache holds g
+small integers and one fold index of one, two or four bytes per point
+(plus one norm and one offset per distinct norm) for the largest ball
+requested.  The terms exp(pi*i x^T Z x) depend on Z.  Only the phase
+exp(pi*i x . k'') depends on k'', and as 2x . k'' is an integer that phase
+is the power i^(2x . k'') of i: a characteristic's value is the sum of the
+coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
+theta_constant keeps one memo entry: the radius, the tail bound and, for
+each k' asked for, the coset's terms (16 bytes per point) with its 2x (a
+view of the cache), all for the last (Z, eps, radius_scale) seen.  The 4^g
+characteristics at one Z then share 2^g half-coset term evaluations, each
+made on first use; a new Z replaces the entry.  Values and certificates
+are the same bit for bit as a fresh build of every point's term in the
+same order.
 """
 
 from __future__ import annotations
@@ -79,9 +92,15 @@ def _checked_array(name: str, value, kinds: str, what: str) -> np.ndarray:
 
 class SiegelMatrix:
     """Symmetric complex g x g matrix with positive definite imaginary
-    part; symmetrized on input, lambda_min cached."""
+    part; symmetrized on input, lambda_min cached.
 
-    __slots__ = ("g", "z", "lambda_min")
+    theta[k](Z + 2S) = i^(k'^T S k') theta[k](Z) for every integer
+    symmetric S, so theta is summed at reduced = Z - 2S with
+    S = round(Re Z / 2): its real part is exact and lies in [-1, 1].
+    shift holds S mod 4 as rows of ints, or None where S = 0 (every
+    |Re z_jk| <= 1), and reduced is then z itself."""
+
+    __slots__ = ("g", "z", "lambda_min", "reduced", "shift")
 
     def __init__(self, z) -> None:
         arr = np.asarray(z, dtype=np.complex128)
@@ -89,10 +108,13 @@ class SiegelMatrix:
             raise MalformedInputError("Z must be a square matrix")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise MalformedInputError("Z entries must be finite")
-        skew = np.max(np.abs(arr - arr.T)) if arr.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        if skew > 1e-9 * scale:
-            raise DomainError("Z is not symmetric within tolerance")
+        # each part against its own scale: a huge real entry must not hide
+        # a non-symmetric imaginary part
+        re_size = abs(arr.real).max(initial=0.0)
+        for part, size in ((arr.real, re_size),
+                           (arr.imag, abs(arr.imag).max(initial=0.0))):
+            if abs(part - part.T).max(initial=0.0) > 1e-9 * max(1.0, size):
+                raise DomainError("Z is not symmetric within tolerance")
         arr = (arr + arr.T) / 2
         evals = np.linalg.eigvalsh(arr.imag)
         lam = float(evals[0])
@@ -105,6 +127,15 @@ class SiegelMatrix:
         self.g = arr.shape[0]
         self.z = arr
         self.lambda_min = lam_safe
+        self.reduced, self.shift = arr, None
+        # S = 0 where every |Re z_jk| <= 1.  Re Z - 2S is exact: it is at
+        # most 1 in size, and 2S is an integer within 1 of Re Z (or Re Z
+        # itself, once Re Z is an even integer)
+        shift = np.rint(arr.real / 2) if re_size > 1 else None
+        if shift is not None and shift.any():
+            self.reduced = arr - 2 * shift
+            self.reduced.setflags(write=False)
+            self.shift = tuple(map(tuple, (shift % 4).astype(int).tolist()))
 
     def to_json_dict(self) -> dict:
         return {"g": self.g,
@@ -267,11 +298,21 @@ class _Ball(NamedTuple):
     """The integral y = 2x (y = k' mod 2) of one coset with |y|^2 <= nmax,
     in summation order, as g rows; norms holds the distinct values of
     |y|^2 in increasing order and ends[j] counts the points of norm at most
-    norms[j - 1], so a prefix is cut with no table indexed by the norm."""
+    norms[j - 1], so a prefix is cut with no table indexed by the norm.
+
+    fold is the ball's antipodal fold.  Negation reverses lex order and
+    keeps the norm, so a shell of one norm with e points from position s
+    on holds -y_p at position 2s + e - 1 - p, and only the origin is its
+    own mirror.  Number the first ceil(e/2) points of each shell in order
+    (the half ball); fold[p] is the number of the point y_p or -y_p, in
+    the smallest unsigned dtype.  It steps up exactly at the points of the
+    half ball.  A cached point costs g bytes of twice_x (int8 while
+    |y_i| < 128) and one, two or four bytes of fold."""
     nmax: int
     twice_x: np.ndarray
     norms: np.ndarray
     ends: np.ndarray
+    fold: np.ndarray
 
 
 # (g, k') -> the largest ball asked for so far.  The points do not depend
@@ -280,50 +321,88 @@ _BALLS: dict[tuple[int, int], _Ball] = {}
 
 
 def _ball(g: int, kp: int, nmax: int) -> _Ball:
-    """The ball |y|^2 <= nmax of coset k', built coordinate by coordinate
-    in lex order under the exact integer norm test, each |y_i| at most
-    isqrt(nmax), then put in summation order by one stable sort on |y|^2."""
+    """The ball |y|^2 <= nmax of coset k', put in summation order by one
+    stable sort on |y|^2 of its points in lex order, with its fold."""
+    y, norm = _lex_ball(g, kp, nmax)
+    # a stable sort on keys of at most 16 bits is a radix sort
+    norm = norm.astype(np.min_scalar_type(nmax), copy=False)
+    twice_x = y[np.argsort(norm, kind="stable")].T.copy()
+    # one norm per distinct value, not per point, keeps the cache small
+    norms, counts = np.unique(norm, return_counts=True)
+    return _Ball(nmax, twice_x, norms, *_fold(counts))
+
+
+def _lex_ball(g: int, kp: int,
+              nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points y (one per row) of the ball |y|^2 <= nmax of coset k' in
+    lex order, with their norms, built coordinate by coordinate under the
+    exact integer norm test, each |y_i| at most isqrt(nmax)."""
     root = math.isqrt(nmax)
-    # the points are kept in their smallest dtype from the start, which
-    # keeps the build's peak memory down
+    # the points and norms are kept in their smallest dtypes from the
+    # start, and no index array is made, which keeps the build's peak
+    # memory down; a norm plus a square is at most 2 nmax
     dtype = np.min_scalar_type(-root - 1)
+    wide = np.min_scalar_type(-2 * nmax - 1)
     y = np.zeros((1, 0), dtype=dtype)
-    norm = np.zeros(1, dtype=np.int64)
+    norm = np.zeros(1, dtype=wide)
     for i in range(g):
         bit = (kp >> i) & 1
         top = root - ((root - bit) & 1)  # the largest y_i = k'_i mod 2
-        vals = np.arange(-top, top + 1, 2)
-        cand = (norm[:, None] + vals * vals).ravel()
-        keep = np.flatnonzero(cand <= nmax)
-        y = np.column_stack((y[keep // vals.size],
-                             vals[keep % vals.size].astype(dtype)))
-        norm = cand[keep]
-    # a stable sort on keys of at most 16 bits is a radix sort
-    norm = norm.astype(np.min_scalar_type(nmax))
-    order = np.argsort(norm, kind="stable")
-    # one norm per distinct value, not per point, keeps the cache small
-    norms, counts = np.unique(norm, return_counts=True)
-    ends = np.concatenate(([0], np.cumsum(counts)))
-    return _Ball(nmax, y[order].T.copy(), norms,
-                 ends.astype(np.min_scalar_type(norm.size)))
+        vals = np.arange(-top, top + 1, 2, dtype=wide)
+        cand = norm[:, None] + vals * vals
+        inside = cand <= nmax
+        # each kept point of the last level, once per kept value of y_i
+        y = np.column_stack((np.repeat(y, inside.sum(axis=1), axis=0),
+                             (inside * vals.astype(dtype))[inside]))
+        norm = cand[inside]
+    return y, norm
+
+
+def _fold(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ends and fold (_Ball) of a ball whose shells hold counts points.
+
+    Every shell but the origin's has an even count, so floor(s/2) points
+    of the second halves precede a shell starting at s, and the point at
+    p numbers min(p, 2s + e - 1 - p) - floor(s/2) in the half ball.  It is
+    built in the dtype of a point index, not in int64, which keeps the
+    build's peak memory down."""
+    index = np.min_scalar_type(int(counts.sum()))
+    ends = np.concatenate(([0], np.cumsum(counts))).astype(index)
+    counts = counts.astype(index)
+    start = np.repeat(ends[:-1], counts)
+    mirror = np.repeat(ends[1:] - 1, counts)
+    mirror += start
+    fold = np.arange(ends[-1], dtype=index)
+    mirror -= fold  # 2s + e - 1 - p
+    np.minimum(fold, mirror, out=fold)
+    fold -= start >> 1
+    return ends, fold
 
 
 def _coset(z: SiegelMatrix, r: float,
-           kp: int) -> tuple[np.ndarray, np.ndarray]:
+           kp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points x = n + k'/2 (n integral) of the ball ||x|| <= r, in the
-    fixed summation order (by ||x||^2, then lexicographic in n), as
-    (x^T Z x, 2x) with 2x as g rows in the smallest integer dtype.
+    fixed summation order (by ||x||^2, then lexicographic in n), folded
+    onto their antipodal half: (quad, fold, 2x), with 2x as g rows in the
+    smallest integer dtype, quad the values x^T Z x at the first half of
+    each shell of one norm, and fold the index that reads quad at every
+    point.  x^T Z x is even in x, so quad[fold] is x^T Z x at every point,
+    bit for bit (_quad_form gives -x the bits of x).  Z is z.reduced, the
+    matrix whose real part is Re Z - 2S (SiegelMatrix).
 
     The points are the prefix |y|^2 <= floor(4 (r^2 + 1e-12)) of the cached
     ball of y = 2x (_BALLS): exactly the float test ||x||^2 <= r^2 + 1e-12,
     as ||x||^2 = |y|^2 / 4 is exact.  The prefix of a larger ball in
-    (norm, lex) order is the smaller ball in the same order, so a cached
-    ball gives the points of a fresh build.  The box
+    (norm, lex) order is the smaller ball in the same order, with its fold
+    a prefix of the ball's, so a cached ball gives the points of a fresh
+    build; the half is where the fold steps up.  The box
     n_i in [ceil(-r - k'_i/2), floor(r - k'_i/2)], that is
     |y_i| <= 2 floor(r - k'_i/2) + k'_i, removes only points within the
-    1e-12 slack, and it is applied only where such a point can exist.  The
-    cache owns the points and x^T Z x is all that depends on Z; the 2x
-    returned may be a view of the cache."""
+    1e-12 slack, and it is applied only where such a point can exist; it is
+    even in x, so it keeps both points of a pair or neither, and the fold
+    is renumbered onto the half points it keeps.  The cache
+    owns the points and quad is all that depends on Z; the 2x and fold
+    returned may be views of the cache."""
     nmax = math.floor(4 * (r * r + 1e-12))
     # one read of the slot, one tuple written: a racing call may store a
     # smaller ball, but each call cuts the ball it read
@@ -331,15 +410,21 @@ def _coset(z: SiegelMatrix, r: float,
     if ball is None or ball.nmax < nmax:
         ball = _BALLS[z.g, kp] = _ball(z.g, kp, nmax)
     cut = ball.ends[np.searchsorted(ball.norms, nmax, side="right")]
-    twice_x = ball.twice_x[:, :cut]
+    twice_x, fold = ball.twice_x[:, :cut], ball.fold[:cut]
+    # the points of the half ball, where the fold steps up
+    first = np.empty(cut, dtype=bool)
+    first[:1] = True
+    np.greater(fold[1:], fold[:-1], out=first[1:])
     box = [2 * math.floor(r - bit / 2) + bit
            for bit in ((kp >> i) & 1 for i in range(z.g))]
     if math.isqrt(nmax) >= min(box) + 2:
-        inside = np.abs(twice_x) <= np.array(box)[:, None]
-        twice_x = twice_x[:, inside.all(axis=0)]
+        inside = (np.abs(twice_x) <= np.array(box)[:, None]).all(axis=0)
+        fold = (np.cumsum(inside[first]) - 1)[fold[inside]]
+        twice_x, first = twice_x[:, inside], first[inside]
+    half = twice_x.compress(first, axis=1)
     twice_x = twice_x.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
                              copy=False)
-    return _quad_form(twice_x / 2, z.z), twice_x
+    return _quad_form(half / 2, z.reduced), fold, twice_x
 
 
 def _quad_form(xt: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -385,9 +470,11 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     rounding allowance 1000 * eps_mach * #terms.  radius_scale inflates the
     truncation radius past the certified one (self-consistency checks).
 
-    The ball points of each (g, k') are cached and the terms of the last
-    (Z, eps, radius_scale) are memoized (module docstring); results are
-    bit-identical to building both afresh.
+    The series is summed at Z - 2 round(Re Z / 2) and turned by a power
+    of i exactly.  The ball points of each (g, k') are cached with their
+    antipodal fold, and the terms of the last (Z, eps, radius_scale) are
+    memoized (module docstring); results are bit-identical to building
+    both afresh.
     """
     global _LATTICE
     if not (math.isfinite(eps) and eps > 0):
@@ -407,16 +494,38 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     kp = k.first_half
     coset = memo.cosets.get(kp)
     if coset is None:
-        quad, twice_x = _coset(z, memo.r, kp)
-        coset = memo.cosets[kp] = (np.exp(1j * math.pi * quad), twice_x)
+        quad, fold, twice_x = _coset(z, memo.r, kp)
+        # one exp per +-x pair, read at every point through the fold; in
+        # place, with the operands of exp(1j * math.pi * quad)
+        np.multiply(1j * math.pi, quad, out=quad)
+        coset = memo.cosets[kp] = (np.exp(quad, out=quad)[fold], twice_x)
     terms, twice_x = coset
-    cols = [i for i in range(z.g) if (k.second_half >> i) & 1]
     # exp(pi i x . k'') = i^(2x . k''), and 2x . k'' is an integer sum of
-    # the rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i
-    turns = twice_x[cols].sum(axis=0, dtype=np.int64) & 3
-    value = complex(np.sum(terms * _QUARTER_TURNS[turns]))
+    # the rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i.
+    # The sum wraps modulo 2^8, 2^16 or 2^32 in the dtype of 2x, which keeps
+    # its residue mod 4.
+    kpp = k.second_half
+    turns = np.zeros(terms.shape[0], dtype=twice_x.dtype)
+    for i in range(z.g):
+        if (kpp >> i) & 1:
+            turns += twice_x[i]
+    turns &= 3
+    units = _QUARTER_TURNS[turns]
+    value = complex(np.add.reduce(np.multiply(terms, units, out=units)))
+    if z.shift is not None:
+        bits = [i for i in range(z.g) if (kp >> i) & 1]
+        value = _times_i_power(
+            value, sum(z.shift[i][j] for i in bits for j in bits))
     bound = memo.tail + 1000.0 * _EPS_MACH * terms.shape[0]
     return value, bound
+
+
+def _times_i_power(value: complex, power: int) -> complex:
+    """value * i^power, exactly: the parts are swapped and negated."""
+    re, im = value.real, value.imag
+    for _ in range(power & 3):
+        re, im = -im, re
+    return complex(re, im)
 
 
 def siegel_act(m: IntSymplectic, z: SiegelMatrix) -> SiegelMatrix:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -265,6 +266,26 @@ class TestTheta:
         assert code == 0
         assert rep["value"][0] == pytest.approx(1.0864348112133082, abs=1e-12)
         assert rep["bound"] < 1e-10
+
+    def test_eval_huge_real_part_within_its_bound(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"z": {"g": 1, "re": [[1e6]], "im": [[1.0]]}, "k": [0, 0]}))
+        code, rep = run_json(capsys, ["theta", "eval", "--input", str(path),
+                                      "--eps", "1e-12"])
+        assert code == 0
+        err = abs(complex(*rep["value"]) - math.pi ** 0.25 / math.gamma(0.75))
+        assert err <= rep["bound"]
+
+    def test_eval_asymmetric_imaginary_under_huge_real_exits_3(
+            self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"z": {"g": 2, "re": [[1e12, 0], [0, 0]],
+                   "im": [[1, 0.5], [0.1, 1]]}, "k": [0, 0, 0, 0]}))
+        err = assert_refused(capsys, ["theta", "eval", "--input", str(path)],
+                             code=3)
+        assert "not symmetric" in err
 
     def test_transform(self, capsys, tmp_path):
         path = tmp_path / "t.json"

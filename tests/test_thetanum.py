@@ -61,6 +61,28 @@ class TestSiegelMatrix:
         with pytest.raises(DomainError):
             SiegelMatrix([[1j, 1.0], [0.0, 1j]])
 
+    @pytest.mark.parametrize("re, im", [
+        # Im is averaged to 0.3 if its skew is judged against 1e12
+        ([[1e12, 0], [0, 0]], [[1, 0.5], [0.1, 1]]),
+        ([[0, 0.5], [0.1, 0]], [[1e12, 0], [0, 1]]),
+    ])
+    def test_rejects_asymmetric_part_under_a_huge_other_part(self, re, im):
+        with pytest.raises(DomainError, match="not symmetric"):
+            SiegelMatrix(np.array(re) + 1j * np.array(im))
+
+    def test_real_part_reduced_by_twice_an_integer_matrix(self):
+        re = np.array([[1e12 + 0.5, -3.0, 1e300],
+                       [-3.0, -2.75, 1.0],
+                       [1e300, 1.0, -0.0]])
+        z = SiegelMatrix(re + 1j * np.eye(3))
+        shift = [[1e12 // 2, -2, 1e300 / 2], [-2, -1, 0], [1e300 / 2, 0, 0]]
+        assert np.array_equal(z.reduced.real, re - 2 * np.array(shift))
+        assert np.array_equal(z.reduced.imag, np.eye(3))
+        assert np.all(np.abs(z.reduced.real) <= 1)
+        assert z.shift == ((0, 2, 0), (2, 3, 0), (0, 0, 0))
+        flat = SiegelMatrix([[1 + 1j, -1.0], [-1.0, -0.0 + 1j]])
+        assert flat.shift is None and flat.reduced is flat.z
+
     def test_rejects_indefinite_imaginary(self):
         with pytest.raises(DomainError):
             SiegelMatrix([[-1j]])
@@ -663,9 +685,13 @@ class TestSharedTerms:
         theta_constant(z, F2Vector(3, 0b000_101), 1e-10)
         memo = thetanum._LATTICE
         terms, twice_x = memo.cosets[0b101]
-        quad, want_twice_x = thetanum._coset(z, memo.r, 0b101)
-        assert terms.tobytes() == np.exp(1j * math.pi * quad).tobytes()
+        quad, fold, want_twice_x = thetanum._coset(z, memo.r, 0b101)
+        assert terms.tobytes() == np.exp(1j * math.pi * quad)[fold].tobytes()
         assert twice_x.tobytes() == want_twice_x.tobytes()
+        # one exp per +-x pair gives the exp of every point, bit for bit
+        want_quad = _reference_coset(z, memo.r, 0b101)[1]
+        assert terms.tobytes() == \
+            np.exp(1j * math.pi * want_quad).tobytes()
         # the other seven k'' of that k' reuse the same arrays
         for kpp in range(8):
             theta_constant(z, F2Vector(3, 0b101 | kpp << 3), 1e-10)
@@ -692,15 +718,17 @@ class TestSharedTerms:
 
 class TestCosetEnumeration:
     """_coset against the meshgrid reference, byte for byte, at radii
-    where lattice points sit on the sphere or just outside the box."""
+    where lattice points sit on the sphere or just outside the box; the
+    full x^T Z x is the half one read through the fold."""
 
     @staticmethod
     def _assert_same(z, r):
         dtype = np.min_scalar_type(-2 * math.ceil(r) - 1)
         for kp in range(1 << z.g):
-            quad, twice_x = thetanum._coset(z, r, kp)
+            quad, fold, twice_x = thetanum._coset(z, r, kp)
             x, want_quad = _reference_coset(z, r, kp)
-            assert quad.tobytes() == want_quad.tobytes(), kp
+            assert quad[fold].tobytes() == want_quad.tobytes(), kp
+            assert quad.size <= -(-x.shape[0] // 2) + 1
             assert twice_x.dtype == dtype
             assert twice_x.shape == (z.g, x.shape[0])
             assert twice_x.tobytes() == \
@@ -718,7 +746,7 @@ class TestCosetEnumeration:
         z = random_siegel(g, random.Random(80 + g))
         self._assert_same(z, r)
         twice = np.array(point) * 2
-        found = (thetanum._coset(z, r, kp)[1].T == twice).all(axis=1).any()
+        found = (thetanum._coset(z, r, kp)[2].T == twice).all(axis=1).any()
         assert found == kept
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5])
@@ -727,7 +755,8 @@ class TestCosetEnumeration:
         # a few roundings of sum_jk |x_j Z_jk x_k|
         z = random_siegel(g, random.Random(90 + g), min_im=0.3)
         r = thetanum._radius(z, 1e-10, 1.0)[0]
-        quad, twice_x = thetanum._coset(z, r, (1 << g) - 2)
+        half_quad, fold, twice_x = thetanum._coset(z, r, (1 << g) - 2)
+        quad = half_quad[fold]
         x = twice_x.T / 2
         want = np.einsum("ij,jk,ik->i", x, z.z, x)
         scale = np.einsum("ij,jk,ik->i", np.abs(x), np.abs(z.z), np.abs(x))
@@ -787,16 +816,17 @@ class TestBallCache:
     def test_point_in_the_slack_left_out_of_a_warm_ball(self):
         z = random_siegel(1, random.Random(81))
         thetanum._coset(z, 9.0, 1)
-        twice_x = thetanum._coset(z, 1.5 - 1e-14, 1)[1]
+        twice_x = thetanum._coset(z, 1.5 - 1e-14, 1)[2]
         assert twice_x.tolist() == [[-1, 1]]
-        assert thetanum._coset(z, 1.5, 1)[1].tolist() == [[-1, 1, -3, 3]]
+        assert thetanum._coset(z, 1.5, 1)[2].tolist() == [[-1, 1, -3, 3]]
 
     def test_coset_shares_the_cached_points(self):
         z = random_siegel(2, random.Random(82))
-        twice_x = thetanum._coset(z, 3.0, 0b01)[1]
+        _quad, fold, twice_x = thetanum._coset(z, 3.0, 0b01)
         ball = thetanum._BALLS[2, 0b01]
         assert np.shares_memory(twice_x, ball.twice_x)
-        assert thetanum._coset(z, 2.0, 0b01)[1].base is ball.twice_x
+        assert np.shares_memory(fold, ball.fold)
+        assert thetanum._coset(z, 2.0, 0b01)[2].base is ball.twice_x
         # the norms are held once per value, not per point
         assert ball.norms.size < ball.twice_x.shape[1]
         assert ball.ends.size == ball.norms.size + 1
@@ -849,3 +879,140 @@ class TestBallCache:
         ball = thetanum._BALLS[1, 0]
         assert ball.nmax > 10 ** 13
         assert ball.norms.size <= ball.twice_x.shape[1] < 4_000_000
+
+
+def _assert_antipodal(twice_x, fold):
+    """Each shell of one norm in twice_x reads the same negated and
+    reversed, and fold numbers the first half of each shell in order and
+    sends each point of the second half to its mirror in the first."""
+    norm = (twice_x.astype(np.int64) ** 2).sum(axis=0)
+    assert np.all(np.diff(norm) >= 0)
+    starts = np.flatnonzero(np.diff(norm, prepend=-1)).tolist()
+    want, number = [], 0
+    for s, e in zip(starts, starts[1:] + [norm.size]):
+        shell = twice_x[:, s:e]
+        assert np.array_equal(shell[:, ::-1], -shell)
+        want.extend(number + min(p, e - s - 1 - p) for p in range(e - s))
+        number += (e - s + 1) // 2
+    assert fold.tolist() == want
+
+
+@pytest.mark.usefixtures("cold_cache")
+class TestAntipodalFold:
+    """Each coset is folded onto the first half of each shell of one norm:
+    x^T Z x and exp are computed there, and the fold reads them at every
+    point, bit for bit as a term per point."""
+
+    @pytest.mark.parametrize("g, radii", [
+        # growing, then shrinking into the slack of the sphere, where the
+        # box removes points at x_i = 3/2 or x_i = 2
+        (1, (2.5, 9.0, 1.5 - 1e-14, 2.0 - 1e-14, 4.0)),
+        (2, (1.0, 3.5, 2.0 - 1e-14, 1.5 - 1e-14, 2.5)),
+        (3, (3.0, 1.5 - 1e-14, 2.0 - 1e-14, 1.0, 3.5)),
+        (4, (2.0 - 1e-14, 2.5, 1.5 - 1e-14, 1.0)),
+        (5, (1.0, 2.0, 1.5 - 1e-14, 2.0 - 1e-14)),
+        (6, (2.0, 1.5 - 1e-14, 1.0, 2.0 - 1e-14)),
+    ])
+    def test_shells_read_the_same_negated_and_reversed(self, g, radii):
+        z = random_siegel(g, random.Random(120 + g), min_im=0.5)
+        boxed = 0
+        for r in radii:
+            for kp in range(1 << g):
+                quad, fold, twice_x = thetanum._coset(z, r, kp)
+                ball = thetanum._BALLS[g, kp]
+                _assert_antipodal(ball.twice_x, ball.fold)
+                assert ball.fold.dtype == \
+                    np.min_scalar_type(ball.twice_x.shape[1])
+                _assert_antipodal(twice_x, fold)
+                assert quad.size == (fold.max() + 1 if fold.size else 0)
+                want_quad = _reference_coset(z, r, kp)[1]
+                assert quad[fold].tobytes() == want_quad.tobytes()
+                nmax = math.floor(4 * (r * r + 1e-12))
+                norm = (ball.twice_x.astype(np.int64) ** 2).sum(axis=0)
+                boxed += int(np.count_nonzero(norm <= nmax) > fold.size)
+        assert boxed > 0
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_quad_form_sees_half_of_each_coset(self, g, monkeypatch):
+        columns = []
+        quad_form = thetanum._quad_form
+
+        def counting(xt, z):
+            columns.append(xt.shape[1])
+            return quad_form(xt, z)
+        monkeypatch.setattr(thetanum, "_quad_form", counting)
+        z = random_siegel(g, random.Random(130 + g), min_im=0.5)
+        for kp in range(1 << g):
+            columns.clear()
+            theta_constant(z, F2Vector(g, kp), 1e-10)
+            n = thetanum._LATTICE.cosets[kp][0].size
+            assert len(columns) == 1 and columns[0] <= -(-n // 2) + 1
+
+    def test_phase_sum_past_int8(self):
+        # r is about 55: each |2x_i| fits int8, but 2x_1 + 2x_2 does not,
+        # and wraps mod 2^8 in the phase sum
+        z = SiegelMatrix([[0.25 + 0.003j, 0.125], [0.125, -0.5 + 0.003j]])
+        for k in all_characteristics(2):
+            assert _bits(theta_constant(z, k, 1e-8)) == \
+                _bits(_reference_theta(z, k, 1e-8)), k
+        twice_x = thetanum._LATTICE.cosets[0][1]
+        assert twice_x.dtype == np.int8
+        assert np.abs(twice_x.astype(np.int64).sum(axis=0)).max() > 128
+
+
+def _quarter_turns(value, power):
+    return value * (1j ** (power % 4))
+
+
+class TestRealPartShift:
+    """theta[k](Z + 2S) = i^(k'^T S k') theta[k](Z) for integer symmetric
+    S: the series is summed at Re Z - 2 round(Re Z / 2), in [-1, 1]."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_shift_by_twice_an_integer_matrix(self, g):
+        rng = random.Random(140 + g)
+        for _ in range(4):
+            base = random_siegel(g, rng, min_im=0.6).z
+            # dyadic real parts in [-2, 2], so that Z + 2S is exact
+            re = np.round(base.real * 2 * 1024) / 1024
+            z = SiegelMatrix(re + 1j * base.imag)
+            s = np.zeros((g, g), dtype=np.int64)
+            for i in range(g):
+                for j in range(i, g):
+                    s[i, j] = s[j, i] = rng.choice(
+                        [rng.randrange(-10 ** 9, 10 ** 9 + 1), 10 ** 9,
+                         -10 ** 9, rng.randrange(-3, 4)])
+            moved = SiegelMatrix(z.z + 2 * s)
+            assert np.array_equal(moved.z.real - 2 * s, z.z.real)
+            for k in all_characteristics(g):
+                kp = np.array(k.to_list()[:g])
+                v, b = theta_constant(z, k, 1e-10)
+                mv, mb = theta_constant(moved, k, 1e-10)
+                want = _quarter_turns(v, int(kp @ s @ kp))
+                assert abs(mv - want) <= b + mb, (k, s)
+                ref, ref_bound = _reference_theta(z, k, 1e-10)
+                assert abs(mv - _quarter_turns(ref, int(kp @ s @ kp))) \
+                    <= mb + ref_bound, (k, s)
+
+    @pytest.mark.parametrize("re", [1e6, 1e9, -1e9, 2.0 ** 60, 1e300])
+    def test_huge_real_part_genus_one(self, re):
+        # theta[0](tau + 2n) = theta[0](tau); the direct sum at Re = 1e6 is
+        # off by 1.9e-11 against a bound of 1.55e-12
+        value, bound = theta_constant(SiegelMatrix([[re + 1j]]),
+                                      F2Vector(1, 0), 1e-12)
+        assert abs(value - math.pi ** 0.25 / math.gamma(0.75)) <= bound
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_bit_identical_within_unit_real_part(self, g):
+        rng = random.Random(150 + g)
+        im = random_siegel(g, rng, min_im=0.5).z.imag
+        edge = [1.0, -1.0, -0.0, 0.5, -0.5, 0.999]
+        re = np.zeros((g, g))
+        for i in range(g):
+            for j in range(i, g):
+                re[i, j] = re[j, i] = rng.choice(edge)
+        z = SiegelMatrix(re + 1j * im)
+        assert z.shift is None and z.reduced is z.z
+        for k in all_characteristics(g):
+            assert _bits(theta_constant(z, k, 1e-10)) == \
+                _bits(_reference_theta(z, k, 1e-10))
