@@ -3,12 +3,18 @@
 Every subcommand prints one JSON report (sorted keys, so a fixed config
 yields byte-identical output) to stdout or --output.  Exit codes: 0 pass,
 1 verification failure, 2 malformed input, 3 domain violation or resource
-cap.
+cap.  An input file that is not UTF-8 is malformed input; one past the
+JSON decoder's own limits (nesting depth, digits of an integer) is a
+resource cap.
+
+main(argv) may be called many times in one process: the parser is built
+on the first call and reused, and each call is independent of the others.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -18,9 +24,9 @@ from . import __version__
 from .bielliptic import verify_witnesses
 from .errors import DomainError, MalformedInputError, ResourceCapError
 from .f2core import F2Vector
-from .hyperelliptic import (char_to_partition, class_counts,
-                            formula_agreement, std_labeling, trans_config,
-                            vanishing_thetanulls)
+from .hyperelliptic import (_labels, _vanishing_rows, char_to_partition,
+                            class_counts, formula_agreement, std_labeling,
+                            trans_config)
 from .orbits import (OrbitClass, Quadruple, census_report, classify,
                      classify_by_delta, delta_parities)
 from .quadforms import characteristic_counts
@@ -33,11 +39,20 @@ from .verify import run_all
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
+    # the decoder's own limits: nesting depth, and the digits of an integer
+    # (a ValueError, as JSONDecodeError is)
+    except (RecursionError, ValueError) as exc:
+        raise ResourceCapError(
+            f"{path} is past the JSON decoder's limits: {exc}") from exc
 
 
 def _ascii_int(text: str) -> int:
@@ -89,7 +104,7 @@ def cmd_enumerate(args) -> dict:
     if 2 <= g <= 6:
         (report["classes"], report["even_classes"],
          report["odd_classes"]) = class_counts(g)
-        report["vanishing"] = len(vanishing_thetanulls(std_labeling(g)))
+        report["vanishing"] = _vanishing_rows(std_labeling(g))[0].size
         report["formula_agreement"] = formula_agreement(g)
     return report
 
@@ -131,12 +146,9 @@ def cmd_hyperelliptic(args) -> dict:
         return {"classes": classes, "even": even, "odd": odd,
                 "formula_agreement": formula_agreement(g)}
     if args.action == "vanishing":
-        vanishing = vanishing_thetanulls(label)
-        return {
-            "count": len(vanishing),
-            "classes": sorted(sorted(char_to_partition(k, label).labels)
-                              for k in vanishing),
-        }
+        masks = _vanishing_rows(label)[1].tolist()
+        return {"count": len(masks),
+                "classes": sorted(_labels(m, g) for m in masks)}
     # cut: the thetanull configuration through a point set S
     if args.points is None:
         raise MalformedInputError("cut requires --points")
@@ -216,7 +228,13 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by all later ones.  Sharing is safe as parse_args keeps no state in
+    the parser: every default is immutable, every type= a pure function,
+    and _Parser.error raises before anything is kept.  It holds no
+    handler either: main looks up cmd_<subcommand> at each call."""
     parser = _Parser(
         prog="thetanulls",
         description="Theta characteristics, orbit classification and "
@@ -228,42 +246,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="characteristic and class counts")
     p.add_argument("--genus", type=_ascii_int, required=True)
     p.add_argument("--parity", choices=["even", "odd"])
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="orbit label of a quadruple")
     p.add_argument("--genus", type=_ascii_int)
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("orbit-census", help="full census of quadruples")
     p.add_argument("--genus", type=_ascii_int, required=True)
-    p.set_defaults(func=cmd_orbit_census)
 
     p = sub.add_parser("hyperelliptic", help="partition model reports")
     p.add_argument("action", choices=["counts", "vanishing", "cut"])
     p.add_argument("--genus", type=_ascii_int, required=True)
     p.add_argument("--points", help="comma-separated branch labels for cut")
-    p.set_defaults(func=cmd_hyperelliptic)
 
     p = sub.add_parser("bielliptic", help="witness verification")
     p.add_argument("action", choices=["verify"])
-    p.set_defaults(func=cmd_bielliptic)
 
     p = sub.add_parser("theta", help="certified theta computations")
     p.add_argument("action", choices=["eval", "transform", "split"])
     p.add_argument("--input", required=True)
     p.add_argument("--eps", type=_ascii_eps, default=1e-10)
-    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("transversal", help="rank certificate for a node set")
     p.add_argument("--genus", type=_ascii_int, required=True)
     p.add_argument("--nodes", required=True)
     p.add_argument("--points", required=True)
-    p.set_defaults(func=cmd_transversal)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     p.add_argument("--seed", type=_ascii_int, default=0)
-    p.set_defaults(func=cmd_verify_all)
 
     return parser
 
@@ -289,9 +299,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = {k: v for k, v in vars(args).items()
-                  if k not in ("func", "output") and v is not None}
+                  if k != "output" and v is not None}
         report = {"version": __version__, "config": config}
-        report.update(args.func(args))
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        report.update(handler(args))
         _emit(report, args.output)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

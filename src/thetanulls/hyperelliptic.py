@@ -20,8 +20,8 @@ pairings with the images as one row product).  Each takes a plain Python
 int (past int64 too: masks have 2g+2 bits, 66 at g = 32) or a broadcast
 numpy int64 array alike, so PartitionClass, the labeling check,
 torsor_base, the image table of all 4^g characteristics, the class counts
-and the vanishing set all read the same rules; PartitionClass objects are
-built only for single classes.
+and the vanishing rows of that table all read the same rules;
+PartitionClass objects are built only for single classes.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ def _h0(m, g: int):
     """h0 of classes with valid support, from either representative:
     (g + 1 - min(|A|, 2g+2 - |A|)) / 2 = |g + 1 - |A|| / 2."""
     return abs(_popcount(m) - (g + 1)) // 2
+
+
+def _labels(m: int, g: int) -> list[int]:
+    """The labels of the set bits of a plain int mask, in increasing order."""
+    return [i + 1 for i in range(2 * g + 2) if (m >> i) & 1]
 
 
 def _closed_form_parity(m):
@@ -83,8 +88,7 @@ class PartitionClass:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(2 * self.g + 2)
-                     if (self.mask >> i) & 1)
+        return tuple(_labels(self.mask, self.g))
 
     def cardinality(self) -> int:
         return _popcount(self.mask)
@@ -289,14 +293,23 @@ def char_table(label: ComponentLabel) -> np.ndarray:
                       label.g)
 
 
+def _vanishing_rows(label: ComponentLabel) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of char_table(label) of even characteristics whose class
+    has h0 >= 2: their indices k.bits and their canonical masks, in
+    increasing order of k.bits."""
+    g = label.g
+    table = char_table(label)
+    ks = np.arange(table.size, dtype=np.int64)
+    rows = np.flatnonzero((_q0(ks, g) == 0) & (_h0(table, g) >= 2))
+    return rows, table[rows]
+
+
 def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
     """Even characteristics whose class has h0 >= 2 (the thetanulls that
     vanish identically on the hyperelliptic component), selected over the
     image table of all characteristics."""
-    g = label.g
-    ks = np.arange(1 << (2 * g), dtype=np.int64)
-    hit = (_q0(ks, g) == 0) & (_h0(char_table(label), g) >= 2)
-    return {F2Vector(g, int(bits)) for bits in np.flatnonzero(hit)}
+    return {F2Vector(label.g, bits)
+            for bits in _vanishing_rows(label)[0].tolist()}
 
 
 def trans_config(label: ComponentLabel,

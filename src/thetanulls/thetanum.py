@@ -326,10 +326,22 @@ def _ball(g: int, kp: int, nmax: int) -> _Ball:
     y, norm = _lex_ball(g, kp, nmax)
     # a stable sort on keys of at most 16 bits is a radix sort
     norm = norm.astype(np.min_scalar_type(nmax), copy=False)
-    twice_x = y[np.argsort(norm, kind="stable")].T.copy()
-    # one norm per distinct value, not per point, keeps the cache small
-    norms, counts = np.unique(norm, return_counts=True)
-    return _Ball(nmax, twice_x, norms, *_fold(counts))
+    order = np.argsort(norm, kind="stable")
+    norm = norm[order]
+    y = y[order]
+    # order and y go once used, so the build's peak memory stays that of
+    # the gather y[order]
+    del order
+    twice_x = y.T.copy()
+    del y
+    # one norm per distinct value, not per point, keeps the cache small:
+    # a shell starts where the sorted norms step up
+    step = np.empty(norm.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(norm[1:], norm[:-1], out=step[1:])
+    starts = np.flatnonzero(step)
+    return _Ball(nmax, twice_x, norm[starts],
+                 *_fold(np.append(starts, norm.size)))
 
 
 def _lex_ball(g: int, kp: int,
@@ -358,17 +370,18 @@ def _lex_ball(g: int, kp: int,
     return y, norm
 
 
-def _fold(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ends and fold (_Ball) of a ball whose shells hold counts points.
+def _fold(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ends and fold (_Ball) of a ball whose shells start at ends[:-1] and
+    which holds ends[-1] points.
 
     Every shell but the origin's has an even count, so floor(s/2) points
     of the second halves precede a shell starting at s, and the point at
     p numbers min(p, 2s + e - 1 - p) - floor(s/2) in the half ball.  It is
     built in the dtype of a point index, not in int64, which keeps the
     build's peak memory down."""
-    index = np.min_scalar_type(int(counts.sum()))
-    ends = np.concatenate(([0], np.cumsum(counts))).astype(index)
-    counts = counts.astype(index)
+    index = np.min_scalar_type(int(ends[-1]))
+    ends = ends.astype(index)
+    counts = np.diff(ends)
     start = np.repeat(ends[:-1], counts)
     mirror = np.repeat(ends[1:] - 1, counts)
     mirror += start

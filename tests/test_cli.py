@@ -3,11 +3,16 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from thetanulls import cli, verify
 from thetanulls.cli import main
+from thetanulls.hyperelliptic import char_to_partition, h0, std_labeling
+from thetanulls.quadforms import even_characteristics
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -570,3 +575,130 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert (rep["even"], rep["odd"]) == (3, 1)
+
+
+@pytest.fixture
+def fresh_parser():
+    """No parser kept from earlier calls, and none kept after the test."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def readme_requests(workdir):
+    """The README's command block as argv lists; each json block of the
+    README is written to workdir as the input file named last before it."""
+    text = README.read_text(encoding="utf-8")
+    pos = 0
+    for block in re.finditer(r"```json\n(.*?)```", text, re.S):
+        name = re.findall(r"`(\w+\.json)`", text[pos:block.start()])[-1]
+        (workdir / name).write_text(block.group(1), encoding="utf-8")
+        pos = block.end()
+    commands = re.search(r"## Command line\n.*?```sh\n(.*?)```", text,
+                         re.S).group(1)
+    return [line.split()[1:] for line in commands.splitlines()]
+
+
+# the command-line refusals of the CI bad-invocation loop (its --points
+# texts at genus 6), each refused --eps text of this file and an unknown
+# subcommand
+REFUSALS = (
+    [["verify-all", "--seed", "-1"],
+     ["--output", "/missing/dir/x.json", "enumerate", "--genus", "2"],
+     ["--output", ".", "enumerate", "--genus", "2"],
+     ["enumerate", "--genus", "\u0663"],
+     ["verify-all", "--seed", "1_0"],
+     ["bogus"]]
+    + [["theta", action, "--input", "theta.json", f"--eps={eps}"]
+       for action in ("eval", "transform", "split")
+       for eps in ("nan", "inf", "-inf", "0", "-1e-3", "1_0e-9",
+                   "\u0661e-9", "1e-\uff19", " 1e-9", "0x1p-30", "1e-400",
+                   "1e999", "infinity", "1e-9j")]
+    + [cmd + ["--points", points]
+       for cmd in (["hyperelliptic", "cut", "--genus", "6"],
+                   ["transversal", "--genus", "6", "--nodes", "nodes.json"])
+       for points in ("1_0,2,3,4", "\u0663,2,3,4", "\uff13,2,3,4",
+                      ",1,,2,")])
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestSharedParser:
+    def test_built_once_for_twenty_calls(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        for _ in range(10):
+            assert run_cli(capsys, ["enumerate", "--genus", "2"])[0] == 0
+            assert_refused(capsys, ["enumerate", "--genus", "\u0663"])
+        # the sub-parsers are built as part of the one parser
+        assert built.count("thetanulls") == 1
+
+    def test_handler_is_looked_up_at_each_call(self, capsys, monkeypatch):
+        # a handler rebound after the parser is built, as a tracer does,
+        # is the one a later call runs
+        assert run_cli(capsys, ["enumerate", "--genus", "2"])[0] == 0
+        monkeypatch.setattr(cli, "cmd_enumerate", lambda args: {"pass": False})
+        assert run_cli(capsys, ["enumerate", "--genus", "2"])[0] == 1
+
+    def test_refusals_leave_the_readme_requests_as_in_a_fresh_process(
+            self, capsys, tmp_path, monkeypatch):
+        requests = readme_requests(tmp_path)
+        assert len(requests) == 12
+        monkeypatch.chdir(tmp_path)
+        for argv in REFUSALS:
+            assert_refused(capsys, argv)
+        for argv in requests:
+            code, out, _ = run_cli(capsys, argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "thetanulls.cli", *argv],
+                cwd=tmp_path, capture_output=True)
+            assert code == fresh.returncode == 0, argv
+            assert out.encode() == fresh.stdout, argv
+
+
+def _reference_vanishing(g):
+    """Labels of the classes of the even characteristics with h0 >= 2, one
+    characteristic at a time through char_to_partition."""
+    label = std_labeling(g)
+    classes = (char_to_partition(k, label) for k in even_characteristics(g))
+    return sorted(list(t.labels) for t in classes if h0(t) >= 2)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_vanishing_reports_match_the_per_characteristic_reference(capsys,
+                                                                   g):
+    want = _reference_vanishing(g)
+    code, rep = run_json(capsys, ["hyperelliptic", "vanishing",
+                                  "--genus", str(g)])
+    assert code == 0
+    assert rep["classes"] == want and rep["count"] == len(want)
+    code, rep = run_json(capsys, ["enumerate", "--genus", str(g)])
+    assert code == 0 and rep["vanishing"] == len(want)
+
+
+# (file bytes, exit code): a file that is not UTF-8 is malformed input, one
+# past the JSON decoder's nesting or integer-digit limit a resource cap
+BAD_FILES = [
+    pytest.param(b"\xff", 2, id="not-utf8"),
+    pytest.param(b"[" * 200000 + b"]" * 200000, 3, id="deep-nesting"),
+    pytest.param(b'{"g": 3, "nodes": [' + b"9" * 5000 + b"]}", 3,
+                 id="5000-digits"),
+]
+
+
+@pytest.mark.parametrize("data, code", BAD_FILES)
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--input"],
+    ["classify", "--input"],
+    ["transversal", "--genus", "3", "--points", "1", "--nodes"],
+])
+def test_undecodable_input_file_is_one_error_line(capsys, tmp_path, argv,
+                                                  data, code):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    err = assert_refused(capsys, argv + [str(path)], code=code)
+    assert str(path) in err

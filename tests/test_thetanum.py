@@ -813,6 +813,27 @@ class TestBallCache:
         assert sorted(thetanum._BALLS) == [(g, kp) for kp in range(1 << g)]
         assert all(ball.nmax == nmax for ball in thetanum._BALLS.values())
 
+    @pytest.mark.parametrize("g, radii", [
+        # r = 0.25 leaves every coset but k' = 0 empty
+        (1, (0.25, 1.0, 4.0, 30.0)),
+        (2, (0.25, 1.0, 2.5, 6.0)),
+        (3, (0.25, 1.0, 2.0, 3.5)),
+        (4, (0.25, 1.0, 2.0, 2.5)),
+        (5, (0.25, 1.0, 1.5, 2.0)),
+    ])
+    def test_shells_are_those_of_np_unique(self, g, radii):
+        z = random_siegel(g, random.Random(140 + g), min_im=0.5)
+        for r in radii:
+            for kp in range(1 << g):
+                thetanum._coset(z, r, kp)
+                ball = thetanum._BALLS[g, kp]
+                norm = (ball.twice_x.astype(np.int64) ** 2).sum(axis=0)
+                norms, counts = np.unique(norm, return_counts=True)
+                assert ball.norms.dtype == np.min_scalar_type(ball.nmax)
+                assert ball.norms.tolist() == norms.tolist()
+                assert ball.ends.dtype == np.min_scalar_type(norm.size)
+                assert ball.ends.tolist() == [0, *np.cumsum(counts).tolist()]
+
     def test_point_in_the_slack_left_out_of_a_warm_ball(self):
         z = random_siegel(1, random.Random(81))
         thetanum._coset(z, 9.0, 1)
