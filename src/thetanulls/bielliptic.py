@@ -11,16 +11,16 @@ class (f_a ^ f_b ^ f_s, t_a ^ t_b ^ t_s): two fixed points coincide, and
 the xor picks the remaining one.
 
 One kernel reads this rule off fixed points and twists, as plain ints or
-broadcast numpy arrays, for pairing, triple_sum_is_zero and
-classify_bielliptic (at all four bases, which must agree).  realization()
-maps the model to 40 even masks in F_2^12 and checks once per process, in
-one array pass, that q0 of every three-mask sum is the combo's parity;
-realize_in_f2 is a lookup into that table.
+broadcast numpy arrays, for the pairings and the dependence of the
+differences, and so for the orbit class (classify_bielliptic, at all four
+bases, which must agree).  realization() maps the model to 40 even masks
+in F_2^12 and checks once per process, in one array pass, that q0 of every
+three-mask sum is the combo's parity; realize_in_f2 is a lookup into that
+table.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -64,11 +64,6 @@ class BChar:
         return cls(fp, tw)
 
 
-class Decision(enum.Enum):
-    YES = "yes"
-    NO = "no"
-
-
 def all_chars() -> list[BChar]:
     return [BChar(i, t) for i in range(1, 11) for t in range(4)]
 
@@ -98,25 +93,6 @@ def _code_at_base(s, x, y, z):
 def _check_distinct(chars: Sequence[BChar]) -> None:
     if len(set(chars)) != len(chars):
         raise DomainError("characteristics must be pairwise distinct")
-
-
-def pairing(base: BChar, a_src: BChar, b_src: BChar) -> int:
-    """<a_src - base, b_src - base>; equals the parity of the combo
-    a_src + b_src - base because the three class parities vanish."""
-    _check_distinct([base, a_src, b_src])
-    return _combo(*((c.fixed_point, c.twist) for c in (a_src, b_src, base)))[0]
-
-
-def triple_sum_is_zero(base: BChar, a: BChar, b: BChar, c: BChar) -> Decision:
-    """Decide (a-base) + (b-base) + (c-base) = 0.
-
-    The sum vanishes iff a + b - base = c as classes (using 2*base =
-    canonical = 2*c), that is iff the class code at base is A1's.  Each of
-    the three plus-pair splits decides; their answers must agree.
-    """
-    _check_distinct([base, a, b, c])
-    code = _code_at_base(*((k.fixed_point, k.twist) for k in (base, a, b, c)))
-    return Decision.YES if code == 0 else Decision.NO
 
 
 def witness_quadruples() -> list[tuple[tuple[BChar, BChar, BChar, BChar],

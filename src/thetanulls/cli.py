@@ -3,9 +3,9 @@
 Every subcommand prints one JSON report (sorted keys, so a fixed config
 yields byte-identical output) to stdout or --output.  Exit codes: 0 pass,
 1 verification failure, 2 malformed input, 3 domain violation or resource
-cap.  An input file that is not UTF-8 is malformed input; one past the
-JSON decoder's own limits (nesting depth, digits of an integer) is a
-resource cap.
+cap.  An input file that is not UTF-8 is malformed input, and so is a
+path holding a NUL byte; a file past the JSON decoder's own limits
+(nesting depth, digits of an integer) is a resource cap.
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused, and each call is independent of the others.
@@ -44,6 +44,8 @@ def _load_json(path: str):
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path} is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # open refuses a path holding a NUL byte
+        raise MalformedInputError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -293,6 +295,8 @@ def _emit(report: dict, path) -> None:
             fh.write(text)
     except OSError as exc:
         raise MalformedInputError(f"cannot write {path}: {exc}") from exc
+    except ValueError as exc:  # open refuses a path holding a NUL byte
+        raise MalformedInputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -154,10 +154,6 @@ class F2Vector:
             raise DomainError(f"bits out of range for g={self.g}")
 
     @classmethod
-    def zero(cls, g: int) -> "F2Vector":
-        return cls(g, 0)
-
-    @classmethod
     def from_list(cls, coords: Sequence[int]) -> "F2Vector":
         if len(coords) % 2 or not coords:
             raise DomainError(f"coordinate list must have even positive "
@@ -186,20 +182,6 @@ class F2Vector:
     __xor__ = __add__
 
 
-def basis_e(g: int, i: int) -> F2Vector:
-    """e_i for 0 <= i < g: the i-th first-half standard basis vector."""
-    if not 0 <= i < g:
-        raise DomainError(f"basis index {i} out of range for g={g}")
-    return F2Vector(g, 1 << i)
-
-
-def basis_f(g: int, i: int) -> F2Vector:
-    """f_i for 0 <= i < g, with <e_i, f_j> = delta_ij."""
-    if not 0 <= i < g:
-        raise DomainError(f"basis index {i} out of range for g={g}")
-    return F2Vector(g, 1 << (g + i))
-
-
 def symplectic_pairing(a: F2Vector, b: F2Vector) -> int:
     if a.g != b.g:
         raise DomainError("pairing needs vectors of the same g")
@@ -209,16 +191,6 @@ def symplectic_pairing(a: F2Vector, b: F2Vector) -> int:
 def q0(v: F2Vector) -> int:
     """Standard quadratic form q0(v) = v'.v'' (mod 2)."""
     return _q0(v.bits, v.g)
-
-
-def span_dim(vectors: Iterable[F2Vector]) -> int:
-    vs = list(vectors)
-    if not vs:
-        return 0
-    g = vs[0].g
-    if any(v.g != g for v in vs):
-        raise DomainError("span_dim needs vectors of the same g")
-    return _rank_int(v.bits for v in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +214,6 @@ def _preserves_pairing(rows: Sequence[int], g: int) -> bool:
     n = 2 * g
     return all(_pair(rows[i], rows[j], g) == (j - i == g)
                for i in range(n) for j in range(i + 1, n))
-
-
-def is_symplectic(matrix: Sequence[Sequence[int]]) -> bool:
-    """True iff the square 0/1 matrix preserves the symplectic pairing,
-    checked on its row masks by the same predicate as SymplecticMap."""
-    g, rows = _rows_from_lists(matrix)
-    return _preserves_pairing(rows, g)
 
 
 @dataclass(frozen=True)
@@ -288,9 +253,6 @@ class SymplecticMap:
     def apply_int(self, x: int) -> int:
         return _dot_rows(self.rows, x)
 
-    def column(self, j: int) -> int:
-        return _dot_rows(self.rows, 1 << j)
-
     def compose(self, other: "SymplecticMap") -> "SymplecticMap":
         """Matrix product self @ other (apply other first): row i is the
         XOR of other's rows j over the set bits j of self's row i."""
@@ -300,15 +262,6 @@ class SymplecticMap:
                                            for r in self.rows))
 
     __matmul__ = compose
-
-    def inverse(self) -> "SymplecticMap":
-        # For a symplectic M the inverse is J M^T J, with J the half-swap
-        # permutation (the Gram matrix of the pairing over F_2): row i is
-        # column i + g (mod 2g) of M with its halves swapped.
-        g = self.g
-        n = 2 * g
-        return SymplecticMap(g, tuple(_swap_halves(self.column((i + g) % n), g)
-                                      for i in range(n)))
 
 
 def transvection(v: F2Vector) -> SymplecticMap:

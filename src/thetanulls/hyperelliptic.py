@@ -3,7 +3,8 @@
 Branch labels form W = {1, ..., 2g+2}; classes are subsets of W modulo
 complement, stored as the representative not containing 2g+2.  Addition is
 symmetric difference, parity is cardinality mod 2, and on even classes
-|A & B| mod 2 is a nondegenerate symplectic pairing.  A class T with
+|A & B| mod 2 is a nondegenerate symplectic pairing (the labeling check
+reads its Gram matrix as one row product of masks).  A class T with
 |T| = g+1 (mod 2) is a theta characteristic with
 
     h0 = (g + 1 - |T_red|) / 2 = |g + 1 - |T|| / 2,
@@ -55,8 +56,9 @@ def _labels(m: int, g: int) -> list[int]:
 
 
 def _closed_form_parity(m):
-    """(|A|+1)/2 mod 2 for odd |A| and |A|/2 mod 2 for even |A|: both are
-    floor((|A|+1)/2) mod 2."""
+    """(|A|+1)/2 mod 2 for odd |A| (even g) and |A|/2 mod 2 for even |A|
+    (odd g): both are floor((|A|+1)/2) mod 2, and both are complement
+    stable on their domain."""
     return ((_popcount(m) + 1) >> 1) & 1
 
 
@@ -98,20 +100,9 @@ class PartitionClass:
             raise DomainError("cannot add classes of different g")
         return PartitionClass(self.g, self.mask ^ other.mask)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.labels
-
 
 def partition_parity(a: PartitionClass) -> int:
     return a.cardinality() & 1
-
-
-def partition_pairing(a: PartitionClass, b: PartitionClass) -> int:
-    if a.g != b.g:
-        raise DomainError("pairing needs classes of the same g")
-    if partition_parity(a) or partition_parity(b):
-        raise DomainError("pairing is defined on even classes only")
-    return _popcount(a.mask & b.mask) & 1
 
 
 def _check_support(t: PartitionClass) -> None:
@@ -130,28 +121,6 @@ def theta_parity(t: PartitionClass) -> int:
     return h0(t) & 1
 
 
-def q_minus_parity(t: PartitionClass) -> int:
-    """The closed-form parity (|A|+1)/2 mod 2; needs |A| odd (g even).
-
-    Complement-stable on its domain; agrees with theta_parity iff
-    g = 2 (mod 4), e.g. at g = 6.
-    """
-    if t.cardinality() % 2 == 0:
-        raise DomainError("formula needs an odd-cardinality class")
-    return _closed_form_parity(t.mask)
-
-
-def q_plus_parity(t: PartitionClass) -> int:
-    """The closed-form parity |A|/2 mod 2; needs |A| even (g odd).
-
-    Complement-stable on its domain; agrees with theta_parity iff
-    g = 3 (mod 4), e.g. at g = 3.
-    """
-    if t.cardinality() % 2:
-        raise DomainError("formula needs an even-cardinality class")
-    return _closed_form_parity(t.mask)
-
-
 def _support_masks(g: int) -> np.ndarray:
     """Canonical masks of the classes T with |T| = g+1 (mod 2)."""
     masks = np.arange(1 << (2 * g + 1), dtype=np.int64)
@@ -166,9 +135,9 @@ def class_counts(g: int) -> tuple[int, int, int]:
 
 
 def formula_agreement(g: int) -> bool:
-    """Exhaustive check of the applicable closed-form parity (q_minus_parity
-    at even g, q_plus_parity at odd g) against h0 parity; diagnostic for the
-    convention mismatch at g = 0, 1 (mod 4)."""
+    """Exhaustive check of the closed-form parity against h0 parity over
+    the classes of valid support; it agrees at g = 2, 3 (mod 4), and the
+    mismatch at g = 0, 1 (mod 4) is a convention difference."""
     masks = _support_masks(g)
     return bool(np.array_equal(_closed_form_parity(masks),
                                _h0(masks, g) & 1))

@@ -39,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .f2core import F2Vector, SymplecticMap, _pair, _q0
-from .quadforms import _transvect_char, act_on_char, parity
+from .f2core import F2Vector, _pair, _q0
+from .quadforms import _transvect_char, parity
 
 
 class OrbitClass(enum.Enum):
@@ -166,11 +166,6 @@ def delta_parities(q: Quadruple) -> tuple[int, int, int, int]:
 def classify_by_delta(q: Quadruple) -> OrbitClass:
     """Classify through the parity signature; must agree with classify."""
     return _CLASSES[int(_delta_code(*_invariants(*_diff_masks(q, 3), q.g)))]
-
-
-def apply_map(q: Quadruple, m: SymplecticMap) -> Quadruple:
-    """Transport the quadruple along a symplectic map (char-level action)."""
-    return Quadruple(q.g, tuple(act_on_char(m, k) for k in q.chars))
 
 
 _BFS_MAX_G = 3

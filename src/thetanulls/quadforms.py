@@ -1,86 +1,28 @@
-"""Quadratic forms refining the symplectic pairing over GF(2).
+"""Theta characteristics as quadratic forms refining the symplectic
+pairing over GF(2).
 
-Every such form is q_a(v) = q0(v) + <a, v> for a unique shift vector a, so
-forms are stored by shift alone.  Characteristics k correspond to forms via
-shift = k, which makes parity(k) = arf(q_k) hold identically.  Symplectic
-maps act on characteristics by the closed form k -> M k + d(M), on
-F2Vector and on int masks, and a transvection acts by one rule on plain
-int masks and on mask arrays alike.  Every formula here reads the mask
-rules of f2core (pairing, q0 and the row product M x).
+Every such form is q_k(v) = q0(v) + <k, v> for a unique characteristic k,
+so a characteristic stands for its form, and its parity q0(k) is the Arf
+invariant of q_k.  Symplectic maps act on characteristics by the closed
+form k -> M k + d(M), on F2Vector and on int masks, and a transvection
+acts by one rule on plain int masks and on mask arrays alike.  Every
+formula here reads the mask rules of f2core (pairing, q0 and the row
+product M x).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .f2core import (
-    F2Vector,
-    SymplecticMap,
-    _dot_rows,
-    _pair,
-    _q0,
-    q0,
-    symplectic_pairing,
-)
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """The form q_a(v) = q0(v) + <a, v> with shift a."""
-
-    g: int
-    shift: F2Vector
-
-    def __post_init__(self) -> None:
-        if self.shift.g != self.g:
-            raise DomainError("shift vector has wrong g")
-
-    @classmethod
-    def standard(cls, g: int) -> "QuadraticForm":
-        return cls(g, F2Vector.zero(g))
-
-    def __call__(self, v: F2Vector) -> int:
-        return evaluate(self, v)
-
-    def shifted(self, j: F2Vector) -> "QuadraticForm":
-        """Torsor action of J_2: the form v -> q(v) + <j, v>."""
-        return QuadraticForm(self.g, self.shift + j)
-
-
-def evaluate(q: QuadraticForm, v: F2Vector) -> int:
-    if q.g != v.g:
-        raise DomainError("form/vector g mismatch")
-    return q0(v) ^ symplectic_pairing(q.shift, v)
-
-
-def arf(q: QuadraticForm) -> int:
-    """Arf invariant: sum of q(e_i) q(f_i) over a symplectic basis.
-
-    For shift a this collapses to q0(a): q(e_i) = a''_i and q(f_i) = a'_i.
-    """
-    return q0(q.shift)
+from .f2core import F2Vector, SymplecticMap, _dot_rows, _pair, _q0, q0
 
 
 def parity(k: F2Vector) -> int:
     """k'.k'' mod 2; 0 means even."""
     return q0(k)
-
-
-def char_to_form(k: F2Vector) -> QuadraticForm:
-    return QuadraticForm(k.g, k)
-
-
-def form_to_char(q: QuadraticForm) -> F2Vector:
-    return q.shift
-
-
-def act_on_form(m: SymplecticMap, q: QuadraticForm) -> QuadraticForm:
-    """The form v -> q(M^-1 v); its shift is act_on_char of q's shift."""
-    return char_to_form(act_on_char(m, form_to_char(q)))
 
 
 def act_on_char(m: SymplecticMap, k: F2Vector) -> F2Vector:
@@ -115,10 +57,6 @@ def _transvect_char(v, k, g: int):
 def all_characteristics(g: int) -> Iterator[F2Vector]:
     for bits in range(1 << (2 * g)):
         yield F2Vector(g, bits)
-
-
-def even_characteristics(g: int) -> Iterator[F2Vector]:
-    return (k for k in all_characteristics(g) if parity(k) == 0)
 
 
 def odd_characteristics(g: int) -> Iterator[F2Vector]:

@@ -57,7 +57,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .f2core import F2Vector, SymplecticMap
+from .f2core import F2Vector
 from .quadforms import _act_on_char_rows
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
@@ -408,14 +408,12 @@ def _coset(z: SiegelMatrix, r: float,
     as ||x||^2 = |y|^2 / 4 is exact.  The prefix of a larger ball in
     (norm, lex) order is the smaller ball in the same order, with its fold
     a prefix of the ball's, so a cached ball gives the points of a fresh
-    build; the half is where the fold steps up.  The box
-    n_i in [ceil(-r - k'_i/2), floor(r - k'_i/2)], that is
-    |y_i| <= 2 floor(r - k'_i/2) + k'_i, removes only points within the
-    1e-12 slack, and it is applied only where such a point can exist; it is
-    even in x, so it keeps both points of a pair or neither, and the fold
-    is renumbered onto the half points it keeps.  The cache
-    owns the points and quad is all that depends on Z; the 2x and fold
-    returned may be views of the cache."""
+    build; the half is where the fold steps up.  The points in the 1e-12
+    slack, r^2 < ||x||^2 <= r^2 + 1e-12, lie past r, where the tail bound
+    of r already covers them, so summing them keeps the certificate valid.
+    The cache owns the points
+    and quad is all that depends on Z; the 2x and fold returned may be
+    views of the cache."""
     nmax = math.floor(4 * (r * r + 1e-12))
     # one read of the slot, one tuple written: a racing call may store a
     # smaller ball, but each call cuts the ball it read
@@ -428,12 +426,6 @@ def _coset(z: SiegelMatrix, r: float,
     first = np.empty(cut, dtype=bool)
     first[:1] = True
     np.greater(fold[1:], fold[:-1], out=first[1:])
-    box = [2 * math.floor(r - bit / 2) + bit
-           for bit in ((kp >> i) & 1 for i in range(z.g))]
-    if math.isqrt(nmax) >= min(box) + 2:
-        inside = (np.abs(twice_x) <= np.array(box)[:, None]).all(axis=0)
-        fold = (np.cumsum(inside[first]) - 1)[fold[inside]]
-        twice_x, first = twice_x[:, inside], first[inside]
     half = twice_x.compress(first, axis=1)
     twice_x = twice_x.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
                              copy=False)
@@ -570,12 +562,6 @@ def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
     symplectic by construction.
     """
     return F2Vector(k.g, _act_on_char_rows(_form_rows(m), k.bits, k.g))
-
-
-def char_act_form_map(m: IntSymplectic) -> SymplecticMap:
-    """F_2 reduction of the characteristic action's linear part, as a
-    pairing-preserving map: (k', k'') -> (D k' + C k'', B k' + A k'')."""
-    return SymplecticMap(m.g, _form_rows(m))
 
 
 def _form_rows(m: IntSymplectic) -> tuple[int, ...]:

@@ -78,18 +78,10 @@ def _check_s(ns: NodeSet, s: Sequence[int]) -> list[int]:
     return sorted(labels)
 
 
-def quadratic_differential_divisor(ns: NodeSet, s: Sequence[int],
-                                   k: int) -> dict[int, int]:
-    """Multiplicity 1 at every node, plus 2 at each node of S minus k;
-    total degree 4g-4."""
-    labels = _check_s(ns, s)
-    if k not in labels:
-        raise DomainError(f"k={k} is not in S")
-    return _divisor(ns.g, labels, k)
-
-
 def _divisor(g: int, labels: Sequence[int], k: int) -> dict[int, int]:
-    """quadratic_differential_divisor for labels already checked."""
+    """The divisor of the quadratic differential of k in S (labels, already
+    checked): multiplicity 1 at every node, plus 2 at each node of S minus
+    k; total degree 4g-4."""
     div = {i: 1 for i in range(1, 2 * g + 3)}
     for idx in labels:
         if idx != k:

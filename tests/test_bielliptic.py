@@ -10,22 +10,34 @@ import pytest
 from thetanulls import bielliptic
 from thetanulls.bielliptic import (
     BChar,
-    Decision,
     F1,
     F2,
     F3,
+    _code_at_base,
+    _combo,
     all_chars,
     classify_bielliptic,
-    pairing,
     realization,
     realize_in_f2,
-    triple_sum_is_zero,
     verify_witnesses,
     witness_quadruples,
 )
 from thetanulls.errors import DomainError, MalformedInputError
 from thetanulls.orbits import (OrbitClass, classify as orbits_classify,
                                classify_array)
+
+
+# The kernel's two readings on model characteristics: the pairing
+# <a - base, b - base>, the parity of the combo a + b - base, and whether
+# (a - base) + (b - base) + (c - base) = 0, the A1 class code at base.
+
+def pairing(base, a, b):
+    return _combo(*((c.fixed_point, c.twist) for c in (a, b, base)))[0]
+
+
+def triple_sum_is_zero(base, a, b, c):
+    return _code_at_base(*((k.fixed_point, k.twist)
+                           for k in (base, a, b, c))) == 0
 
 
 def test_all_chars_structure():
@@ -91,20 +103,18 @@ def test_pairing_swap_invariant():
 def test_triple_sum_same_family():
     # (1,F1) + (1,F2) - (1,0) = (1,F3): one family reduces by xor of twists
     assert triple_sum_is_zero(BChar(1, 0), BChar(1, F1), BChar(1, F2),
-                              BChar(1, F3)) is Decision.YES
+                              BChar(1, F3))
     # (2,0) + (2,F1) - (2,F3) = (2,F2), which is not (5,F2)
     assert triple_sum_is_zero(BChar(2, F3), BChar(2, 0), BChar(2, F1),
-                              BChar(2, F2)) is Decision.YES
-    assert triple_sum_is_zero(BChar(2, F3), BChar(2, 0), BChar(2, F1),
-                              BChar(5, F2)) is Decision.NO
+                              BChar(2, F2))
+    assert not triple_sum_is_zero(BChar(2, F3), BChar(2, 0), BChar(2, F1),
+                                  BChar(5, F2))
 
 
 def test_pairing_examples():
     assert pairing(BChar(2, 0), BChar(1, 0), BChar(1, F1)) == 0
     assert pairing(BChar(4, 0), BChar(1, 0), BChar(2, 0)) == 1
     assert pairing(BChar(4, 0), BChar(2, 0), BChar(1, 0)) == 1
-    with pytest.raises(DomainError):
-        pairing(BChar(1, 0), BChar(1, 0), BChar(2, 0))
 
 
 def test_pairing_depends_only_on_fixed_points():
@@ -122,21 +132,19 @@ def test_triple_sum_examples():
     w = witness_quadruples()
     (a, b, c, d), _ = w[0]
     # (1,0) + (2,F1) - (2,0) = (1,F1): the A1 dependence
-    assert triple_sum_is_zero(d, a, b, c) is Decision.YES
+    assert triple_sum_is_zero(d, a, b, c)
     (a, b, c, d), _ = w[1]
-    assert triple_sum_is_zero(d, a, b, c) is Decision.NO
+    assert not triple_sum_is_zero(d, a, b, c)
     (a, b, c, d), _ = w[3]
-    assert triple_sum_is_zero(d, a, b, c) is Decision.NO
-    with pytest.raises(DomainError):
-        triple_sum_is_zero(BChar(1, 0), BChar(1, 0), BChar(2, 0), BChar(3, 0))
+    assert not triple_sum_is_zero(d, a, b, c)
 
 
 def test_triple_sum_matches_realization_exhaustively():
-    # the decision is YES exactly where the realized masks XOR to 0
+    # the sum is zero exactly where the realized masks XOR to 0
     n = 0
     for q, masks in zip(combinations(all_chars(), 4),
                         combinations(realization(), 4)):
-        dep = triple_sum_is_zero(q[3], q[0], q[1], q[2]) is Decision.YES
+        dep = triple_sum_is_zero(q[3], q[0], q[1], q[2])
         assert dep == (reduce(int.__xor__, masks) == 0), q
         n += dep
     assert n == 550
@@ -161,10 +169,6 @@ def test_realize_in_f2_is_a_table_lookup():
         realize_in_f2(quad[:3])
     with pytest.raises(DomainError):
         realize_in_f2(quad[:3] + [quad[0]])
-
-
-def test_decision_is_two_valued():
-    assert [d.name for d in Decision] == ["YES", "NO"]
 
 
 def test_realization_checks_parity_rule(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from thetanulls import cli, verify
 from thetanulls.cli import main
 from thetanulls.hyperelliptic import char_to_partition, h0, std_labeling
-from thetanulls.quadforms import even_characteristics
+from thetanulls.quadforms import all_characteristics, parity
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -664,7 +664,8 @@ def _reference_vanishing(g):
     """Labels of the classes of the even characteristics with h0 >= 2, one
     characteristic at a time through char_to_partition."""
     label = std_labeling(g)
-    classes = (char_to_partition(k, label) for k in even_characteristics(g))
+    classes = (char_to_partition(k, label) for k in all_characteristics(g)
+               if parity(k) == 0)
     return sorted(list(t.labels) for t in classes if h0(t) >= 2)
 
 
@@ -702,3 +703,16 @@ def test_undecodable_input_file_is_one_error_line(capsys, tmp_path, argv,
     path.write_bytes(data)
     err = assert_refused(capsys, argv + [str(path)], code=code)
     assert str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--input", "a\x00b"],
+    ["classify", "--input", "a\x00b"],
+    ["transversal", "--genus", "3", "--points", "1", "--nodes", "a\x00b"],
+    ["--output", "a\x00b", "enumerate", "--genus", "2"],
+], ids=["theta-input", "classify-input", "transversal-nodes", "output"])
+def test_path_with_a_nul_byte_is_one_error_line(capsys, argv):
+    # open refuses the path with a ValueError; main(argv) can be given one
+    # although a shell cannot pass it
+    err = assert_refused(capsys, argv)
+    assert repr("a\x00b") in err and "\x00" not in err

@@ -13,15 +13,13 @@ from thetanulls.f2core import (
     _dot_rows,
     _pair,
     _popcount,
+    _preserves_pairing,
     _q0,
     _rank_int,
+    _rows_from_lists,
     _solve_f2,
     SymplecticMap,
-    basis_e,
-    basis_f,
-    is_symplectic,
     q0,
-    span_dim,
     symplectic_pairing,
     transvection,
     witt_extend,
@@ -30,6 +28,22 @@ from thetanulls.f2core import (
 
 def all_vectors(g):
     return [F2Vector(g, b) for b in range(1 << (2 * g))]
+
+
+def basis_e(g, i):
+    """e_i, the i-th first-half standard basis vector."""
+    return F2Vector(g, 1 << i)
+
+
+def basis_f(g, i):
+    """f_i, with <e_i, f_j> = delta_ij."""
+    return F2Vector(g, 1 << (g + i))
+
+
+def is_symplectic(matrix):
+    """SymplecticMap's own check on a 0/1 matrix, without building a map."""
+    g, rows = _rows_from_lists(matrix)
+    return _preserves_pairing(rows, g)
 
 
 # Reference definitions, coordinate by coordinate and independent of the
@@ -296,7 +310,7 @@ def test_transvection_involution_exhaustive_g2():
 
 def test_transvection_zero_rejected():
     with pytest.raises(DomainError):
-        transvection(F2Vector.zero(3))
+        transvection(F2Vector(3, 0))
 
 
 def test_compose_apply_consistent():
@@ -312,27 +326,17 @@ def test_compose_apply_consistent():
         assert (a @ b).apply(x) == a.apply(b.apply(x))
 
 
-def test_inverse():
-    rng = random.Random(13)
-    g = 3
-    m = SymplecticMap.identity(g)
-    for _ in range(6):
-        m = transvection(F2Vector(g, rng.randrange(1, 1 << (2 * g)))) @ m
-    assert m @ m.inverse() == SymplecticMap.identity(g)
-    assert m.inverse() @ m == SymplecticMap.identity(g)
-
-
 def test_map_serialization_roundtrip():
     m = transvection(basis_e(2, 0) + basis_f(2, 1))
     assert SymplecticMap.from_lists(m.to_lists()) == m
 
 
 def test_span_dim():
-    e1, e2, e3 = (basis_e(6, i) for i in range(3))
-    assert span_dim([e1, e2, e1 + e2]) == 2
-    assert span_dim([e1, e2, e3]) == 3
-    assert span_dim([]) == 0
-    assert span_dim([F2Vector.zero(4)]) == 0
+    e1, e2, e3 = (basis_e(6, i).bits for i in range(3))
+    assert _rank_int([e1, e2, e1 ^ e2]) == 2
+    assert _rank_int([e1, e2, e3]) == 3
+    assert _rank_int([]) == 0
+    assert _rank_int([0]) == 0
 
 
 def _syndrome(rows, z):
@@ -437,7 +441,7 @@ def test_witt_extend_exhaustive_group_g2():
     assert len(group) == 72
     for cols in group:
         m = witt_extend(std, [F2Vector(g, c) for c in cols])
-        assert [m.column(j) for j in range(n)] == list(cols)
+        assert [m.apply_int(1 << j) for j in range(n)] == list(cols)
 
 
 def _random_valid_instance(rng, g, m):
@@ -445,7 +449,7 @@ def _random_valid_instance(rng, g, m):
     src = []
     while len(src) < m:
         v = F2Vector(g, rng.randrange(1, 1 << n))
-        if span_dim(src + [v]) == len(src) + 1:
+        if _rank_int([x.bits for x in src + [v]]) == len(src) + 1:
             src.append(v)
     iso = SymplecticMap.identity(g)
     for _ in range(rng.randint(1, 10)):

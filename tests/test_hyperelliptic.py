@@ -7,28 +7,26 @@ import pytest
 
 from thetanulls import verify
 from thetanulls.errors import DomainError, MalformedInputError
-from thetanulls.f2core import F2Vector, _rank_int, transvection
+from thetanulls.f2core import F2Vector, _dot_rows, _rank_int, transvection
 from thetanulls.hyperelliptic import (
     ComponentLabel,
     PartitionClass,
+    _closed_form_parity,
     _induces_q0,
     char_table,
     char_to_partition,
     class_counts,
     formula_agreement,
     h0,
-    partition_pairing,
     partition_parity,
     partition_to_char,
-    q_minus_parity,
-    q_plus_parity,
     std_labeling,
     theta_parity,
     torsor_base,
     trans_config,
     vanishing_thetanulls,
 )
-from thetanulls.quadforms import QuadraticForm, parity
+from thetanulls.quadforms import parity
 
 
 def pc(g, *labels):
@@ -36,8 +34,8 @@ def pc(g, *labels):
 
 
 # Reference definitions on label sets, independent of the module's mask
-# kernel: h0 from the smaller representative, the complement rule and the
-# two closed-form parities.
+# kernel: h0 from the smaller representative, the complement rule, the
+# two closed-form parities and the pairing |A & B| mod 2.
 
 def _ref_h0(g, labels):
     n = len(labels)
@@ -55,6 +53,10 @@ def _ref_canonical(g, labels):
 def _ref_closed_form(labels):
     n = len(labels)
     return ((n + 1) // 2) % 2 if n % 2 else (n // 2) % 2
+
+
+def _ref_pairing(a, b):
+    return len(set(a) & set(b)) % 2
 
 
 def _ref_mask(labels):
@@ -145,12 +147,18 @@ def test_parity_examples():
 
 
 def test_pairing_examples():
+    # the labeling check reads |A & B| mod 2 as a row product of masks, and
+    # refuses odd images and images whose Gram matrix is not J
     g = 3
-    assert partition_pairing(pc(g, 1, 2), pc(g, 2, 3)) == 1
-    assert partition_pairing(pc(g, 1, 2), pc(g, 3, 4)) == 0
-    assert partition_pairing(pc(g, 1, 2), pc(g, 1, 2)) == 0
-    with pytest.raises(DomainError):
-        partition_pairing(pc(g, 1), pc(g, 1, 2))
+    assert _dot_rows([pc(g, 1, 2).mask], pc(g, 2, 3).mask) == 1
+    assert _dot_rows([pc(g, 1, 2).mask], pc(g, 3, 4).mask) == 0
+    assert _dot_rows([pc(g, 1, 2).mask], pc(g, 1, 2).mask) == 0
+    lab = std_labeling(g)
+    imgs = lab.basis_images
+    with pytest.raises(DomainError, match="even classes"):
+        ComponentLabel(g, (pc(g, 1),) + imgs[1:], lab.torsor_base)
+    with pytest.raises(DomainError, match="symplectic basis"):
+        ComponentLabel(g, imgs[1:2] + imgs[1:], lab.torsor_base)
 
 
 def test_pairing_complement_stable_and_nondegenerate():
@@ -158,11 +166,12 @@ def test_pairing_complement_stable_and_nondegenerate():
     evens = [PartitionClass(g, m) for m in range(1 << (2 * g + 1))
              if m.bit_count() % 2 == 0]
     for a in evens:
-        comp = PartitionClass(g, a.mask ^ ((1 << (2 * g + 2)) - 1))
+        comp = set(range(1, 2 * g + 3)) - set(a.labels)
         for b in evens:
-            assert partition_pairing(a, b) == partition_pairing(comp, b)
+            assert _ref_pairing(a.labels, b.labels) == \
+                _ref_pairing(comp, b.labels)
         if a.cardinality() % (2 * g + 2) != 0:  # nonzero class
-            assert any(partition_pairing(a, b) for b in evens)
+            assert any(_ref_pairing(a.labels, b.labels) for b in evens)
 
 
 def test_h0_and_theta_parity():
@@ -171,7 +180,7 @@ def test_h0_and_theta_parity():
     t = pc(6, 1, 2, 3, 4, 5, 6, 7)
     assert h0(t) == 0
     assert theta_parity(t) == 0
-    assert q_minus_parity(t) == 0
+    assert _closed_form_parity(t.mask) == 0
     with pytest.raises(DomainError):
         h0(pc(3, 1))  # |T| must be even at g=3
 
@@ -193,13 +202,6 @@ def test_formula_agreement_by_genus():
     assert formula_agreement(6)
 
 
-def test_formula_domain_errors():
-    with pytest.raises(DomainError):
-        q_minus_parity(pc(3, 1, 2))
-    with pytest.raises(DomainError):
-        q_plus_parity(pc(3, 1))
-
-
 def test_std_labeling_gram_g6():
     lab = std_labeling(6)
     imgs = lab.basis_images
@@ -209,11 +211,11 @@ def test_std_labeling_gram_g6():
         for j in range(2 * g):
             expect = 1 if abs(i - j) == g else 0
             if i != j:
-                assert partition_pairing(imgs[i], imgs[j]) == expect
+                assert _ref_pairing(imgs[i].labels, imgs[j].labels) == expect
     # Gram matrix over F2 has full rank 2g
     rows = []
     for i in range(2 * g):
-        rows.append(sum(partition_pairing(imgs[i], imgs[j]) << j
+        rows.append(sum(_ref_pairing(imgs[i].labels, imgs[j].labels) << j
                         for j in range(2 * g)))
     assert _rank_int(rows) == 2 * g
 
@@ -241,7 +243,7 @@ def test_torsor_base_is_unique_and_lex_first():
                 continue
             valid.append(cand)
         assert valid == [base]
-        assert base == min(valid, key=lambda t: t.sort_key())
+        assert base == min(valid, key=lambda t: t.labels)
 
 
 @pytest.mark.parametrize("g", [3, 4])
@@ -274,7 +276,7 @@ def test_torsor_base_for_other_symplectic_bases_g3():
         for _ in range(5):
             v = F2Vector(g, rng.randrange(1, 1 << (2 * g)))
             m = transvection(v) @ m
-        images = [lab.vector_image(F2Vector(g, m.column(i)))
+        images = [lab.vector_image(F2Vector(g, m.apply_int(1 << i)))
                   for i in range(2 * g)]
         base = torsor_base(g, images)
         ComponentLabel(g, tuple(images), base)  # validates the base
@@ -287,13 +289,12 @@ def test_torsor_base_for_other_symplectic_bases_g3():
 def test_torsor_base_induced_form_exhaustive_g4():
     g = 4
     lab = std_labeling(g)
-    q_std = QuadraticForm.standard(g)
     base_val = theta_parity(lab.torsor_base)
     for bits in range(1 << (2 * g)):
         j = F2Vector(g, bits)
         induced = base_val ^ theta_parity(
             lab.vector_image(j) + lab.torsor_base)
-        assert induced == q_std(j)
+        assert induced == parity(j)
 
 
 def _parity_table(g):
@@ -344,7 +345,7 @@ def test_four_term_relation_random_g6():
 
 def test_char_partition_roundtrip_and_parity_g6():
     lab = std_labeling(6)
-    assert char_to_partition(F2Vector.zero(6), lab) == lab.torsor_base
+    assert char_to_partition(F2Vector(6, 0), lab) == lab.torsor_base
     for bits in range(1 << 12):
         k = F2Vector(6, bits)
         t = char_to_partition(k, lab)
@@ -424,13 +425,12 @@ def test_array_model_matches_scalar_definitions(g):
     assert class_counts(g) == (len(classes), len(classes) - odd, odd)
     assert formula_agreement(g) == all(
         _ref_closed_form(t) == h % 2 for t, h in zip(classes, ref_h0))
-    formula = q_minus_parity if g % 2 == 0 else q_plus_parity
     complement = set(range(1, 2 * g + 3))
     for t, h in zip(classes, ref_h0):
         cls = pc(g, *(complement - set(t)))  # holds 2g+2: complemented
         assert cls.labels == t
         assert h0(cls) == h and theta_parity(cls) == h % 2
-        assert formula(cls) == _ref_closed_form(t)
+        assert _closed_form_parity(cls.mask) == _ref_closed_form(t)
     table = _ref_images(lab)
     assert char_table(lab).tolist() == [_ref_mask(t) for t in table]
     assert vanishing_thetanulls(lab) == {

@@ -5,25 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from thetanulls.errors import DomainError
-from thetanulls.f2core import (
-    F2Vector,
-    SymplecticMap,
-    basis_e,
-    basis_f,
-    transvection,
-)
+from thetanulls.f2core import F2Vector, SymplecticMap, _pair, _q0, transvection
 from thetanulls.quadforms import (
-    QuadraticForm,
     _transvect_char,
     act_on_char,
-    act_on_form,
     all_characteristics,
-    arf,
-    char_to_form,
-    evaluate,
-    even_characteristics,
-    form_to_char,
+    characteristic_counts,
     parity,
 )
 
@@ -35,44 +22,58 @@ def random_symplectic(g, rng, steps=8):
     return m
 
 
+# Reference definitions on the mask kernel: the form q_k(v) = q0(v) + <k, v>
+# of a characteristic k, its Arf invariant as the sum of q_k(e_i) q_k(f_i)
+# over the standard symplectic basis, and M^-1 as the preimage table of M.
+
+def _form(k, v, g):
+    return _q0(v, g) ^ _pair(k, v, g)
+
+
+def _arf(k, g):
+    total = 0
+    for i in range(g):
+        total ^= _form(k, 1 << i, g) & _form(k, 1 << (g + i), g)
+    return total
+
+
+def _inverse(m):
+    inv = [0] * (1 << (2 * m.g))
+    for x in range(len(inv)):
+        inv[m.apply_int(x)] = x
+    return inv
+
+
 def test_evaluate_examples():
-    q_std = QuadraticForm.standard(6)
-    assert evaluate(q_std, basis_e(6, 0)) == 0
-    assert evaluate(q_std, basis_e(6, 0) + basis_f(6, 0)) == 1
-    q = QuadraticForm(6, basis_f(6, 0))
-    assert evaluate(q, basis_e(6, 0)) == 1
-
-
-def test_evaluate_g_mismatch():
-    with pytest.raises(DomainError):
-        evaluate(QuadraticForm.standard(2), basis_e(3, 0))
+    g = 6
+    e1, f1 = 1, 1 << g
+    assert _form(0, e1, g) == 0
+    assert _form(0, e1 | f1, g) == 1
+    assert _form(f1, e1, g) == 1
 
 
 def test_defining_relation_exhaustive_g2():
     g = 2
-    for shift in all_characteristics(g):
-        q = QuadraticForm(g, shift)
+    for k in range(1 << (2 * g)):
         for x in all_characteristics(g):
             for y in all_characteristics(g):
-                assert evaluate(q, x) ^ evaluate(q, y) ^ evaluate(q, x + y) \
+                assert _form(k, x.bits, g) ^ _form(k, y.bits, g) \
+                    ^ _form(k, x.bits ^ y.bits, g) \
                     == (x.first_half & y.second_half).bit_count() % 2 \
                     ^ (x.second_half & y.first_half).bit_count() % 2
 
 
 def test_arf_examples():
-    assert arf(QuadraticForm.standard(3)) == 0
-    assert arf(QuadraticForm(6, basis_e(6, 0) + basis_f(6, 0))) == 1
+    assert parity(F2Vector(3, 0)) == _arf(0, 3) == 0
+    assert parity(F2Vector(6, 1 | 1 << 6)) == _arf(1 | 1 << 6, 6) == 1
 
 
 def test_arf_equals_basis_product_sum():
     rng = random.Random(5)
     for _ in range(300):
         g = rng.randint(1, 6)
-        q = QuadraticForm(g, F2Vector(g, rng.randrange(1 << (2 * g))))
-        total = 0
-        for i in range(g):
-            total ^= evaluate(q, basis_e(g, i)) & evaluate(q, basis_f(g, i))
-        assert arf(q) == total
+        k = F2Vector(g, rng.randrange(1 << (2 * g)))
+        assert parity(k) == _arf(k.bits, g)
 
 
 def test_even_odd_counts_g1_to_g6():
@@ -81,43 +82,34 @@ def test_even_odd_counts_g1_to_g6():
         odd = (1 << (2 * g)) - even
         assert even == (1 << (g - 1)) * ((1 << g) + 1)
         assert odd == (1 << (g - 1)) * ((1 << g) - 1)
-    assert sum(1 for _ in even_characteristics(6)) == 2080
+        assert characteristic_counts(g) == (even, odd)
 
 
 def test_parity_examples():
-    assert parity(F2Vector.zero(4)) == 0
+    assert parity(F2Vector(4, 0)) == 0
     assert parity(F2Vector.from_list([1, 1])) == 1
 
 
 def test_char_form_bijection_and_parity_agreement():
+    # a characteristic stands for its form q_k, and its parity is the Arf
+    # invariant of q_k
     for g in (1, 2, 3, 6):
         for k in all_characteristics(g):
-            q = char_to_form(k)
-            assert form_to_char(q) == k
-            assert parity(k) == arf(q)
-
-
-def test_char_form_equivariance():
-    g = 3
-    rng = random.Random(17)
-    for _ in range(200):
-        k = F2Vector(g, rng.randrange(1 << (2 * g)))
-        j = F2Vector(g, rng.randrange(1 << (2 * g)))
-        assert char_to_form(k + j) == char_to_form(k).shifted(j)
+            assert parity(k) == _arf(k.bits, g)
 
 
 def test_torsor_identity_exhaustive_g_le_3():
+    # the Arf shift law: arf(q_k + <j, .>) = arf(q_k) + q_k(j)
     for g in (1, 2, 3):
-        for shift in all_characteristics(g):
-            q = QuadraticForm(g, shift)
+        for k in all_characteristics(g):
             for j in all_characteristics(g):
-                assert arf(q.shifted(j)) == arf(q) ^ evaluate(q, j)
+                assert parity(k + j) == parity(k) ^ _form(k.bits, j.bits, g)
 
 
 def test_act_identity():
     g = 4
-    q = QuadraticForm(g, basis_e(g, 1) + basis_f(g, 3))
-    assert act_on_form(SymplecticMap.identity(g), q) == q
+    k = F2Vector(g, 1 << 1 | 1 << (g + 3))
+    assert act_on_char(SymplecticMap.identity(g), k) == k
 
 
 def test_act_matches_pullback_exhaustive_g2():
@@ -126,27 +118,25 @@ def test_act_matches_pullback_exhaustive_g2():
     maps = [random_symplectic(g, rng) for _ in range(12)]
     maps += [transvection(F2Vector(g, v)) for v in range(1, 16)]
     for m in maps:
-        inv = m.inverse()
-        for shift in all_characteristics(g):
-            q = QuadraticForm(g, shift)
-            moved = act_on_form(m, q)
-            for v in all_characteristics(g):
-                assert evaluate(moved, v) == evaluate(q, inv.apply(v))
+        inv = _inverse(m)
+        for k in range(1 << (2 * g)):
+            moved = act_on_char(m, F2Vector(g, k)).bits
+            for v in range(1 << (2 * g)):
+                assert _form(moved, v, g) == _form(k, inv[v], g)
 
 
 @pytest.mark.parametrize("g", [3, 6])
 def test_act_matches_pullback_random(g):
-    # the closed-form action against the definition q o M^-1 on sampled v
+    # the closed-form action against the definition q_k o M^-1 on sampled v
     rng = random.Random(100 + g)
     for _ in range(30):
         m = random_symplectic(g, rng, steps=4 * g)
-        inv = m.inverse()
-        q = QuadraticForm(g, F2Vector(g, rng.randrange(1 << (2 * g))))
-        moved = act_on_form(m, q)
-        assert act_on_char(m, q.shift) == moved.shift
+        inv = _inverse(m)
+        k = rng.randrange(1 << (2 * g))
+        moved = act_on_char(m, F2Vector(g, k)).bits
         for _ in range(40):
-            v = F2Vector(g, rng.randrange(1 << (2 * g)))
-            assert evaluate(moved, v) == evaluate(q, inv.apply(v))
+            v = rng.randrange(1 << (2 * g))
+            assert _form(moved, v, g) == _form(k, inv[v], g)
 
 
 def test_act_is_left_action_random_g6():
@@ -155,8 +145,8 @@ def test_act_is_left_action_random_g6():
     for _ in range(50):
         m = random_symplectic(g, rng)
         n = random_symplectic(g, rng)
-        q = QuadraticForm(g, F2Vector(g, rng.randrange(1 << 12)))
-        assert act_on_form(m @ n, q) == act_on_form(m, act_on_form(n, q))
+        k = F2Vector(g, rng.randrange(1 << 12))
+        assert act_on_char(m @ n, k) == act_on_char(m, act_on_char(n, k))
 
 
 def test_act_preserves_arf():
@@ -164,13 +154,13 @@ def test_act_preserves_arf():
     rng = random.Random(31)
     for _ in range(200):
         m = random_symplectic(g, rng)
-        q = QuadraticForm(g, F2Vector(g, rng.randrange(1 << 12)))
-        assert arf(act_on_form(m, q)) == arf(q)
+        k = F2Vector(g, rng.randrange(1 << 12))
+        assert parity(act_on_char(m, k)) == parity(k)
 
 
 def test_orbit_of_standard_form_g2_is_even_forms():
     g = 2
-    start = F2Vector.zero(g).bits
+    start = 0
     seen = {start}
     frontier = [start]
     while frontier:

@@ -9,8 +9,8 @@ from thetanulls import transversal
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.transversal import (
     NodeSet,
+    _divisor,
     basis_polys,
-    quadratic_differential_divisor,
     rank,
     transversality_report,
 )
@@ -93,8 +93,7 @@ def test_nodeset_json_roundtrip():
 
 
 def test_divisor_example_g6():
-    ns = unit_nodes(6)
-    div = quadratic_differential_divisor(ns, [1, 2, 3, 4], 1)
+    div = _divisor(6, [1, 2, 3, 4], 1)
     assert div[1] == 1
     assert div[2] == div[3] == div[4] == 3
     assert all(div[i] == 1 for i in range(5, 15))
@@ -103,17 +102,10 @@ def test_divisor_example_g6():
 
 def test_divisor_symmetric_and_degree():
     for g in (3, 5, 8):
-        ns = unit_nodes(g)
         s = list(range(1, g - 1))
-        div = quadratic_differential_divisor(ns, s, max(s))
+        div = _divisor(g, s, max(s))
         assert sum(div.values()) == 4 * g - 4
         assert div[max(s)] == 1
-
-
-def test_divisor_k_not_in_s():
-    ns = unit_nodes(6)
-    with pytest.raises(DomainError):
-        quadratic_differential_divisor(ns, [1, 2, 3, 4], 5)
 
 
 def test_basis_polys_explicit_g6():
@@ -176,7 +168,7 @@ def test_report_checks_s_once(monkeypatch):
     s = [5, 1, 3, 6, 2, 4]
     report = transversality_report(ns, s)
     assert len(calls) == 2
-    assert report["divisors"] == [quadratic_differential_divisor(ns, s, k)
+    assert report["divisors"] == [_divisor(8, sorted(s), k)
                                   for k in sorted(s)]
 
 
