@@ -5,7 +5,8 @@ yields byte-identical output) to stdout or --output.  Exit codes: 0 pass,
 1 verification failure, 2 malformed input, 3 domain violation or resource
 cap.  An input file that is not UTF-8 is malformed input, and so is a
 path holding a NUL byte; a file past the JSON decoder's own limits
-(nesting depth, digits of an integer) is a resource cap.
+(nesting depth, digits of an integer) is a resource cap.  A refusal names
+a path by its repr, so that no refusal spans two lines.
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused, and each call is independent of the others.
@@ -40,21 +41,19 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"{path} is not UTF-8: {exc}") from exc
-    except ValueError as exc:  # open refuses a path holding a NUL byte
+    except UnicodeDecodeError as exc:  # a ValueError: it comes first
+        raise MalformedInputError(f"{path!r} is not UTF-8: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise MalformedInputError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
+        raise MalformedInputError(f"invalid JSON in {path!r}: {exc}") from exc
     # the decoder's own limits: nesting depth, and the digits of an integer
     # (a ValueError, as JSONDecodeError is)
     except (RecursionError, ValueError) as exc:
         raise ResourceCapError(
-            f"{path} is past the JSON decoder's limits: {exc}") from exc
+            f"{path!r} is past the JSON decoder's limits: {exc}") from exc
 
 
 def _ascii_int(text: str) -> int:
@@ -224,10 +223,14 @@ def cmd_verify_all(args) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as MalformedInputError, so that it
-    prints one error line and exits 2 like any other malformed input."""
+    prints one error line and exits 2 like any other malformed input; a
+    line boundary of str.splitlines in it (argparse may quote an argument
+    as typed) is escaped as repr would."""
 
     def error(self, message):
-        raise MalformedInputError(message)
+        raise MalformedInputError(re.sub(
+            "[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]",
+            lambda m: repr(m[0])[1:-1], message))
 
 
 @functools.cache
@@ -293,9 +296,7 @@ def _emit(report: dict, path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise MalformedInputError(f"cannot write {path}: {exc}") from exc
-    except ValueError as exc:  # open refuses a path holding a NUL byte
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise MalformedInputError(f"cannot write {path!r}: {exc}") from exc
 
 

@@ -186,12 +186,6 @@ class IntSymplectic:
         self.g = g
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @classmethod
-    def identity(cls, g: int) -> "IntSymplectic":
-        eye = np.eye(g, dtype=np.int64)
-        zero = np.zeros((g, g), dtype=np.int64)
-        return cls(eye, zero, zero, eye)
-
     def is_level_two(self) -> bool:
         """True iff M = identity mod 2."""
         eye = np.eye(self.g, dtype=np.int64)
@@ -199,25 +193,6 @@ class IntSymplectic:
                     and np.all(self.b % 2 == 0)
                     and np.all(self.c % 2 == 0)
                     and np.all((self.d - eye) % 2 == 0))
-
-    def compose(self, other: "IntSymplectic") -> "IntSymplectic":
-        if self.g != other.g:
-            raise DomainError("cannot compose different g")
-        # exact products, as in the constructor: int64 products would wrap
-        a, b, c, d = (blk.astype(object)
-                      for blk in (self.a, self.b, self.c, self.d))
-        oa, ob, oc, od = (blk.astype(object)
-                          for blk in (other.a, other.b, other.c, other.d))
-        blocks = (a @ oa + b @ oc, a @ ob + b @ od,
-                  c @ oa + d @ oc, c @ ob + d @ od)
-        try:
-            blocks = [blk.astype(np.int64) for blk in blocks]
-        except OverflowError as exc:
-            raise ResourceCapError(
-                "composed entries leave the int64 range") from exc
-        return IntSymplectic(*blocks)
-
-    __matmul__ = compose
 
     def to_json_dict(self) -> dict:
         return {"A": self.a.tolist(), "B": self.b.tolist(),
@@ -654,59 +629,58 @@ def block_diag_split_check(z_blocks: Sequence[SiegelMatrix],
 # deterministic generators for tests and verification campaigns
 
 
+def _add_sym(m: np.ndarray, g: int, lower: bool, i: int, j: int,
+             v: int) -> None:
+    """m <- m (I S; 0 I), or m (I 0; S I) when lower, with
+    S = v(E_ij + E_ji) (v E_ii when i = j): v times one half's column i
+    onto the other half's column j, and column j onto column i."""
+    src, dst = (g, 0) if lower else (0, g)
+    m[:, dst + j] += v * m[:, src + i]
+    if i != j:
+        m[:, dst + i] += v * m[:, src + j]
+
+
+def _blocks(m: np.ndarray, g: int) -> IntSymplectic:
+    """The checked IntSymplectic of m; past int64 is a ResourceCapError."""
+    return IntSymplectic(m[:g, :g].tolist(), m[:g, g:].tolist(),
+                         m[g:, :g].tolist(), m[g:, g:].tolist())
+
+
 def random_int_symplectic(g: int, rng, steps: int = 4) -> IntSymplectic:
-    """Random product of standard Sp(2g, Z) generators with small entries."""
-    eye = np.eye(g, dtype=np.int64)
-    zero = np.zeros((g, g), dtype=np.int64)
-    m = IntSymplectic.identity(g)
+    """Random product of standard Sp(2g, Z) generators with small entries,
+    each a column operation on the exact running product M = (A B; C D):
+    J = (0 -I; I 0) turns M into (B -A; D -C), and (I S; 0 I) and
+    (I 0; S I), S = v(E_ij + E_ji), are _add_sym's."""
+    m = np.eye(2 * g, dtype=object)
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 2:
-            step = IntSymplectic(zero, -eye, eye, zero)
+            m = np.hstack((m[:, g:], -m[:, :g]))
         else:
-            s = np.zeros((g, g), dtype=np.int64)
             i, j = rng.randrange(g), rng.randrange(g)
-            v = rng.choice([-2, -1, 1, 2])
-            s[i, j] = v
-            s[j, i] = v
-            if kind == 0:
-                step = IntSymplectic(eye, s, zero, eye)
-            else:
-                step = IntSymplectic(eye, zero, s, eye)
-        m = m @ step
-    return m
+            _add_sym(m, g, kind == 1, i, j, rng.choice([-2, -1, 1, 2]))
+    return _blocks(m, g)
 
 
 def random_level_two(g: int, rng, steps: int = 4) -> IntSymplectic:
-    """Random element of the level-2 congruence subgroup (M = I mod 2)."""
-    eye = np.eye(g, dtype=np.int64)
-    zero = np.zeros((g, g), dtype=np.int64)
-    m = IntSymplectic.identity(g)
+    """Random element of the level-2 congruence subgroup (M = I mod 2):
+    random_int_symplectic's column operations for (I S; 0 I) and
+    (I 0; S I) with v = +-2, and for (U 0; 0 U^-T) with U = I + v E_ij,
+    i != j, v col i onto col j in the left half and -v col j onto col i in
+    the right half (the identity at g = 1)."""
+    m = np.eye(2 * g, dtype=object)
     for _ in range(steps):
         kind = rng.randrange(3)
         i, j = rng.randrange(g), rng.randrange(g)
         v = 2 * rng.choice([-1, 1])
         if kind < 2:
-            s = np.zeros((g, g), dtype=np.int64)
-            s[i, j] = v
-            s[j, i] = v
-            if kind == 0:
-                step = IntSymplectic(eye, s, zero, eye)
-            else:
-                step = IntSymplectic(eye, zero, s, eye)
-        else:
-            u = eye.copy()
-            if g > 1:
-                while j == i:
-                    j = rng.randrange(g)
-                u[i, j] += v
-                uinv = eye.copy()
-                uinv[i, j] -= v
-            else:
-                uinv = eye.copy()
-            step = IntSymplectic(u, zero, zero, uinv.T)
-        m = m @ step
-    return m
+            _add_sym(m, g, kind == 1, i, j, v)
+        elif g > 1:
+            while j == i:
+                j = rng.randrange(g)
+            m[:, j] += v * m[:, i]
+            m[:, g + i] -= v * m[:, g + j]
+    return _blocks(m, g)
 
 
 def random_siegel(g: int, rng, min_im: float = 0.5) -> SiegelMatrix:

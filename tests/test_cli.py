@@ -559,13 +559,13 @@ class TestOutputFile:
         path = tmp_path / "missing" / "x.json"
         err = assert_refused(capsys, ["--output", str(path),
                                       "enumerate", "--genus", "2"])
-        assert f"cannot write {path}" in err
+        assert f"cannot write {str(path)!r}" in err
         assert not path.parent.exists()
 
     def test_directory_exits_2(self, capsys, tmp_path):
         err = assert_refused(capsys, ["--output", str(tmp_path),
                                       "enumerate", "--genus", "2"])
-        assert f"cannot write {tmp_path}" in err
+        assert f"cannot write {str(tmp_path)!r}" in err
 
 
 def test_module_entry_point():
@@ -705,14 +705,34 @@ def test_undecodable_input_file_is_one_error_line(capsys, tmp_path, argv,
     assert str(path) in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["theta", "eval", "--input", "a\x00b"],
-    ["classify", "--input", "a\x00b"],
-    ["transversal", "--genus", "3", "--points", "1", "--nodes", "a\x00b"],
-    ["--output", "a\x00b", "enumerate", "--genus", "2"],
-], ids=["theta-input", "classify-input", "transversal-nodes", "output"])
-def test_path_with_a_nul_byte_is_one_error_line(capsys, argv):
-    # open refuses the path with a ValueError; main(argv) can be given one
-    # although a shell cannot pass it
-    err = assert_refused(capsys, argv)
-    assert repr("a\x00b") in err and "\x00" not in err
+PATH_ARGV = {
+    "theta-input": ["theta", "eval", "--input", "{}"],
+    "classify-input": ["classify", "--input", "{}"],
+    "transversal-nodes": ["transversal", "--genus", "3", "--points", "1",
+                          "--nodes", "{}"],
+    "output": ["--output", "{}", "enumerate", "--genus", "2"],
+}
+
+
+@pytest.mark.parametrize("bad, shape", [
+    pytest.param("a\x00b", shape, id=shape) for shape in PATH_ARGV
+] + [
+    pytest.param("a\nb", shape, id=f"newline-{shape}")
+    for shape in (*PATH_ARGV, "stray-argument")
+])
+def test_path_with_a_nul_byte_is_one_error_line(capsys, tmp_path, bad,
+                                                shape):
+    # open refuses a NUL byte with a ValueError (main(argv) can be given
+    # one although a shell cannot pass it) and a missing file with an
+    # OSError; each names the path by its repr.  argparse quotes a stray
+    # argument as typed, with its line break escaped
+    if shape == "stray-argument":
+        err = assert_refused(capsys, ["enumerate", "--genus", "2", bad])
+        assert repr(bad)[1:-1] in err
+    else:
+        if shape == "output":
+            bad = str(tmp_path / "missing" / bad)
+        err = assert_refused(capsys, [bad if a == "{}" else a
+                                      for a in PATH_ARGV[shape]])
+        assert repr(bad) in err
+    assert "\x00" not in err

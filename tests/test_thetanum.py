@@ -31,6 +31,24 @@ def _t_matrix():
     return IntSymplectic([[1]], [[1]], [[0]], [[1]])
 
 
+def _identity(g):
+    eye = np.eye(g, dtype=int)
+    zero = np.zeros((g, g), dtype=int)
+    return IntSymplectic(eye, zero, zero, eye)
+
+
+def _full(m):
+    """The 2g x 2g matrix (A B; C D) of m, with exact Python int entries."""
+    return np.block([[m.a, m.b], [m.c, m.d]]).astype(object)
+
+
+def _compose(m1, m2):
+    """The product m1 m2, exact and checked."""
+    p, g = _full(m1) @ _full(m2), m1.g
+    return IntSymplectic(p[:g, :g].tolist(), p[:g, g:].tolist(),
+                         p[g:, :g].tolist(), p[g:, g:].tolist())
+
+
 def _diag_char_act(m, k):
     """Reference characteristic action by matrices:
     k'_new = D k' + C k'' + diag(C D^T), k''_new = B k' + A k'' + diag(A B^T)
@@ -109,7 +127,7 @@ class TestSiegelMatrix:
 
 class TestIntSymplectic:
     def test_identity_and_s(self):
-        m = IntSymplectic.identity(2)
+        m = _identity(2)
         assert m.is_level_two()
         s = _s_matrix(2)
         assert not s.is_level_two()
@@ -123,29 +141,6 @@ class TestIntSymplectic:
         # A^T D - C^T B = 2^64 + 1, which is 1 in wrapping int64 arithmetic
         with pytest.raises(DomainError):
             IntSymplectic([[2 ** 32]], [[-1]], [[1]], [[2 ** 32]])
-
-    def test_compose(self):
-        s = _s_matrix()
-        s2 = s @ s
-        # S^2 = -I
-        assert np.array_equal(s2.a, [[-1]])
-        assert np.array_equal(s2.d, [[-1]])
-        s4 = s2 @ s2
-        assert np.array_equal(s4.a, [[1]])
-        assert s4.is_level_two()
-
-    def test_compose_leaving_int64_is_resource_cap(self):
-        # the exact products have A = 1 + 2^80 and B = 2^63, which wrapped
-        # int64 arithmetic turned into a false DomainError and B = -2^63
-        x = IntSymplectic([[1]], [[2 ** 40]], [[0]], [[1]])
-        y = IntSymplectic([[1]], [[0]], [[2 ** 40]], [[1]])
-        with pytest.raises(ResourceCapError):
-            x @ y
-        z = IntSymplectic([[1]], [[2 ** 62]], [[0]], [[1]])
-        with pytest.raises(ResourceCapError):
-            z @ z
-        half = IntSymplectic([[1]], [[2 ** 61]], [[0]], [[1]])
-        assert np.array_equal((half @ half).b, [[2 ** 62]])
 
     def test_json_roundtrip(self):
         s = _s_matrix(2)
@@ -276,7 +271,7 @@ class TestCharAction:
 
     def test_identity_trivial(self):
         for g in (1, 2, 3):
-            m = IntSymplectic.identity(g)
+            m = _identity(g)
             for k in all_characteristics(g):
                 assert char_act_int(m, k) == k
 
@@ -296,7 +291,7 @@ class TestCharAction:
                 m1 = random_int_symplectic(g, rng, steps=3)
                 m2 = random_int_symplectic(g, rng, steps=3)
                 for k in all_characteristics(g):
-                    lhs = char_act_int(m1 @ m2, k)
+                    lhs = char_act_int(_compose(m1, m2), k)
                     rhs = char_act_int(m1, char_act_int(m2, k))
                     assert lhs == rhs
 
@@ -450,6 +445,80 @@ class TestGenerators:
         for g in (1, 2, 3):
             for _ in range(10):
                 assert random_level_two(g, rng, steps=5).is_level_two()
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_column_operations_are_the_generator_products(self, g):
+        # the exact product of the generator matrices the same draws pick,
+        # block for block, with the rng left in the same state
+        for gen, level_two in ((random_int_symplectic, False),
+                               (random_level_two, True)):
+            for steps in range(7):
+                for seed in range(30):
+                    rng = _RecordingRandom(seed)
+                    ref_rng = _RecordingRandom(seed)
+                    m = gen(g, rng, steps=steps)
+                    want = _generator_product(level_two, g, ref_rng, steps)
+                    assert rng.log == ref_rng.log
+                    assert rng.getstate() == ref_rng.getstate()
+                    assert all(blk.dtype == np.int64
+                               for blk in (m.a, m.b, m.c, m.d))
+                    assert np.array_equal(_full(m), want)
+
+    def test_product_leaving_int64_is_resource_cap(self):
+        # 200 level-two steps at this seed leave int64 in block A
+        with pytest.raises(ResourceCapError):
+            random_level_two(2, random.Random(0), steps=200)
+
+
+class _RecordingRandom(random.Random):
+    """random.Random that logs every randrange and choice it answers."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.log = []
+
+    def randrange(self, *args):
+        self.log.append(super().randrange(*args))
+        return self.log[-1]
+
+    def choice(self, seq):
+        self.log.append(super().choice(seq))
+        return self.log[-1]
+
+
+def _generator_product(level_two, g, rng, steps):
+    """The exact product of the explicit generators that the draws of
+    random_int_symplectic (or random_level_two) pick, in their order: J,
+    (I S; 0 I) and (I 0; S I) with S = v(E_ij + E_ji), and at level two
+    (U 0; 0 U^-T) with U = I + v E_ij, i != j (the identity at g = 1)."""
+    eye = np.eye(g, dtype=object)
+    zero = np.zeros((g, g), dtype=object)
+    m = np.eye(2 * g, dtype=object)
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        if kind == 2 and not level_two:
+            m = m @ np.block([[zero, -eye], [eye, zero]])
+            continue
+        i, j = rng.randrange(g), rng.randrange(g)
+        v = (2 * rng.choice([-1, 1]) if level_two
+             else rng.choice([-2, -1, 1, 2]))
+        s = zero.copy()
+        s[i, j] = s[j, i] = v
+        if kind == 0:
+            step = np.block([[eye, s], [zero, eye]])
+        elif kind == 1:
+            step = np.block([[eye, zero], [s, eye]])
+        else:
+            u, u_inv_t = eye.copy(), eye.copy()
+            if g > 1:
+                while j == i:
+                    j = rng.randrange(g)
+                u[i, j] = v
+                u_inv_t[j, i] = -v
+            assert np.array_equal(u @ u_inv_t.T, eye)
+            step = np.block([[u, zero], [zero, u_inv_t]])
+        m = m @ step
+    return m
 
 
 def _reference_theta(z, k, eps, radius_scale=1.0):
