@@ -3,19 +3,26 @@
 For 2g+2 distinct rational nodes and a set S of g-2 of them, the relevant
 quadratic differentials are encoded by the polynomials
 G_k(x) = prod_{i in S, i != k} (x - x_i) of degree g-3.  Transversality
-reduces to the coefficient matrix of the G_k having rank g-2, which only
-needs the nodes to be distinct: evaluating at the other points of S kills
-coefficients one at a time (the evaluation matrix on S is diagonal).
+reduces to the coefficient matrix of the G_k having rank g-2.  G_k vanishes
+at every node of S but x_k, so the evaluation matrix of the G_k at the
+nodes of S is diagonal, with entries G_k(x_k) = prod_{i != k} (x_k - x_i).
+It is the coefficient matrix times the Vandermonde matrix of those nodes,
+which is invertible, so the rank is the number of nonzero entries.  No
+entry is 0 when the nodes are distinct: transversality holds for every set
+of distinct nodes.
 
-The certificate is exact and runs on Python ints: each G_k is built from
-integer numerators over the product of its node denominators, and the rank
-comes from fraction-free (Bareiss) elimination of the coefficient rows with
-their denominators cleared.
+The report certifies each instance exactly on Python ints: with
+x_i = p_i / q_i, the entry of k has the numerator
+prod_{i != k} (p_k q_i - p_i q_k) over a nonzero denominator.
+basis_polys and rank (fraction-free Bareiss elimination of the coefficient
+rows) compute the same rank the long way, as an independent reference.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +31,30 @@ from .errors import DomainError, MalformedInputError, ResourceCapError
 from .hyperelliptic import char_to_partition, h0, std_labeling, trans_config
 
 _MAX_G = 32
+
+# a rational literal as Fraction reads it: an optional sign, digits with
+# single underscores between them, then a denominator, or a decimal part
+# and a decimal exponent (group 1)
+_RATIONAL = re.compile(r"""
+    \s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*
+    (?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:e([-+]?\d+(?:_\d+)*))?)
+    \s*""", re.VERBOSE | re.IGNORECASE)
+
+
+def _node(text: str, index: int) -> Fraction:
+    """The node text as a Fraction.  Fraction builds 10**e for an exponent
+    e, which takes minutes for 1e100000000, so a literal with more digits,
+    or a larger exponent, than the int and str conversion limit (the JSON
+    decoder's own) is refused first."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    m = _RATIONAL.fullmatch(text)
+    # the exponent is read only once its digits are known to be few
+    if m is not None and (sum(map(str.isdecimal, text)) > limit or (
+            m[1] is not None and abs(int(m[1])) > limit)):
+        raise ResourceCapError(
+            f"node {index} has more than {limit} digits or a decimal "
+            f"exponent past {limit}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -59,7 +90,7 @@ class NodeSet:
         if type(g) is not int or not isinstance(nodes, list):
             raise MalformedInputError("bad NodeSet JSON field types")
         try:
-            vals = tuple(Fraction(str(x)) for x in nodes)
+            vals = tuple(_node(str(x), i) for i, x in enumerate(nodes, 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"bad rational node: {exc}") from exc
         return cls(g, vals)
@@ -145,16 +176,38 @@ def rank(polys: Sequence[Sequence[Fraction]]) -> int:
     return r
 
 
+def _diagonal(nodes: Sequence[tuple[int, int]],
+              labels: Sequence[int]) -> list[int]:
+    """For each k in labels (1-based), prod_{i in labels, i != k}
+    (p_k q_i - p_i q_k), where node j is the int pair (p_j, q_j) with
+    q_j != 0 for x_j = p_j / q_j: the numerator of the diagonal entry
+    G_k(x_k) = prod_{i != k} (x_k - x_i) over the nonzero denominator
+    q_k^(|labels|-1) prod_{i != k} q_i.  For distinct nodes the rank is
+    the number of nonzero products; two equal nodes zero both their
+    entries."""
+    picked = [nodes[idx - 1] for idx in labels]
+    out = []
+    for k, (pk, qk) in enumerate(picked):
+        prod = 1
+        for i, (pi, qi) in enumerate(picked):
+            if i != k:
+                prod *= pk * qi - pi * qk
+        out.append(prod)
+    return out
+
+
 def transversality_report(ns: NodeSet, s: Sequence[int]) -> dict:
-    """Characteristics, divisors, exact rank and the pass verdict."""
+    """Characteristics, divisors, the rank and the pass verdict.  The rank
+    is certified exactly by the Lagrange diagonal (_diagonal), and is g-2
+    for every NodeSet, whose nodes are distinct."""
     if ns.g < 3:
         raise DomainError("the configuration needs g >= 3")
     labels = _check_s(ns, s)
     label = std_labeling(ns.g)
     chars = trans_config(label, labels)
     classes = [char_to_partition(k, label) for k in chars]
-    polys = basis_polys(ns, labels)
-    rk = rank(polys)
+    rk = sum(map(bool, _diagonal(
+        [(x.numerator, x.denominator) for x in ns.nodes], labels)))
     return {
         "g": ns.g,
         "S": labels,

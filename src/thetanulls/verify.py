@@ -12,9 +12,9 @@ others use stdlib Mersenne generators (random.Random).
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from .thetanum import (random_int_symplectic, random_level_two,
                        random_siegel, block_diag_split_check,
                        char_act_int, theta_constant,
                        transform_modulus_check)
-from .transversal import NodeSet, transversality_report
+from .transversal import NodeSet, _diagonal, transversality_report
 
 
 def _sub_rng(seed: int, index: int) -> random.Random:
@@ -184,8 +184,15 @@ def criterion_7(seed: int = 0) -> dict:
 
 def criterion_8(seed: int = 0) -> dict:
     """Transversality rank g-2 for integer and random rational node sets,
-    g = 3..8, 100 rational trials per genus; each rank is the exact
-    integer (Bareiss) certificate of transversality_report."""
+    g = 3..8, 100 rational trials per genus, each rank certified exactly
+    by the Lagrange diagonal: the full transversality_report for the
+    integer nodes, the _diagonal kernel alone for the random ones, of whose
+    report only the verdict would be read.  Transversality holds for every
+    set of distinct nodes, so every trial passes.
+
+    A random node p/q (|p| <= 400, 1 <= q <= 39) is drawn as the reduced
+    int pair, and sorted by the float p/q: two distinct nodes differ by at
+    least 1/39**2, far above the float spacing, so the order is exact."""
     rng = _sub_rng(seed, 8)
     rows = []
     ok = True
@@ -197,13 +204,15 @@ def criterion_8(seed: int = 0) -> dict:
         integer_ok = rep["pass"]
         random_ok = 0
         for _ in range(trials):
-            vals: set[Fraction] = set()
-            while len(vals) < 2 * g + 2:
-                vals.add(Fraction(rng.randrange(-400, 401),
-                                  rng.randrange(1, 40)))
-            nsr = NodeSet(g, tuple(sorted(vals)))
+            pairs: set[tuple[int, int]] = set()
+            while len(pairs) < 2 * g + 2:
+                p, q = rng.randrange(-400, 401), rng.randrange(1, 40)
+                d = math.gcd(p, q)
+                pairs.add((p // d, q // d))
+            nodes = sorted(pairs, key=lambda pq: pq[0] / pq[1])
             labels = rng.sample(range(1, 2 * g + 3), g - 2)
-            if transversality_report(nsr, labels)["pass"]:
+            # rank g-2: all g-2 diagonal entries nonzero
+            if all(_diagonal(nodes, labels)):
                 random_ok += 1
         ok = ok and integer_ok and random_ok == trials
         rows.append({"g": g, "rank": rep["rank"], "integer_ok": integer_ok,

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -502,6 +503,29 @@ class TestTransversal:
                              ["transversal", "--genus", "6",
                               "--nodes", str(path), "--points", "1,2,3,4"])
         assert code == 2
+
+    @pytest.mark.parametrize("node", ["1e100000000", "1e-100000000",
+                                      "9" * 5000])
+    def test_node_past_the_digit_limit_is_a_resource_cap(self, capsys,
+                                                          tmp_path, node):
+        # refused before Fraction builds 10**100000000, which takes minutes
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(
+            {"g": 3, "nodes": [node] + [str(x) for x in range(2, 9)]}))
+        start = time.monotonic()
+        err = assert_refused(capsys, ["transversal", "--genus", "3",
+                                      "--points", "1", "--nodes", str(path)],
+                             code=3)
+        assert time.monotonic() - start < 1.0
+        assert "node 1 has more than" in err
+
+    def test_accepted_literals(self, capsys, tmp_path):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(
+            {"g": 3, "nodes": ["3/7", "-2.5", "1e300", 2.25, 5, 6, 7, 8]}))
+        code, rep = run_json(capsys, ["transversal", "--genus", "3",
+                                      "--nodes", str(path), "--points", "1"])
+        assert code == 0 and rep["rank"] == 1 and rep["pass"] is True
 
     @pytest.mark.parametrize("points", ["1_0,2,3,4", "\u0663,2,3,4",
                                         "\uff13,2,3,4"])

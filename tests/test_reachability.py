@@ -26,6 +26,9 @@ ALLOWED = {
     "orbits.orbit_bfs": "traced: tracing.py times it",
     "orbits.random_quadruple": "traced: tracing.py counts its draws",
     "thetanum.siegel_act": "traced: tracing.py times it",
+    # and the tests' reference for the Lagrange diagonal (ROADMAP item 8)
+    "transversal.basis_polys": "traced: tracing.py times it",
+    "transversal.rank": "traced: tracing.py times it",
     # a test checks a live kernel against these
     "f2core.F2Vector.is_zero": "test reference: transvection's check",
     "f2core.SymplecticMap.apply": "test reference: the maps of act_on_char",

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from thetanulls import transversal
+from thetanulls import transversal, verify
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.transversal import (
     NodeSet,
+    _diagonal,
     _divisor,
     basis_polys,
     rank,
@@ -159,7 +162,7 @@ def test_report_unit_nodes_g3_to_g8():
 
 
 def test_report_checks_s_once(monkeypatch):
-    # the report's own check and basis_polys' check, not one per divisor
+    # the report's own check, not one per divisor
     calls = []
     check = transversal._check_s
     monkeypatch.setattr(transversal, "_check_s",
@@ -167,7 +170,7 @@ def test_report_checks_s_once(monkeypatch):
     ns = unit_nodes(8)
     s = [5, 1, 3, 6, 2, 4]
     report = transversality_report(ns, s)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert report["divisors"] == [_divisor(8, sorted(s), k)
                                   for k in sorted(s)]
 
@@ -269,3 +272,145 @@ def test_basis_polys_match_fraction_product():
         want = [fraction_product([ns.nodes[i - 1] for i in s if i != k])
                 for k in s]
         assert basis_polys(ns, s) == want
+
+
+def diagonal_rank(nodes, labels):
+    return sum(map(bool, _diagonal(nodes, labels)))
+
+
+def fraction_draws(seed):
+    """Reference for criterion 8's random trials, drawn as Fractions: per
+    trial g, the sorted nodes, the labels and the rng state after them."""
+    rng = random.Random(seed * 1009 + 8)
+    for g in range(3, 9):
+        for _ in range(100):
+            vals = set()
+            while len(vals) < 2 * g + 2:
+                vals.add(Fraction(rng.randrange(-400, 401),
+                                  rng.randrange(1, 40)))
+            nodes = sorted(vals)
+            labels = rng.sample(range(1, 2 * g + 3), g - 2)
+            yield g, nodes, labels, rng.getstate()
+
+
+def criterion_8_trials(seed):
+    """Each random trial of verify.criterion_8(seed), as the int-pair
+    nodes and labels its _diagonal call gets and the rng state then, and
+    the rng state once the criterion is done."""
+    rngs, trials = [], []
+
+    def sub_rng(seed, index):
+        rngs.append(random.Random(seed * 1009 + index))
+        return rngs[-1]
+
+    def diagonal(nodes, labels):
+        trials.append((list(nodes), list(labels), rngs[0].getstate()))
+        return _diagonal(nodes, labels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_sub_rng", sub_rng)
+        mp.setattr(verify, "_diagonal", diagonal)
+        assert verify.criterion_8(seed)["pass"]
+    return trials, rngs[0].getstate()
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_criterion_8_draw_matches_the_fraction_draw(seed):
+    trials, final = criterion_8_trials(seed)
+    want = list(fraction_draws(seed))
+    assert len(trials) == len(want) == 600
+    for (nodes, labels, state), (_g, ref, ref_labels, ref_state) in zip(
+            trials, want):
+        # reduced pairs with a positive denominator, so equal as tuples
+        # exactly when equal as rationals
+        assert nodes == [(x.numerator, x.denominator) for x in ref]
+        assert labels == ref_labels and state == ref_state
+    assert final == want[-1][3]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_rank_matches_bareiss_on_criterion_8_nodes(seed):
+    for (g, nodes, labels, _), (pairs, _, _) in zip(
+            fraction_draws(seed), criterion_8_trials(seed)[0]):
+        polys = basis_polys(NodeSet(g, tuple(nodes)), labels)
+        assert diagonal_rank(pairs, labels) == rank(polys) \
+            == fraction_rank(polys) == g - 2
+
+
+def test_diagonal_rank_matches_bareiss_up_to_g32():
+    # huge nodes at small g only: the Fraction reference is slow on them
+    rng = random.Random(103)
+    for g in [3, 4, 9, 17, 32] + [rng.randint(3, 32) for _ in range(5)]:
+        vals = set()
+        while len(vals) < 2 * g + 2:
+            hi = rng.choice((40, 1 << 80)) if g <= 9 else 40
+            vals.add(Fraction(rng.randint(-hi, hi), rng.randint(1, hi)))
+        ns = NodeSet(g, tuple(vals))
+        s = rng.sample(range(1, 2 * g + 3), g - 2)
+        polys = basis_polys(ns, s)
+        pairs = [(x.numerator, x.denominator) for x in ns.nodes]
+        assert diagonal_rank(pairs, s) == rank(polys) \
+            == fraction_rank(polys) == g - 2
+        assert transversality_report(ns, s)["rank"] == g - 2
+
+
+def test_diagonal_entries_are_the_fraction_numerators():
+    # prod_{i != k} (p_k q_i - p_i q_k) = G_k(x_k) q_k^(n-1) prod q_i, for
+    # pairs that need not be reduced, with either sign of q
+    rng = random.Random(107)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        hi = rng.choice((9, 1000, 1 << 90))
+        pairs = [(rng.randint(-hi, hi), rng.choice((1, -1)) * rng.randint(
+            1, hi)) for _ in range(n + 3)]
+        labels = rng.sample(range(1, n + 4), n)
+        x = {j: Fraction(*pairs[j - 1]) for j in labels}
+        for k, got in zip(labels, _diagonal(pairs, labels)):
+            qk = pairs[k - 1][1]
+            scale = qk ** (n - 1) * math.prod(
+                pairs[i - 1][1] for i in labels if i != k)
+            want = math.prod(x[k] - x[i] for i in labels if i != k)
+            assert Fraction(got) == want * scale
+
+
+@pytest.mark.parametrize("g", [4, 6, 9])
+def test_equal_nodes_in_s_drop_the_diagonal_rank(g):
+    rng = random.Random(109 + g)
+    pairs = [(p, 1) for p in rng.sample(range(-99, 100), 2 * g + 2)]
+    labels = rng.sample(range(1, 2 * g + 3), g - 2)
+    a, b = labels[:2]
+    for twin in (pairs[a - 1], (3 * pairs[a - 1][0], 3)):
+        nodes = list(pairs)
+        nodes[b - 1] = twin
+        entries = _diagonal(nodes, labels)
+        # x_a = x_b zeroes exactly the entries of a and b
+        assert [e == 0 for e in entries] == [i in (a, b) for i in labels]
+        assert diagonal_rank(nodes, labels) < g - 2
+    # an equal node outside S leaves the rank at g-2
+    out = next(j for j in range(1, 2 * g + 3) if j not in labels)
+    nodes = list(pairs)
+    nodes[out - 1] = pairs[a - 1]
+    assert diagonal_rank(nodes, labels) == g - 2
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3/7", Fraction(3, 7)), ("-2.5", Fraction(-5, 2)),
+    ("1e300", Fraction(10) ** 300), (" 1_0e-1_0 ", Fraction(1, 10 ** 9)),
+    ("1e4300", Fraction(10) ** 4300), ("." + "0" * 4299, Fraction(0)),
+])
+def test_node_literal_keeps_its_value(text, value):
+    ns = NodeSet.from_json_dict(
+        {"g": 3, "nodes": [text] + [str(i) for i in range(2, 9)]})
+    assert ns.nodes[0] == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e100000000", "1e-100000000", "9" * 5000, "1." + "0" * 4300,
+    "1/" + "3" * 4301, "1e4301", "-1E+4301", "1_0e4_301",
+])
+def test_node_literal_past_the_digit_limit_is_a_resource_cap(text):
+    start = time.monotonic()
+    with pytest.raises(ResourceCapError, match="node 2 "):
+        NodeSet.from_json_dict({"g": 3, "nodes": ["1", text] + [
+            str(i) for i in range(3, 9)]})
+    assert time.monotonic() - start < 1.0
