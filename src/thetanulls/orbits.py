@@ -210,8 +210,9 @@ def random_quadruples(g: int, n: int, rng: np.random.Generator) -> np.ndarray:
         raise DomainError(f"genus {g} has fewer than 4 even characteristics")
     idx = rng.integers(len(evens), size=(n, 4))
     while True:
-        srt = np.sort(idx, axis=1)
-        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        a, b, c, d = idx.T
+        bad = np.flatnonzero((a == b) | (a == c) | (a == d) | (b == c)
+                             | (b == d) | (c == d))
         if not len(bad):
             return evens[idx]
         idx[bad] = rng.integers(len(evens), size=(len(bad), 4))

@@ -262,7 +262,7 @@ def criterion_9(seed: int = 0) -> dict:
         worst_mod = max(worst_mod, rep["diff"])
         if not rep["pass"] or rep["diff"] > 1e-8:
             mod_fail += 1
-        if m.is_level_two():
+        if rep["level_two"]:
             level_two_checked += 1
             if char_act_int(m, k) != k:
                 mod_fail += 1

@@ -293,6 +293,32 @@ class TestTheta:
                              code=3)
         assert "not symmetric" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("action", ["eval", "transform"])
+    def test_z_whose_symmetrized_sum_overflows_exits_3(self, capsys,
+                                                        tmp_path, action):
+        # Z + Z^T = 2e308 is inf: refused, where lambda_min used to be nan
+        # and transform's cond(CZ + D) failed with a traceback
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[1]], "B": [[0]], "C": [[2]], "D": [[1]]},
+             "z": {"g": 1, "re": [[1e308]], "im": [[1.0]]}, "k": [1, 0]}))
+        err = assert_refused(capsys, ["theta", action, "--input", str(path)],
+                             code=3)
+        assert "float range" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_transform_whose_cz_plus_d_overflows_exits_3(self, capsys,
+                                                         tmp_path):
+        # Z + Z^T = 1.6e308 is finite, CZ + D = 2.4e308 + 3i is not
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[1]], "B": [[0]], "C": [[3]], "D": [[1]]},
+             "z": {"g": 1, "re": [[8e307]], "im": [[1.0]]}, "k": [1, 0]}))
+        err = assert_refused(capsys, ["theta", "transform", "--input",
+                                      str(path)], code=3)
+        assert "CZ + D leaves the float range" in err
+
     def test_transform(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(

@@ -187,6 +187,29 @@ def test_random_quadruples_rows_distinct_even_in_range(g):
         assert all(parity(F2Vector(g, k)) == 0 for k in row)
 
 
+def _sorted_redraw_quadruples(g, n, rng):
+    """random_quadruples with the repeated rows found by a row sort."""
+    evens = orbits._even_masks(g)
+    idx = rng.integers(len(evens), size=(n, 4))
+    while True:
+        srt = np.sort(idx, axis=1)
+        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        if not len(bad):
+            return evens[idx]
+        idx[bad] = rng.integers(len(evens), size=(len(bad), 4))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+def test_random_quadruples_equal_the_row_sort_reference(g):
+    # g = 2 has 10 even characteristics, so most rows are redrawn
+    for seed in range(5):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        assert np.array_equal(random_quadruples(g, 2000, got_rng),
+                              _sorted_redraw_quadruples(g, 2000, want_rng))
+        assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+
+
 def test_random_quadruples_needs_four_even_characteristics():
     with pytest.raises(DomainError):
         random_quadruples(1, 1, np.random.default_rng(0))

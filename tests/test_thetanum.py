@@ -70,6 +70,12 @@ def char_act_form_map(m):
     return SymplecticMap(m.g, thetanum._form_rows(m))
 
 
+def _fields(z):
+    """Every field of a SiegelMatrix, as bits."""
+    return (z.g, z.z.tobytes(), struct.pack("<d", z.lambda_min),
+            z.reduced.tobytes(), z.shift)
+
+
 class TestSiegelMatrix:
     def test_symmetrized_and_lambda_min(self):
         z = SiegelMatrix([[1 + 2j, 0.5j], [0.5j, 1 + 3j]])
@@ -114,6 +120,38 @@ class TestSiegelMatrix:
         with pytest.raises(DomainError):
             SiegelMatrix([[1j, 0], [0, 0]])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [[[1e308 + 1j]],
+                                   [[1j, 1e308], [1e308, 1j]],
+                                   [[1j, -1e308], [-1e308, 1j]]])
+    def test_rejects_a_symmetrized_sum_past_the_float_range(self, z):
+        # the sum used to give inf + nan j and lambda_min nan
+        with pytest.raises(DomainError, match="float range"):
+            SiegelMatrix(z)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_skew_difference_past_the_float_range(self):
+        with pytest.raises(DomainError, match="not symmetric"):
+            SiegelMatrix([[1j, 1e308], [-1e308, 1j]])
+
+    def test_symmetric_gives_the_constructor_bits(self):
+        # random_siegel, _act (Re beyond 1 included) and block_diag_join
+        # build their matrices through _symmetric: each must carry the
+        # bits SiegelMatrix gives the same array
+        rng = random.Random(7)
+        made = []
+        for g in (1, 2, 3):
+            for _ in range(20):
+                z = random_siegel(g, rng)
+                made.append(z)
+                made.append(thetanum._act(
+                    random_int_symplectic(g, rng, steps=4), z)[0])
+        made += [thetanum.block_diag_join(made[i:i + 3])
+                 for i in range(0, 30, 3)]
+        assert sum(z.shift is not None for z in made) >= 10
+        for z in made:
+            assert _fields(z) == _fields(SiegelMatrix(z.z))
+
     def test_json_roundtrip(self):
         z = SiegelMatrix([[0.25 + 1j, -0.5 + 0.1j], [-0.5 + 0.1j, 2j]])
         data = json.loads(json.dumps(z.to_json_dict()))
@@ -141,6 +179,27 @@ class TestIntSymplectic:
         # A^T D - C^T B = 2^64 + 1, which is 1 in wrapping int64 arithmetic
         with pytest.raises(DomainError):
             IntSymplectic([[2 ** 32]], [[-1]], [[1]], [[2 ** 32]])
+
+    def test_blocks_checks_the_exact_matrix(self):
+        big = np.eye(4, dtype=object)
+        for entry in (2 ** 63, -2 ** 63 - 1):
+            big[0, 2] = entry  # (I S; 0 I) with S past int64
+            with pytest.raises(ResourceCapError, match="int64"):
+                thetanum._blocks(big, 2)
+        skew = np.eye(4, dtype=object)
+        skew[0, 1] = 1  # A = (1 1; 0 1), D = I
+        with pytest.raises(DomainError, match="A\\^T D - C\\^T B"):
+            thetanum._blocks(skew, 2)
+        # A^T D - C^T B = 2^64 + 1, which is 1 in wrapping int64 arithmetic
+        wrap = np.array([[2 ** 32, -1], [1, 2 ** 32]], dtype=object)
+        with pytest.raises(DomainError):
+            thetanum._blocks(wrap, 1)
+        m = np.eye(4, dtype=object)
+        m[0, 2] = m[1, 3] = 2 ** 62  # (I S; 0 I), S within int64
+        out = thetanum._blocks(m, 2)
+        assert np.array_equal(_full(out), m)
+        for blk in (out.a, out.b, out.c, out.d):
+            assert blk.dtype == np.int64 and not blk.flags.writeable
 
     def test_json_roundtrip(self):
         s = _s_matrix(2)
@@ -468,6 +527,56 @@ class TestGenerators:
         # 200 level-two steps at this seed leave int64 in block A
         with pytest.raises(ResourceCapError):
             random_level_two(2, random.Random(0), steps=200)
+
+
+def _reference_tail(r, lam, g):
+    """_tail_bound's shell sum with no early stop: shells m = 0..10,000
+    until a term's exp underflows to 0, inf past the float range or the
+    last shell."""
+    total = 0.0
+    base = 2 * math.ceil(r) + 3
+    for m in range(10_001):
+        try:
+            term = (float(base + 2 * m) ** g
+                    * math.exp(-math.pi * lam * (r + m) ** 2))
+        except OverflowError:
+            return math.inf
+        if term == 0.0:
+            return total
+        total += term
+    return math.inf
+
+
+class TestTailBound:
+    def test_equals_the_full_shell_sum_bit_for_bit(self):
+        grid = [(r, lam, g)
+                for g in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
+                for lam in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.03,
+                            0.1, 0.3, 0.5, 1.0, 3.0, 10.0, 30.0)
+                for r in (1.0, 1.25, 1.7, 2.3, 3.1, 4.6, 7.0, 12.5, 40.0,
+                          150.0, 1e3, 1e4, 1e5)]
+        wrong = [(point, got, want) for point in grid
+                 if (got := thetanum._tail_bound(*point)).hex()
+                 != (want := _reference_tail(*point)).hex()]
+        assert wrong == []
+
+    @pytest.mark.parametrize("r, lam, g", [
+        (1.0, 1e-6, 1),  # no underflow by shell 10,000
+        (1e10, 1.0, 32),  # the first shell count overflows
+        # the terms fall below the total's last bit, then a shell count
+        # overflows before any exp underflows
+        (6.0, 0.3, 200),
+    ])
+    def test_inf_as_the_full_shell_sum(self, r, lam, g):
+        assert _reference_tail(r, lam, g) == math.inf
+        assert thetanum._tail_bound(r, lam, g) == math.inf
+
+    def test_underflow_before_an_overflowing_last_shell(self):
+        # shell 10,000's count overflows, so the sum may not stop early,
+        # yet it ends by underflow at shell 2 with a finite bound
+        want = _reference_tail(1.0, 30.0, 100)
+        assert math.isfinite(want)
+        assert thetanum._tail_bound(1.0, 30.0, 100).hex() == want.hex()
 
 
 class _RecordingRandom(random.Random):
