@@ -9,15 +9,11 @@ in the shell ||x|| in (R+m, R+m+1] number at most (2*ceil(R)+2m+3)^g, so
 
     tail <= sum_m (2*ceil(R)+2m+3)^g * exp(-pi * lambda_min * (R+m)^2).
 
-The float sum over m stops once no later shell can change it: the terms
-then fall at least geometrically, each below half the last bit of the
-sum, so the bound is the same bit for bit as summing every shell until
-exp underflows (_tail_bound).  R grows until the tail bound is <= eps,
-and a ball of R that may hold more points than the term cap is refused
-before its tail is computed.  The issued certificate adds a fixed
-rounding allowance of 1000 * machine_eps * #terms, so it can exceed eps
-for very small eps (that allowance is dominated by double precision
-itself, not by truncation).
+R grows until the tail bound is <= eps, and a ball of R that may hold more
+points than the term cap is refused before its tail is computed.  The
+issued certificate adds a fixed rounding allowance of
+1000 * machine_eps * #terms, so it can exceed eps for very small eps (that
+allowance is dominated by double precision itself, not by truncation).
 
 The real part of Z is reduced first: theta[k](Z + 2S) = i^(k'^T S k')
 theta[k](Z) for every integer symmetric S, so the series is summed at
@@ -107,38 +103,26 @@ class SiegelMatrix:
     __slots__ = ("g", "z", "lambda_min", "reduced", "shift")
 
     def __init__(self, z) -> None:
-        arr = np.asarray(z, dtype=np.complex128)
+        arr = np.array(z, dtype=np.complex128)  # a copy, frozen below
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MalformedInputError("Z must be a square matrix")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        size = abs(arr.view(np.float64)).max(initial=0.0)
+        if not math.isfinite(size):
             raise MalformedInputError("Z entries must be finite")
-        # each part against its own scale: a huge real entry must not hide
-        # a non-symmetric imaginary part.  Near the float range a difference
-        # or the sum may overflow, which is refused here or by _fill, with
-        # no warning printed
-        with np.errstate(over="ignore", invalid="ignore"):
+        # below 2^1023 no sum or difference of two entries overflows, and
+        # (x + x) / 2 == x: a Z that is symmetric bit for bit is its own
+        # symmetrization, so it skips the tolerance test and the average
+        if size >= 2.0 ** 1023:
+            raise DomainError(
+                "Z entries must be below 2^1023, half the float range")
+        if arr.tobytes() != arr.T.tobytes():
+            # each part against its own scale: a huge real entry must not
+            # hide a non-symmetric imaginary part
             for part in (arr.real, arr.imag):
                 tol = 1e-9 * max(1.0, abs(part).max(initial=0.0))
                 if abs(part - part.T).max(initial=0.0) > tol:
                     raise DomainError("Z is not symmetric within tolerance")
             arr = (arr + arr.T) / 2
-        self._fill(arr)
-
-    @classmethod
-    def _symmetric(cls, arr: np.ndarray) -> "SiegelMatrix":
-        """SiegelMatrix(arr) for a complex128 arr that is symmetric by
-        construction, with no symmetry check: (x + x) / 2 == x, so the
-        result is the same.  arr is taken over, not copied."""
-        self = cls.__new__(cls)
-        self._fill(arr)
-        return self
-
-    def _fill(self, arr: np.ndarray) -> None:
-        """The fields of the symmetric arr, once it is finite (the sum that
-        symmetrizes a finite Z can overflow) and Im arr is positive
-        definite."""
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise DomainError("Z + Z^T leaves the float range")
         evals = np.linalg.eigvalsh(arr.imag)
         lam = float(evals[0])
         # small safety margin keeps the tail bound valid under eigensolver
@@ -188,22 +172,24 @@ class IntSymplectic:
     def __init__(self, a, b, c, d) -> None:
         blocks = []
         for name, blk in (("A", a), ("B", b), ("C", c), ("D", d)):
+            # exact products: int64 products of large entries would wrap
             arr = _checked_array(f"block {name}", blk, "i",
-                                 "integers").astype(np.int64, copy=False)
+                                 "integers").astype(object)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise MalformedInputError(f"block {name} must be square")
             blocks.append(arr)
-        a, b, c, d = blocks
-        g = a.shape[0]
+        g = blocks[0].shape[0]
         if any(blk.shape != (g, g) for blk in blocks):
             raise MalformedInputError("blocks must share one size")
-        # exact products: int64 products of large entries would wrap
-        self._fill(*(blk.astype(object) for blk in blocks))
+        self._fill(*blocks)
 
     def _fill(self, a, b, c, d) -> None:
-        """The fields of the exact g x g object blocks of M, once M is
-        symplectic: read-only int64 copies of the blocks."""
+        """The fields of the exact g x g object blocks of M, once its
+        entries lie in int64 and M is symplectic: read-only int64 copies
+        of the blocks."""
         g = a.shape[0]
+        if any(x not in _INT64 for blk in (a, b, c, d) for x in blk.flat):
+            raise ResourceCapError("matrix entries leave the int64 range")
         if not np.array_equal(a.T @ c, c.T @ a):
             raise DomainError("A^T C is not symmetric")
         if not np.array_equal(b.T @ d, d.T @ b):
@@ -240,32 +226,9 @@ def _tail_bound(r: float, lam: float, g: int) -> float:
     """Rigorous bound on the sum of exp(-pi lam ||x||^2) over ||x|| > r:
     the shell r+m < ||x|| <= r+m+1 holds at most (2 ceil(r) + 2m + 3)^g
     lattice translates, each term bounded by the shell's inner radius.
-    The float sum runs over the shells m = 0..10,000 until a term's exp
-    underflows to 0; a shell count past the float range, or no underflow
-    by shell 10,000, gives the bound inf.
-
-    The sum stops earlier where that cannot change its value.  From the
-    first shell m with pi lam (2(r+m)+1) >= ln 2 + g ln((b+2)/b),
-    b = 2 ceil(r) + 3, on (one shell later, against rounding), the ratio
-    of the next term to this one,
-    ((b+2m+2)/(b+2m))^g e^(-pi lam (2(r+m)+1)), is at most 1/2, and so is
-    every later ratio, as both factors fall with m.  Such an m <= 10,000
-    puts shell 10,000's exponent pi lam (r+10,000)^2 past 3000, so where
-    shell 10,000's count is finite the loop would end by underflow, not by
-    overflow or at the last shell.  The sum then stops at the first term
-    below ulp(total)/16 from that shell on: in real numbers the term j
-    shells on is at most 2^-j times this one, and rounding (of exp and of
-    the product, subnormal results included) keeps a nonzero float term
-    within a factor 3/2 below and 2 above its real value, so every later
-    float term is below ulp(total)/2 and leaves the total as it is."""
+    A shell count past the float range gives the bound inf."""
     total = 0.0
     base = 2 * math.ceil(r) + 3
-    try:
-        float(base + 20_000) ** g  # raises past the float range
-        halving = math.log(2) + g * math.log1p(2 / base)
-        stop_from = math.ceil((halving / (math.pi * lam) - 1) / 2 - r) + 1
-    except OverflowError:
-        stop_from = 10_001  # no early stop
     for m in range(10_001):
         try:
             term = (float(base + 2 * m) ** g
@@ -274,8 +237,6 @@ def _tail_bound(r: float, lam: float, g: int) -> float:
             return math.inf
         if term == 0.0:
             # exp underflowed; later shells underflow too
-            return total
-        if m >= stop_from and term < math.ulp(total) / 16:
             return total
         total += term
     return math.inf
@@ -581,8 +542,12 @@ def _act(m: IntSymplectic,
     cond = float(np.linalg.cond(den))
     if cond > _COND_CAP:
         raise DomainError("CZ + D too ill-conditioned")
-    moved = np.linalg.solve(den.T, num.T).T
-    return SiegelMatrix._symmetric((moved + moved.T) / 2), den, cond
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = np.linalg.solve(den.T, num.T).T
+        moved = (moved + moved.T) / 2
+    if not np.isfinite(moved).all():
+        raise DomainError("M.Z leaves the float range")
+    return SiegelMatrix(moved), den, cond
 
 
 def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
@@ -639,7 +604,7 @@ def block_diag_join(z_blocks: Sequence[SiegelMatrix]) -> SiegelMatrix:
     for z in z_blocks:
         out[pos:pos + z.g, pos:pos + z.g] = z.z
         pos += z.g
-    return SiegelMatrix._symmetric(out)
+    return SiegelMatrix(out)
 
 
 def char_join(k_blocks: Sequence[F2Vector]) -> F2Vector:
@@ -700,8 +665,6 @@ def _add_sym(m: np.ndarray, g: int, lower: bool, i: int, j: int,
 def _blocks(m: np.ndarray, g: int) -> IntSymplectic:
     """The checked IntSymplectic of the exact 2g x 2g object matrix m, as
     IntSymplectic checks its blocks; past int64 is a ResourceCapError."""
-    if m.min() not in _INT64 or m.max() not in _INT64:
-        raise ResourceCapError("matrix entries leave the int64 range")
     out = IntSymplectic.__new__(IntSymplectic)
     out._fill(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
     return out
@@ -757,4 +720,4 @@ def random_siegel(g: int, rng, min_im: float = 0.5) -> SiegelMatrix:
     off = np.sum(np.abs(y), axis=1) - np.abs(np.diag(y))
     for i in range(g):
         y[i, i] = min_im + off[i] + rng.uniform(0.0, 1.5)
-    return SiegelMatrix._symmetric(x + 1j * y)
+    return SiegelMatrix(x + 1j * y)

@@ -295,8 +295,8 @@ class TestTheta:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("action", ["eval", "transform"])
-    def test_z_whose_symmetrized_sum_overflows_exits_3(self, capsys,
-                                                        tmp_path, action):
+    def test_z_from_2_to_the_1023_on_exits_3(self, capsys, tmp_path,
+                                             action):
         # Z + Z^T = 2e308 is inf: refused, where lambda_min used to be nan
         # and transform's cond(CZ + D) failed with a traceback
         path = tmp_path / "t.json"
@@ -318,6 +318,21 @@ class TestTheta:
         err = assert_refused(capsys, ["theta", "transform", "--input",
                                       str(path)], code=3)
         assert "CZ + D leaves the float range" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_transform_whose_moved_z_overflows_exits_3(self, capsys,
+                                                       tmp_path):
+        # M.Z = A Z A^T has the diagonal 1.5e308, so M.Z + (M.Z)^T is inf;
+        # the moved Z is refused as theta eval refuses it
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[2, 1], [1, 1]], "B": [[0, 0], [0, 0]],
+                   "C": [[0, 0], [0, 0]], "D": [[1, -1], [-1, 2]]},
+             "z": {"g": 2, "re": [[3e307, 0], [0, 3e307]],
+                   "im": [[1, 0], [0, 1]]}, "k": [1, 0, 0, 0]}))
+        err = assert_refused(capsys, ["theta", "transform", "--input",
+                                      str(path)], code=3)
+        assert "M.Z leaves the float range" in err
 
     def test_transform(self, capsys, tmp_path):
         path = tmp_path / "t.json"

@@ -70,12 +70,6 @@ def char_act_form_map(m):
     return SymplecticMap(m.g, thetanum._form_rows(m))
 
 
-def _fields(z):
-    """Every field of a SiegelMatrix, as bits."""
-    return (z.g, z.z.tobytes(), struct.pack("<d", z.lambda_min),
-            z.reduced.tobytes(), z.shift)
-
-
 class TestSiegelMatrix:
     def test_symmetrized_and_lambda_min(self):
         z = SiegelMatrix([[1 + 2j, 0.5j], [0.5j, 1 + 3j]])
@@ -123,21 +117,24 @@ class TestSiegelMatrix:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [[[1e308 + 1j]],
                                    [[1j, 1e308], [1e308, 1j]],
-                                   [[1j, -1e308], [-1e308, 1j]]])
-    def test_rejects_a_symmetrized_sum_past_the_float_range(self, z):
-        # the sum used to give inf + nan j and lambda_min nan
+                                   [[1j, -1e308], [-1e308, 1j]],
+                                   [[1j, 1e308], [-1e308, 1j]],
+                                   [[2.0 ** 1023 * 1j]]])
+    def test_rejects_entries_from_2_to_the_1023_on(self, z):
+        # Z + Z^T used to give inf + nan j and lambda_min nan
         with pytest.raises(DomainError, match="float range"):
             SiegelMatrix(z)
 
     @pytest.mark.filterwarnings("error")
-    def test_rejects_a_skew_difference_past_the_float_range(self):
+    def test_rejects_a_skew_pair_near_the_float_range(self):
         with pytest.raises(DomainError, match="not symmetric"):
-            SiegelMatrix([[1j, 1e308], [-1e308, 1j]])
+            SiegelMatrix([[1j, 8.9e307], [-8.9e307, 1j]])
 
-    def test_symmetric_gives_the_constructor_bits(self):
-        # random_siegel, _act (Re beyond 1 included) and block_diag_join
-        # build their matrices through _symmetric: each must carry the
-        # bits SiegelMatrix gives the same array
+    @pytest.mark.filterwarnings("error")
+    def test_symmetric_input_is_its_own_average(self):
+        # a Z symmetric bit for bit skips the tolerance test and the
+        # average, so (Z + Z^T) / 2 must give its bits back: random_siegel,
+        # _act (Re beyond 1 included) and block_diag_join make such Z
         rng = random.Random(7)
         made = []
         for g in (1, 2, 3):
@@ -149,8 +146,23 @@ class TestSiegelMatrix:
         made += [thetanum.block_diag_join(made[i:i + 3])
                  for i in range(0, 30, 3)]
         assert sum(z.shift is not None for z in made) >= 10
+        top = math.nextafter(2.0 ** 1023, 0)
+        edge = np.array([[top + 1j, -0.0 + 5e-324j],
+                         [-0.0 + 5e-324j, -top + 1j]])
+        made.append(SiegelMatrix(edge))
+        assert made[-1].z.tobytes() == edge.tobytes()
         for z in made:
-            assert _fields(z) == _fields(SiegelMatrix(z.z))
+            assert z.z.tobytes() == ((z.z + z.z.T) / 2).tobytes()
+        # zeros of opposite sign are equal but not the same bits: averaged
+        signed = SiegelMatrix([[1j, 0.0], [-0.0, 1j]])
+        assert signed.z.tobytes() == signed.z.T.tobytes()
+
+    def test_copies_its_input(self):
+        arr = np.array([[0.5 + 1j]])
+        z = SiegelMatrix(arr)
+        assert arr.flags.writeable and not z.z.flags.writeable
+        arr[0, 0] = 2j
+        assert z.z[0, 0] == 0.5 + 1j
 
     def test_json_roundtrip(self):
         z = SiegelMatrix([[0.25 + 1j, -0.5 + 0.1j], [-0.5 + 0.1j, 2j]])
@@ -200,6 +212,12 @@ class TestIntSymplectic:
         assert np.array_equal(_full(out), m)
         for blk in (out.a, out.b, out.c, out.d):
             assert blk.dtype == np.int64 and not blk.flags.writeable
+
+    def test_copies_its_input(self):
+        eye = np.eye(1, dtype=np.int64)
+        m = IntSymplectic(eye, 0 * eye, 0 * eye, eye)
+        assert eye.flags.writeable
+        assert not any(blk.flags.writeable for blk in (m.a, m.b, m.c, m.d))
 
     def test_json_roundtrip(self):
         s = _s_matrix(2)
@@ -305,6 +323,16 @@ class TestSiegelAction:
     def test_g_mismatch(self):
         with pytest.raises(DomainError):
             siegel_act(_s_matrix(1), SiegelMatrix([[1j, 0], [0, 1j]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_moved_z_past_the_float_range_refused(self):
+        # C = 0 and A = (2 1; 1 1) move Z = 3e307 I + iI to A Z A^T, whose
+        # diagonal 1.5e308 overflows in M.Z + (M.Z)^T
+        m = IntSymplectic([[2, 1], [1, 1]], [[0, 0], [0, 0]],
+                          [[0, 0], [0, 0]], [[1, -1], [-1, 2]])
+        z = SiegelMatrix([[3e307 + 1j, 0], [0, 3e307 + 1j]])
+        with pytest.raises(DomainError, match="M.Z leaves the float range"):
+            siegel_act(m, z)
 
 
 class TestCharAction:
@@ -527,56 +555,6 @@ class TestGenerators:
         # 200 level-two steps at this seed leave int64 in block A
         with pytest.raises(ResourceCapError):
             random_level_two(2, random.Random(0), steps=200)
-
-
-def _reference_tail(r, lam, g):
-    """_tail_bound's shell sum with no early stop: shells m = 0..10,000
-    until a term's exp underflows to 0, inf past the float range or the
-    last shell."""
-    total = 0.0
-    base = 2 * math.ceil(r) + 3
-    for m in range(10_001):
-        try:
-            term = (float(base + 2 * m) ** g
-                    * math.exp(-math.pi * lam * (r + m) ** 2))
-        except OverflowError:
-            return math.inf
-        if term == 0.0:
-            return total
-        total += term
-    return math.inf
-
-
-class TestTailBound:
-    def test_equals_the_full_shell_sum_bit_for_bit(self):
-        grid = [(r, lam, g)
-                for g in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
-                for lam in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.03,
-                            0.1, 0.3, 0.5, 1.0, 3.0, 10.0, 30.0)
-                for r in (1.0, 1.25, 1.7, 2.3, 3.1, 4.6, 7.0, 12.5, 40.0,
-                          150.0, 1e3, 1e4, 1e5)]
-        wrong = [(point, got, want) for point in grid
-                 if (got := thetanum._tail_bound(*point)).hex()
-                 != (want := _reference_tail(*point)).hex()]
-        assert wrong == []
-
-    @pytest.mark.parametrize("r, lam, g", [
-        (1.0, 1e-6, 1),  # no underflow by shell 10,000
-        (1e10, 1.0, 32),  # the first shell count overflows
-        # the terms fall below the total's last bit, then a shell count
-        # overflows before any exp underflows
-        (6.0, 0.3, 200),
-    ])
-    def test_inf_as_the_full_shell_sum(self, r, lam, g):
-        assert _reference_tail(r, lam, g) == math.inf
-        assert thetanum._tail_bound(r, lam, g) == math.inf
-
-    def test_underflow_before_an_overflowing_last_shell(self):
-        # shell 10,000's count overflows, so the sum may not stop early,
-        # yet it ends by underflow at shell 2 with a finite bound
-        want = _reference_tail(1.0, 30.0, 100)
-        assert math.isfinite(want)
-        assert thetanum._tail_bound(1.0, 30.0, 100).hex() == want.hex()
 
 
 class _RecordingRandom(random.Random):
