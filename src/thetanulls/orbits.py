@@ -18,14 +18,16 @@ span independence and the three pairings off the differences, given as
 plain int masks or as broadcast numpy mask arrays.  classify,
 classify_by_delta and delta_parities call it on one Quadruple.  Bulk
 callers hold quadruples as rows of (n, 4) numpy arrays of characteristic
-masks: classify_array and classify_by_delta_array, the sampler
-random_quadruples, and all_quadruples, which census and census_report
-classify in one array pass.  orbit_bfs keys each node, a sorted 4-subset of
-indices into the even characteristics, by its colex rank, so its visited set
-is a boolean array over all C(#even, 4) subsets.  It acts by 2g + 1
-transvections, not all 4^g - 1: a set certified to generate Sp(2g, F_2)
-each time it is built, so the orbits are the same.  Each BFS level applies
-all of them to the whole frontier in one batched step.
+masks: classify_array, the sampler random_quadruples, and all_quadruples,
+which census and census_report classify in one array pass; the
+delta-parity cross-check reads both codes off one pass of the kernel.
+orbit_bfs keys each node, a sorted 4-subset of indices into the even
+characteristics, by its colex rank, so its visited set is a boolean array
+over all C(#even, 4) subsets.  It acts by 2g + 1 transvections, not all
+4^g - 1: a set certified to generate Sp(2g, F_2) each time it is built,
+so the orbits are the same.  Each BFS level applies all of them to the
+whole frontier in one batched step, and keeps each new node once by a
+scatter of positions into an array indexed by the rank, with no sort.
 """
 
 from __future__ import annotations
@@ -194,13 +196,6 @@ def classify_array(ks: np.ndarray, g: int, base: int = 3) -> np.ndarray:
                        ).astype(np.uint8)
 
 
-def classify_by_delta_array(ks: np.ndarray, g: int) -> np.ndarray:
-    """classify_by_delta over an (n, 4) mask array (base = column 4), as
-    codes like classify_array's; the cross-check of classify_array."""
-    return _delta_code(*_invariants(*_differences_arr(ks, 3), g)
-                       ).astype(np.uint8)
-
-
 def random_quadruples(g: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform quadruples of distinct even characteristics, as an (n, 4)
     mask array: indices into the even masks, rows with a repeated index
@@ -292,6 +287,10 @@ def _orbit(start: Sequence[int], g: int) -> np.ndarray:
     C(#even, 4) subsets.  Each level applies all 2g + 1 steps to the whole
     frontier in one gather, at most 2g + 1 times the frontier's memory: with
     this few generators one batched step costs less than a loop over them.
+    An image node reached more than once in a level is kept once, with no
+    sort: every position scatters its number to an int32 array indexed by
+    the rank, and only the one number that stays there keeps its node.
+    The rows come in no fixed order within a level.
     """
     evens = _even_masks(g)
     index_of = np.full(1 << (2 * g), -1, dtype=np.int64)
@@ -306,6 +305,8 @@ def _orbit(start: Sequence[int], g: int) -> np.ndarray:
     binom = np.array([[comb(x, j + 1) for x in range(len(evens))]
                       for j in range(4)], dtype=np.int64)
     seen = np.zeros(comb(len(evens), 4), dtype=bool)
+    # owner[rank]: the position that wrote the rank last in its level
+    owner = np.empty(seen.size, dtype=np.int32)
     # the frontier holds one sorted node per column
     frontier = np.sort(index_of[np.asarray(start, dtype=np.int64)])[:, None]
     seen[sum(b[c] for b, c in zip(binom, frontier))] = True
@@ -317,9 +318,11 @@ def _orbit(start: Sequence[int], g: int) -> np.ndarray:
             x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
         rank = sum(b[c] for b, c in zip(binom, x))
         new = np.flatnonzero(~seen[rank])
-        rank, first = np.unique(rank[new], return_index=True)
+        rank = rank[new]
         seen[rank] = True
-        frontier = np.stack(x)[:, new[first]]
+        pos = np.arange(new.size, dtype=np.int32)
+        owner[rank] = pos
+        frontier = np.stack(x)[:, new[owner[rank] == pos]]
         visited.append(frontier)
     return evens[np.concatenate(visited, axis=1).T]
 

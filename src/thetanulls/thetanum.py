@@ -10,10 +10,12 @@ in the shell ||x|| in (R+m, R+m+1] number at most (2*ceil(R)+2m+3)^g, so
     tail <= sum_m (2*ceil(R)+2m+3)^g * exp(-pi * lambda_min * (R+m)^2).
 
 R grows until the tail bound is <= eps, and a ball of R that may hold more
-points than the term cap is refused before its tail is computed.  The
-issued certificate adds a fixed rounding allowance of
-1000 * machine_eps * #terms, so it can exceed eps for very small eps (that
-allowance is dominated by double precision itself, not by truncation).
+points than the term cap is refused before its tail is computed.  The sum
+only grows, so a rejected R stops summing its shells once the running
+total passes eps; the accepted R sums them all.  The issued certificate
+adds a fixed rounding allowance of 1000 * machine_eps * #terms, so it can
+exceed eps for very small eps (that allowance is dominated by double
+precision itself, not by truncation).
 
 The real part of Z is reduced first: theta[k](Z + 2S) = i^(k'^T S k')
 theta[k](Z) for every integer symmetric S, so the series is summed at
@@ -34,9 +36,12 @@ distinct norms.  With the points it keeps their antipodal fold: a shell of
 one norm read backwards is the shell negated, and x^T Z x is even in x, so
 x^T Z x and its exponential are computed on the first half of each shell
 only and read at every point through the fold index.  The cache holds g
-small integers and one fold index of one, two or four bytes per point
-(plus one norm and one offset per distinct norm) for the largest ball
-requested.  The terms exp(pi*i x^T Z x) depend on Z.  Only the phase
+small integers and one fold index of one, two or four bytes per point,
+the g small integers of each half-ball point once more, so that a prefix
+of the half ball is a slice, and one norm and one offset per distinct
+norm, for the largest ball requested.  x^T Z x is summed in one complex
+array, c_jk x_j x_k term by term, bit for bit the sums of its real and
+imaginary parts.  The terms exp(pi*i x^T Z x) depend on Z.  Only the phase
 exp(pi*i x . k'') depends on k'', and as 2x . k'' is an integer that phase
 is the power i^(2x . k'') of i: a characteristic's value is the sum of the
 coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
@@ -106,6 +111,8 @@ class SiegelMatrix:
         arr = np.array(z, dtype=np.complex128)  # a copy, frozen below
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MalformedInputError("Z must be a square matrix")
+        if not arr.size:
+            raise MalformedInputError("Z must be at least 1 x 1")
         size = abs(arr.view(np.float64)).max(initial=0.0)
         if not math.isfinite(size):
             raise MalformedInputError("Z entries must be finite")
@@ -160,7 +167,11 @@ class SiegelMatrix:
         im = _checked_array("im", data["im"], "if", "numbers")
         if type(g) is not int or re.shape != (g, g) or im.shape != (g, g):
             raise MalformedInputError("re/im must be g x g arrays")
-        return cls(re + 1j * im)
+        # each part set on its own: 1j * inf is nan + inf j, with a
+        # RuntimeWarning
+        z = np.empty((g, g), dtype=np.complex128)
+        z.real, z.imag = re, im
+        return cls(z)
 
 
 class IntSymplectic:
@@ -222,11 +233,17 @@ class IntSymplectic:
         return cls(data["A"], data["B"], data["C"], data["D"])
 
 
-def _tail_bound(r: float, lam: float, g: int) -> float:
+def _tail_bound(r: float, lam: float, g: int,
+                cap: float = math.inf) -> float:
     """Rigorous bound on the sum of exp(-pi lam ||x||^2) over ||x|| > r:
     the shell r+m < ||x|| <= r+m+1 holds at most (2 ceil(r) + 2m + 3)^g
     lattice translates, each term bounded by the shell's inner radius.
-    A shell count past the float range gives the bound inf."""
+    A shell count past the float range gives the bound inf.
+
+    The running total only grows, so once it passes cap the bound is
+    known to be above cap, and that partial total is returned: the result
+    is above cap exactly when the full bound is, and is the full bound
+    bit for bit otherwise."""
     total = 0.0
     base = 2 * math.ceil(r) + 3
     for m in range(10_001):
@@ -239,12 +256,18 @@ def _tail_bound(r: float, lam: float, g: int) -> float:
             # exp underflowed; later shells underflow too
             return total
         total += term
+        if total > cap:
+            return total
     return math.inf
 
 
 def _radius(z: SiegelMatrix, eps: float,
             radius_scale: float) -> tuple[float, float]:
     """Truncation radius r and its tail bound, which is <= eps.
+
+    A radius of the x1.25 search is rejected as soon as its running tail
+    passes eps (_tail_bound's cap); the radius accepted runs the full loop,
+    so r and its tail are those of full tails.
 
     The term cap is checked on every radius tried, before that radius's
     tail, and it also ends the search: a radius under the cap is below
@@ -257,11 +280,11 @@ def _radius(z: SiegelMatrix, eps: float,
     lam = z.lambda_min
     r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
     _check_term_cap(r, g)
-    tail = _tail_bound(r, lam, g)
+    tail = _tail_bound(r, lam, g, eps)
     while tail > eps:
         r *= 1.25
         _check_term_cap(r, g)
-        tail = _tail_bound(r, lam, g)
+        tail = _tail_bound(r, lam, g, eps)
     if radius_scale > 1.0:
         r *= radius_scale
         _check_term_cap(r, g)
@@ -297,13 +320,17 @@ class _Ball(NamedTuple):
     own mirror.  Number the first ceil(e/2) points of each shell in order
     (the half ball); fold[p] is the number of the point y_p or -y_p, in
     the smallest unsigned dtype.  It steps up exactly at the points of the
-    half ball.  A cached point costs g bytes of twice_x (int8 while
-    |y_i| < 128) and one, two or four bytes of fold."""
+    half ball, whose columns half holds in the dtype of twice_x.  Every
+    shell but the origin's has an even count, so a prefix of n whole
+    shells holds n - floor(n/2) half points, the same prefix of half.  A
+    cached point costs g bytes of twice_x (int8 while |y_i| < 128), one,
+    two or four bytes of fold and, for half the points, g bytes of half."""
     nmax: int
     twice_x: np.ndarray
     norms: np.ndarray
     ends: np.ndarray
     fold: np.ndarray
+    half: np.ndarray
 
 
 # (g, k') -> the largest ball asked for so far.  The points do not depend
@@ -331,8 +358,11 @@ def _ball(g: int, kp: int, nmax: int) -> _Ball:
     step[:1] = True
     np.not_equal(norm[1:], norm[:-1], out=step[1:])
     starts = np.flatnonzero(step)
-    return _Ball(nmax, twice_x, norm[starts],
-                 *_fold(np.append(starts, norm.size)))
+    ends, fold = _fold(np.append(starts, norm.size))
+    # the half ball: the points where the fold steps up
+    np.greater(fold[1:], fold[:-1], out=step[1:])
+    return _Ball(nmax, twice_x, norm[starts], ends, fold,
+                 twice_x.compress(step, axis=1))
 
 
 def _lex_ball(g: int, kp: int,
@@ -398,13 +428,12 @@ def _coset(z: SiegelMatrix, r: float,
     ball of y = 2x (_BALLS): exactly the float test ||x||^2 <= r^2 + 1e-12,
     as ||x||^2 = |y|^2 / 4 is exact.  The prefix of a larger ball in
     (norm, lex) order is the smaller ball in the same order, with its fold
-    a prefix of the ball's, so a cached ball gives the points of a fresh
-    build; the half is where the fold steps up.  The points in the 1e-12
-    slack, r^2 < ||x||^2 <= r^2 + 1e-12, lie past r, where the tail bound
-    of r already covers them, so summing them keeps the certificate valid.
-    The cache owns the points
-    and quad is all that depends on Z; the 2x and fold returned may be
-    views of the cache."""
+    and its half ball prefixes of the ball's, so a cached ball gives the
+    points of a fresh build.  The points in the 1e-12 slack,
+    r^2 < ||x||^2 <= r^2 + 1e-12, lie past r, where the tail bound of r
+    already covers them, so summing them keeps the certificate valid.  The
+    cache owns the points and quad is all that depends on Z; the 2x and
+    fold returned may be views of the cache."""
     nmax = math.floor(4 * (r * r + 1e-12))
     # one read of the slot, one tuple written: a racing call may store a
     # smaller ball, but each call cuts the ball it read
@@ -412,32 +441,29 @@ def _coset(z: SiegelMatrix, r: float,
     if ball is None or ball.nmax < nmax:
         ball = _BALLS[z.g, kp] = _ball(z.g, kp, nmax)
     cut = ball.ends[np.searchsorted(ball.norms, nmax, side="right")]
-    twice_x, fold = ball.twice_x[:, :cut], ball.fold[:cut]
-    # the points of the half ball, where the fold steps up
-    first = np.empty(cut, dtype=bool)
-    first[:1] = True
-    np.greater(fold[1:], fold[:-1], out=first[1:])
-    half = twice_x.compress(first, axis=1)
-    twice_x = twice_x.astype(np.min_scalar_type(-2 * math.ceil(r) - 1),
-                             copy=False)
-    return _quad_form(half / 2, z.reduced), fold, twice_x
+    half = ball.half[:, :cut - (cut >> 1)]
+    twice_x = ball.twice_x[:, :cut].astype(
+        np.min_scalar_type(-2 * math.ceil(r) - 1), copy=False)
+    return _quad_form(half / 2, z.reduced), ball.fold[:cut], twice_x
 
 
 def _quad_form(xt: np.ndarray, z: np.ndarray) -> np.ndarray:
     """x^T Z x for each column x of xt (g rows), summed over the upper
-    triangle of the symmetric Z, real and imaginary parts apart.  Each
-    product x_j x_k of half-integers is exact, and every operation is
-    elementwise, so a point's value does not depend on its neighbours."""
+    triangle of the symmetric Z as sum_(j <= k) c_jk x_j x_k, c_jj = z_jj
+    and c_jk = 2 z_jk.  Each product x_j x_k of half-integers is exact, and
+    every operation is elementwise, so a point's value does not depend on
+    its neighbours.  A complex times a real array is the real array cast
+    to complex, so a term's parts are c_jk.real * p and c_jk.imag * p up
+    to the sign of a zero, which a sum started at +0 does not keep: the
+    bits are those of two real sums."""
     g, n = xt.shape
-    re, im, prod = np.zeros(n), np.zeros(n), np.empty(n)
+    quad = np.zeros(n, dtype=np.complex128)
+    prod, term = np.empty(n), np.empty(n, dtype=np.complex128)
     for j in range(g):
         for k in range(j, g):
             np.multiply(xt[j], xt[k], out=prod)
-            weight = 1.0 if j == k else 2.0
-            re += (weight * z[j, k].real) * prod
-            im += (weight * z[j, k].imag) * prod
-    quad = np.empty(n, dtype=np.complex128)
-    quad.real, quad.imag = re, im
+            quad += np.multiply(z[j, k] if j == k else 2 * z[j, k], prod,
+                                out=term)
     return quad
 
 

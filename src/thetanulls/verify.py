@@ -24,8 +24,9 @@ from .bielliptic import verify_witnesses
 from .f2core import F2Vector, _pair, _q0
 from .hyperelliptic import (_canonical, _h0, char_table, formula_agreement,
                             std_labeling, vanishing_thetanulls)
-from .orbits import (all_quadruples, census_report, classify_array,
-                     classify_by_delta_array, random_quadruples)
+from .orbits import (_class_code, _delta_code, _differences_arr,
+                     _invariants, all_quadruples, census_report,
+                     classify_array, random_quadruples)
 from .quadforms import (_transvect_char, characteristic_counts,
                         odd_characteristics)
 from .thetanum import (random_int_symplectic, random_level_two,
@@ -119,14 +120,16 @@ def criterion_3(seed: int = 0) -> dict:
 
 
 def criterion_4(seed: int = 0) -> dict:
-    """classify == classify_by_delta, exhaustive g=2 plus 10^5 random g=6."""
+    """classify == classify_by_delta, exhaustive g=2 plus 10^5 random g=6:
+    the class and delta codes read off one pass of the invariants."""
     quads2 = all_quadruples(2)
-    mismatches = int(np.count_nonzero(
-        classify_array(quads2, 2) != classify_by_delta_array(quads2, 2)))
     trials = 100_000
     ks = random_quadruples(6, trials, _sub_generator(seed, 4))
-    mismatches += int(np.count_nonzero(
-        classify_array(ks, 6) != classify_by_delta_array(ks, 6)))
+    mismatches = 0
+    for quads, g in ((quads2, 2), (ks, 6)):
+        inv = _invariants(*_differences_arr(quads, 3), g)
+        mismatches += int(np.count_nonzero(_class_code(*inv)
+                                           != _delta_code(*inv)))
     return {"criterion": 4, "name": "delta-parity cross-check",
             "exhaustive_g2": len(quads2), "random_g6": trials,
             "mismatches": mismatches, "pass": mismatches == 0}

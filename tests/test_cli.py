@@ -308,6 +308,22 @@ class TestTheta:
         assert "float range" in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("action", ["eval", "transform", "split"])
+    @pytest.mark.parametrize("inf", ["1e309", "Infinity"])
+    def test_infinite_imaginary_entry_exits_2(self, capsys, tmp_path,
+                                              action, inf):
+        # re + 1j * im printed numpy's RuntimeWarning before the refusal,
+        # and raised it under warnings as errors
+        z = '{"g": 1, "re": [[0.5]], "im": [[%s]]}' % inf
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"m": {"A": [[1]], "B": [[0]], "C": [[2]], "D": [[1]]}, '
+            '"z": %s, "k": [1, 0], "blocks": [{"z": %s, "k": [0, 0]}]}'
+            % (z, z))
+        err = assert_refused(capsys, ["theta", action, "--input", str(path)])
+        assert err == "error: Z entries must be finite\n"
+
+    @pytest.mark.filterwarnings("error")
     def test_transform_whose_cz_plus_d_overflows_exits_3(self, capsys,
                                                          tmp_path):
         # Z + Z^T = 1.6e308 is finite, CZ + D = 2.4e308 + 3i is not

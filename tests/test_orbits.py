@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from thetanulls import orbits
+from thetanulls import orbits, verify
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.f2core import (F2Vector, SymplecticMap, _rank_int,
                                symplectic_pairing, transvection)
@@ -19,7 +19,6 @@ from thetanulls.orbits import (
     classify,
     classify_array,
     classify_by_delta,
-    classify_by_delta_array,
     delta_parities,
     differences,
     orbit_bfs,
@@ -155,6 +154,15 @@ def test_classifiers_agree_exhaustive_g2():
         assert_matches_reference(quad(2, *ks))
 
 
+def classify_by_delta_array(ks, g):
+    """classify_by_delta over an (n, 4) mask array (base = column 4), as
+    codes like classify_array's: the batched reference of criterion 4,
+    which reads both codes off one pass of the invariants."""
+    return orbits._delta_code(
+        *orbits._invariants(*orbits._differences_arr(ks, 3), g)
+    ).astype(np.uint8)
+
+
 def _assert_batched_matches_scalar(ks, g):
     codes = [classify_array(ks, g, base) for base in range(4)]
     codes.append(classify_by_delta_array(ks, g))
@@ -175,6 +183,23 @@ def test_batched_classifiers_match_scalar_sampled(g):
     # the reordered rows classify alike
     perm = np.random.default_rng(g).permuted(ks, axis=1)
     assert np.array_equal(classify_array(perm, g), classify_array(ks, g))
+
+
+def test_criterion_4_counts_every_row_whose_codes_differ(monkeypatch):
+    # a delta classifier that calls every A4 quadruple A3 must miss on
+    # exactly the A4 rows of both the g = 2 and the g = 6 array
+    a4 = CLASSES.index(OrbitClass.A4)
+
+    def a4_as_a3(*inv):
+        code = orbits._delta_code(*inv)
+        return np.where(code == a4, a4 - 1, code)
+    monkeypatch.setattr(verify, "_delta_code", a4_as_a3)
+    ks = random_quadruples(6, 100_000, verify._sub_generator(3, 4))
+    a4_g2, a4_g6 = (int(np.count_nonzero(classify_array(quads, g) == a4))
+                    for quads, g in ((all_quadruples(2), 2), (ks, 6)))
+    assert a4_g2 == 15 and a4_g6 > 0
+    rep = verify.criterion_4(3)
+    assert rep["mismatches"] == a4_g2 + a4_g6 and rep["pass"] is False
 
 
 @pytest.mark.parametrize("g", [2, 3, 6])
@@ -276,6 +301,47 @@ def test_orbit_bfs_matches_tuple_keyed_reference_g3_a1():
     orbit = orbit_bfs(q)
     assert len(orbit) == 945
     assert orbit == _orbit_by_tuple_keys(q)
+
+
+def _orbit_by_unique(start, g):
+    """_orbit's BFS with each level's new ranks deduplicated by np.unique,
+    as sorted index rows."""
+    evens = orbits._even_masks(g)
+    index_of = {int(k): i for i, k in enumerate(evens)}
+    vs = np.array(orbits._generators(g), dtype=np.int64)
+    steps = np.vectorize(index_of.get)(
+        _transvect_char(vs[:, None], evens[None, :], g))
+    seen = set()
+    frontier = np.sort([index_of[k] for k in start])[None, :]
+    seen.add(tuple(frontier[0].tolist()))
+    visited = [frontier]
+    n = len(evens)
+    while len(frontier):
+        images = np.sort(steps[:, frontier].reshape(-1, 4), axis=1)
+        rank = ((images[:, 0] * n + images[:, 1]) * n
+                + images[:, 2]) * n + images[:, 3]
+        _, first = np.unique(rank, return_index=True)
+        frontier = np.array([row for row in images[first].tolist()
+                             if tuple(row) not in seen],
+                            dtype=np.int64).reshape(-1, 4)
+        seen.update(map(tuple, frontier.tolist()))
+        visited.append(frontier)
+    return evens[np.concatenate(visited)]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_orbit_rows_unique_and_equal_to_the_unique_reference(g):
+    quads = all_quadruples(g)
+    labels = classify_array(quads, g)
+    for code in np.unique(labels):
+        start = quads[np.argmax(labels == code)].tolist()
+        rows = orbits._orbit(start, g)
+        keys = [tuple(sorted(row)) for row in rows.tolist()]
+        assert len(set(keys)) == len(keys) == np.count_nonzero(
+            labels == code)
+        want = _orbit_by_unique(start, g)
+        assert set(keys) == {tuple(sorted(row)) for row in want.tolist()}
+        assert len(want) == len(keys)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

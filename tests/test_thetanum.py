@@ -174,6 +174,26 @@ class TestSiegelMatrix:
         with pytest.raises(MalformedInputError):
             SiegelMatrix.from_json_dict({"g": 1, "re": [[0]]})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("im", [math.inf, -math.inf])
+    def test_json_infinite_imaginary_part_refused_without_warning(self, im):
+        # re + 1j * im made nan + inf j, with a RuntimeWarning
+        with pytest.raises(MalformedInputError, match="must be finite"):
+            SiegelMatrix.from_json_dict(
+                {"g": 2, "re": [[0, 1], [1, 0]], "im": [[1, 0], [0, im]]})
+
+    def test_json_keeps_the_bits_of_each_part(self):
+        # a real -0.0 beside an imaginary part >= 0 is kept, not made +0.0
+        data = {"g": 2, "re": [[-0.0, 0.5], [0.5, -0.0]],
+                "im": [[1.0, -0.0], [-0.0, 2.0]]}
+        z = SiegelMatrix.from_json_dict(data)
+        assert json.dumps(z.to_json_dict()) == json.dumps(data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rejects_empty(self, dtype):
+        with pytest.raises(MalformedInputError, match="at least 1 x 1"):
+            SiegelMatrix(np.zeros((0, 0), dtype=dtype))
+
 
 class TestIntSymplectic:
     def test_identity_and_s(self):
@@ -664,10 +684,27 @@ def _reference_coset(z, r, kp):
     order = np.lexsort(tuple(rs[:, j] for j in range(g - 1, -1, -1))
                        + (norm2,))
     rs, x = rs[order], x[order]
-    # the engine's pointwise x^T Z x; test_quad_form_matches_einsum checks
-    # it against the plain double sum
-    quad = thetanum._quad_form(x.T, z.z)
+    # the pointwise x^T Z x of _reference_quad_form;
+    # test_quad_form_matches_einsum checks the engine's against the plain
+    # double sum
+    quad = _reference_quad_form(x.T, z.z)
     return x, quad
+
+
+def _reference_quad_form(xt, z):
+    """x^T Z x for each column x of xt, summed over the upper triangle of Z
+    in two real accumulators, one per part, assembled at the end."""
+    g, n = xt.shape
+    re, im, prod = np.zeros(n), np.zeros(n), np.empty(n)
+    for j in range(g):
+        for k in range(j, g):
+            np.multiply(xt[j], xt[k], out=prod)
+            weight = 1.0 if j == k else 2.0
+            re += (weight * z[j, k].real) * prod
+            im += (weight * z[j, k].imag) * prod
+    quad = np.empty(n, dtype=np.complex128)
+    quad.real, quad.imag = re, im
+    return quad
 
 
 def _bits(result):
@@ -792,15 +829,35 @@ class TestLatticeMemo:
         tails = []
         bound = thetanum._tail_bound
 
-        def recording(r, lam, g):
+        def recording(r, lam, g, cap=math.inf):
             tails.append(r)
-            return bound(r, lam, g)
+            return bound(r, lam, g, cap)
         monkeypatch.setattr(thetanum, "_tail_bound", recording)
         z = SiegelMatrix(0.115j * np.eye(6))
         with pytest.raises(ResourceCapError, match=r"lattice ball of radius "
                            r"9.98 may hold 1e\+07 points in genus 6"):
             theta_constant(z, F2Vector(6, 0), 1e-10)
         assert len(tails) == 1 and round(tails[0], 2) == 7.98
+
+    def test_capped_tail_bound_above_the_cap_exactly_when_the_full_one_is(
+            self):
+        rng = random.Random(170)
+        cases = [(rng.uniform(0.2, 12.0), rng.uniform(0.05, 3.0),
+                  rng.randrange(1, 9)) for _ in range(300)]
+        # a shell count past the float range, and a tail past 10,000 shells
+        cases += [(3e5, 1e-10, 60), (1.0, 1e-12, 1)]
+        for r, lam, g in cases:
+            full = thetanum._tail_bound(r, lam, g)
+            caps = [full, math.nextafter(full, 0.0),
+                    math.nextafter(full, math.inf), full / 2, 2 * full,
+                    0.0, math.inf, 10.0 ** -rng.uniform(1, 14)]
+            for cap in caps:
+                got = thetanum._tail_bound(r, lam, g, cap)
+                assert (got > cap) == (full > cap), (r, lam, g, cap)
+                if full > cap:
+                    assert got <= full
+                else:
+                    assert struct.pack("<d", got) == struct.pack("<d", full)
 
     def test_term_cap_counts_the_ball_not_its_box(self):
         # r = 5.35: the box 13^7 = 6.3e7 is over the 5e6 cap, but the
@@ -933,6 +990,28 @@ class TestCosetEnumeration:
         for i in (0, len(quad) // 2, len(quad) - 1):
             alone = thetanum._quad_form(twice_x[:, i:i + 1] / 2, z.z)
             assert alone.tobytes() == quad[i:i + 1].tobytes()
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_quad_form_bit_identical_to_two_real_sums(self, g):
+        # Z with negative, zero and signed-zero parts, at half-integer
+        # columns with the origin, signed zeros and negative coordinates
+        rng = np.random.default_rng(160 + g)
+        parts = [rng.uniform(-3, 3, (g, g)) for _ in range(2)]
+        for part in parts:
+            part[rng.random((g, g)) < 0.3] = 0.0
+            part[rng.random((g, g)) < 0.3] = -0.0
+        zs = [parts[0] + 1j * parts[1],
+              random_siegel(g, random.Random(160 + g)).reduced]
+        xt = rng.integers(-6, 7, (g, 400)) / 2
+        xt[:, :3] = 0.0
+        xt[:, 1] = -0.0
+        xt[rng.random((g, 400)) < 0.1] = -0.0
+        for z in zs:
+            for zz in (z, -z, np.zeros((g, g), dtype=np.complex128)):
+                zz = (zz + zz.T) / 2
+                got = thetanum._quad_form(xt, zz)
+                assert got.tobytes() == _reference_quad_form(xt, zz).tobytes()
+                assert got.tobytes() == thetanum._quad_form(-xt, zz).tobytes()
 
     @pytest.mark.parametrize("g", [6, 7, 8])
     def test_unit_radius_high_genus(self, g):
@@ -1115,6 +1194,35 @@ class TestAntipodalFold:
                 assert quad.size == (fold.max() + 1 if fold.size else 0)
                 want_quad = _reference_coset(z, r, kp)[1]
                 assert quad[fold].tobytes() == want_quad.tobytes()
+
+    @pytest.mark.parametrize("g, radii", [
+        (1, (9.0, 0.25, 1.0, 1.5 - 1e-14, 4.5)),
+        (2, (4.0, 0.25, 1.0, 1.5 - 1e-14, 2.5, 3.2)),
+        (3, (3.0, 0.25, 1.0, 2.0 - 1e-14, 2.5)),
+        (4, (2.5, 0.25, 1.0, 1.5, 2.0)),
+    ])
+    def test_half_ball_is_the_fold_step_points(self, g, radii, monkeypatch):
+        # the ball of the largest radius is cut at each smaller one
+        seen = []
+        quad_form = thetanum._quad_form
+
+        def recording(xt, z):
+            seen.append(xt)
+            return quad_form(xt, z)
+        monkeypatch.setattr(thetanum, "_quad_form", recording)
+        z = random_siegel(g, random.Random(180 + g), min_im=0.5)
+        for r in radii:
+            for kp in range(1 << g):
+                seen.clear()
+                _quad, fold, _twice_x = thetanum._coset(z, r, kp)
+                ball = thetanum._BALLS[g, kp]
+                assert ball.nmax == math.floor(4 * (radii[0] ** 2 + 1e-12))
+                first = np.empty(fold.size, dtype=bool)
+                first[:1] = True
+                np.greater(fold[1:], fold[:-1], out=first[1:])
+                want = ball.twice_x[:, :fold.size].compress(first, axis=1)
+                assert ball.half.dtype == ball.twice_x.dtype
+                assert seen[0].tobytes() == (want / 2).tobytes()
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_quad_form_sees_half_of_each_coset(self, g, monkeypatch):
