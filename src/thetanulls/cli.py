@@ -187,6 +187,9 @@ def cmd_theta(args) -> dict:
     if args.action == "transform":
         m = IntSymplectic.from_json_dict(data.get("m", {}))
         z = SiegelMatrix.from_json_dict(data.get("z", {}))
+        if m.g != z.g:
+            raise MalformedInputError(
+                f"m (g={m.g}) does not match z (g={z.g})")
         k = _char_from_bits(data.get("k"), z.g)
         return transform_modulus_check(m, z, k, args.eps)
     blocks = data.get("blocks")

@@ -334,7 +334,9 @@ def orbit_bfs(q: Quadruple) -> set[Quadruple]:
     if g > _BFS_MAX_G:
         raise ResourceCapError(f"orbit_bfs supports g <= {_BFS_MAX_G}, got {g}")
     rows = _orbit([k.bits for k in q.chars], g)
-    return {Quadruple(g, tuple(F2Vector(g, k) for k in row))
+    # one F2Vector per even mask of the orbit, shared by the quadruples
+    vecs = {k: F2Vector(g, k) for k in np.unique(rows).tolist()}
+    return {Quadruple(g, tuple(map(vecs.__getitem__, row)))
             for row in rows.tolist()}
 
 

@@ -57,6 +57,7 @@ same order.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -113,7 +114,9 @@ class SiegelMatrix:
             raise MalformedInputError("Z must be a square matrix")
         if not arr.size:
             raise MalformedInputError("Z must be at least 1 x 1")
-        size = abs(arr.view(np.float64)).max(initial=0.0)
+        # |Re z_jk| and |Im z_jk| side by side
+        mags = abs(arr.view(np.float64))
+        size = mags.max(initial=0.0)
         if not math.isfinite(size):
             raise MalformedInputError("Z entries must be finite")
         # below 2^1023 no sum or difference of two entries overflows, and
@@ -134,9 +137,15 @@ class SiegelMatrix:
         lam = float(evals[0])
         # small safety margin keeps the tail bound valid under eigensolver
         # rounding
-        lam_safe = lam - 1e-12 * max(1.0, float(evals[-1]))
+        margin = 1e-12 * max(1.0, float(evals[-1]))
+        lam_safe = lam - margin
         if not lam_safe > 0:
-            raise DomainError("Im Z must be positive definite")
+            if not lam > 0:
+                raise DomainError("Im Z must be positive definite")
+            raise DomainError(
+                f"lambda_min(Im Z) = {lam:.3g} lies within the eigensolver "
+                f"margin {margin:.3g} = 1e-12 * max(1, lambda_max), too "
+                f"close to 0 to certify")
         arr.setflags(write=False)
         self.g = arr.shape[0]
         self.z = arr
@@ -144,9 +153,10 @@ class SiegelMatrix:
         self.reduced, self.shift = arr, None
         # S = 0 where every |Re z_jk| <= 1.  Re Z - 2S is exact: it is at
         # most 1 in size, and 2S is an integer within 1 of Re Z (or Re Z
-        # itself, once Re Z is an even integer)
-        re_size = abs(arr.real).max(initial=0.0)
-        shift = np.rint(arr.real / 2) if re_size > 1 else None
+        # itself, once Re Z is an even integer).  The average of a
+        # non-symmetric Z is no larger than its input, and at most 1 in size
+        # it rounds to S = 0, so the input's |Re Z| decides as well
+        shift = np.rint(arr.real / 2) if mags[:, ::2].max() > 1 else None
         if shift is not None and shift.any():
             self.reduced = arr - 2 * shift
             self.reduced.setflags(write=False)
@@ -178,48 +188,56 @@ class IntSymplectic:
     """Integer block matrix (A B; C D) with A^T C, B^T D symmetric and
     A^T D - C^T B = I."""
 
-    __slots__ = ("g", "a", "b", "c", "d")
+    __slots__ = ("g", "a", "b", "c", "d", "_level_two")
 
     def __init__(self, a, b, c, d) -> None:
         blocks = []
         for name, blk in (("A", a), ("B", b), ("C", c), ("D", d)):
-            # exact products: int64 products of large entries would wrap
-            arr = _checked_array(f"block {name}", blk, "i",
-                                 "integers").astype(object)
+            arr = _checked_array(f"block {name}", blk, "i", "integers")
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise MalformedInputError(f"block {name} must be square")
             blocks.append(arr)
         g = blocks[0].shape[0]
         if any(blk.shape != (g, g) for blk in blocks):
             raise MalformedInputError("blocks must share one size")
-        self._fill(*blocks)
+        # exact products: int64 products of large entries would wrap
+        self._fill(*(blk.tolist() for blk in blocks))
 
     def _fill(self, a, b, c, d) -> None:
-        """The fields of the exact g x g object blocks of M, once its
-        entries lie in int64 and M is symplectic: read-only int64 copies
-        of the blocks."""
-        g = a.shape[0]
-        if any(x not in _INT64 for blk in (a, b, c, d) for x in blk.flat):
-            raise ResourceCapError("matrix entries leave the int64 range")
-        if not np.array_equal(a.T @ c, c.T @ a):
-            raise DomainError("A^T C is not symmetric")
-        if not np.array_equal(b.T @ d, d.T @ b):
-            raise DomainError("B^T D is not symmetric")
-        if not np.array_equal(a.T @ d - c.T @ b, np.eye(g, dtype=int)):
-            raise DomainError("A^T D - C^T B != I")
-        blocks = [blk.astype(np.int64) for blk in (a, b, c, d)]
-        for blk in blocks:
-            blk.setflags(write=False)
+        """The fields of M from its g x g blocks as rows of exact Python
+        ints, once its entries lie in int64 and M is symplectic: read-only
+        int64 copies of the blocks, and whether M = I mod 2.
+
+        M^T J M = J, J = (0 I; -I 0), is checked column pair by column
+        pair: on two columns of (A; C) it says A^T C is symmetric, on two
+        of (B; D) that B^T D is, and on one of each that
+        A^T D - C^T B = I."""
+        g = len(a)
+        try:
+            blocks = np.array((a, b, c, d), dtype=np.int64)
+        except OverflowError:
+            raise ResourceCapError(
+                "matrix entries leave the int64 range") from None
+        left = [p + q for p, q in zip(zip(*a), zip(*c))]
+        right = [p + q for p, q in zip(zip(*b), zip(*d))]
+        for us, vs, what in ((left, left, "A^T C is not symmetric"),
+                             (right, right, "B^T D is not symmetric"),
+                             (left, right, "A^T D - C^T B != I")):
+            mixed = us is not vs
+            if any(_omega(u, v, g) != (mixed and i == j)
+                   for i, u in enumerate(us) for j, v in enumerate(vs)
+                   if mixed or i < j):
+                raise DomainError(what)
+        blocks.setflags(write=False)
         self.g = g
         self.a, self.b, self.c, self.d = blocks
+        self._level_two = all(x & 1 == (i == p)
+                              for p, col in enumerate(left + right)
+                              for i, x in enumerate(col))
 
     def is_level_two(self) -> bool:
         """True iff M = identity mod 2."""
-        eye = np.eye(self.g, dtype=np.int64)
-        return bool(np.all((self.a - eye) % 2 == 0)
-                    and np.all(self.b % 2 == 0)
-                    and np.all(self.c % 2 == 0)
-                    and np.all((self.d - eye) % 2 == 0))
+        return self._level_two
 
     def to_json_dict(self) -> dict:
         return {"A": self.a.tolist(), "B": self.b.tolist(),
@@ -231,6 +249,11 @@ class IntSymplectic:
             raise MalformedInputError(
                 'IntSymplectic JSON needs exactly "A", "B", "C", "D"')
         return cls(data["A"], data["B"], data["C"], data["D"])
+
+
+def _omega(u: tuple[int, ...], v: tuple[int, ...], g: int) -> int:
+    """u^T J v, J = (0 I; -I 0), for two columns of 2g exact ints."""
+    return sum(map(mul, u[:g], v[g:])) - sum(map(mul, u[g:], v[:g]))
 
 
 def _tail_bound(r: float, lam: float, g: int,
@@ -433,14 +456,16 @@ def _coset(z: SiegelMatrix, r: float,
     r^2 < ||x||^2 <= r^2 + 1e-12, lie past r, where the tail bound of r
     already covers them, so summing them keeps the certificate valid.  The
     cache owns the points and quad is all that depends on Z; the 2x and
-    fold returned may be views of the cache."""
+    fold returned may be views of the cache.  The cut (ends at the
+    searchsorted position of nmax in norms) is taken as a Python int, so
+    the half-ball count and the slices cost no numpy scalar arithmetic."""
     nmax = math.floor(4 * (r * r + 1e-12))
     # one read of the slot, one tuple written: a racing call may store a
     # smaller ball, but each call cuts the ball it read
     ball = _BALLS.get((z.g, kp))
     if ball is None or ball.nmax < nmax:
         ball = _BALLS[z.g, kp] = _ball(z.g, kp, nmax)
-    cut = ball.ends[np.searchsorted(ball.norms, nmax, side="right")]
+    cut = int(ball.ends[ball.norms.searchsorted(nmax, side="right")])
     half = ball.half[:, :cut - (cut >> 1)]
     twice_x = ball.twice_x[:, :cut].astype(
         np.min_scalar_type(-2 * math.ceil(r) - 1), copy=False)
@@ -636,13 +661,13 @@ def block_diag_join(z_blocks: Sequence[SiegelMatrix]) -> SiegelMatrix:
 def char_join(k_blocks: Sequence[F2Vector]) -> F2Vector:
     if not k_blocks:
         raise DomainError("need at least one block")
-    firsts: list[int] = []
-    seconds: list[int] = []
+    # the first halves side by side, then the second halves
+    first = second = g = 0
     for k in k_blocks:
-        bits = k.to_list()
-        firsts.extend(bits[:k.g])
-        seconds.extend(bits[k.g:])
-    return F2Vector.from_list(firsts + seconds)
+        first |= k.first_half << g
+        second |= k.second_half << g
+        g += k.g
+    return F2Vector(g, first | second << g)
 
 
 def block_diag_split_check(z_blocks: Sequence[SiegelMatrix],
@@ -677,35 +702,45 @@ def block_diag_split_check(z_blocks: Sequence[SiegelMatrix],
 # deterministic generators for tests and verification campaigns
 
 
-def _add_sym(m: np.ndarray, g: int, lower: bool, i: int, j: int,
+def _add_sym(m: list[list[int]], g: int, lower: bool, i: int, j: int,
              v: int) -> None:
     """m <- m (I S; 0 I), or m (I 0; S I) when lower, with
-    S = v(E_ij + E_ji) (v E_ii when i = j): v times one half's column i
-    onto the other half's column j, and column j onto column i."""
+    S = v(E_ij + E_ji) (v E_ii when i = j), on the rows of m: v times one
+    half's column i onto the other half's column j, and column j onto
+    column i."""
     src, dst = (g, 0) if lower else (0, g)
-    m[:, dst + j] += v * m[:, src + i]
-    if i != j:
-        m[:, dst + i] += v * m[:, src + j]
+    for row in m:
+        row[dst + j] += v * row[src + i]
+        if i != j:
+            row[dst + i] += v * row[src + j]
 
 
-def _blocks(m: np.ndarray, g: int) -> IntSymplectic:
-    """The checked IntSymplectic of the exact 2g x 2g object matrix m, as
-    IntSymplectic checks its blocks; past int64 is a ResourceCapError."""
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _blocks(m, g: int) -> IntSymplectic:
+    """The checked IntSymplectic of the exact 2g x 2g matrix m (rows of
+    Python ints, or an object array), as IntSymplectic checks its blocks;
+    past int64 is a ResourceCapError."""
+    rows = [list(row) for row in m]
+    top, bottom = rows[:g], rows[g:]
     out = IntSymplectic.__new__(IntSymplectic)
-    out._fill(m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:])
+    out._fill([r[:g] for r in top], [r[g:] for r in top],
+              [r[:g] for r in bottom], [r[g:] for r in bottom])
     return out
 
 
 def random_int_symplectic(g: int, rng, steps: int = 4) -> IntSymplectic:
     """Random product of standard Sp(2g, Z) generators with small entries,
-    each a column operation on the exact running product M = (A B; C D):
-    J = (0 -I; I 0) turns M into (B -A; D -C), and (I S; 0 I) and
-    (I 0; S I), S = v(E_ij + E_ji), are _add_sym's."""
-    m = np.eye(2 * g, dtype=object)
+    each a column operation on the rows of the exact running product
+    M = (A B; C D): J = (0 -I; I 0) turns M into (B -A; D -C), and
+    (I S; 0 I) and (I 0; S I), S = v(E_ij + E_ji), are _add_sym's."""
+    m = _identity_rows(2 * g)
     for _ in range(steps):
         kind = rng.randrange(3)
         if kind == 2:
-            m = np.hstack((m[:, g:], -m[:, :g]))
+            m = [row[g:] + [-x for x in row[:g]] for row in m]
         else:
             i, j = rng.randrange(g), rng.randrange(g)
             _add_sym(m, g, kind == 1, i, j, rng.choice([-2, -1, 1, 2]))
@@ -718,7 +753,7 @@ def random_level_two(g: int, rng, steps: int = 4) -> IntSymplectic:
     (I 0; S I) with v = +-2, and for (U 0; 0 U^-T) with U = I + v E_ij,
     i != j, v col i onto col j in the left half and -v col j onto col i in
     the right half (the identity at g = 1)."""
-    m = np.eye(2 * g, dtype=object)
+    m = _identity_rows(2 * g)
     for _ in range(steps):
         kind = rng.randrange(3)
         i, j = rng.randrange(g), rng.randrange(g)
@@ -728,22 +763,57 @@ def random_level_two(g: int, rng, steps: int = 4) -> IntSymplectic:
         elif g > 1:
             while j == i:
                 j = rng.randrange(g)
-            m[:, j] += v * m[:, i]
-            m[:, g + i] -= v * m[:, g + j]
+            for row in m:
+                row[j] += v * row[i]
+                row[g + i] -= v * row[g + j]
     return _blocks(m, g)
 
 
 def random_siegel(g: int, rng, min_im: float = 0.5) -> SiegelMatrix:
     """Random symmetric Z with Im Z positive definite, lambda_min >= about
-    min_im (diagonally dominant construction)."""
-    x = np.zeros((g, g))
-    y = np.zeros((g, g))
+    min_im (diagonally dominant construction).
+
+    Drawn row by row over the upper triangle, Re z_ij then Im z_ij (i < j)
+    or Re z_ii alone, and then the diagonal of Im Z, each Im z_ii = min_im +
+    (sum of |Im z_ij| over its row, summed as numpy sums a float64 row) +
+    a draw.  Z is built from Python floats as one array of complex(x, y),
+    the same bits as the numpy build x + 1j * y: x = -1 + 2 * random() is
+    never -0.0, so adding the +-0 real part of 1j * y to it changes no
+    bit."""
+    x = [[0.0] * g for _ in range(g)]
+    y = [[0.0] * g for _ in range(g)]
     for i in range(g):
         for j in range(i, g):
-            x[i, j] = x[j, i] = rng.uniform(-1.0, 1.0)
+            x[i][j] = x[j][i] = rng.uniform(-1.0, 1.0)
             if i != j:
-                y[i, j] = y[j, i] = rng.uniform(-0.2, 0.2)
-    off = np.sum(np.abs(y), axis=1) - np.abs(np.diag(y))
-    for i in range(g):
-        y[i, i] = min_im + off[i] + rng.uniform(0.0, 1.5)
-    return SiegelMatrix(x + 1j * y)
+                y[i][j] = y[j][i] = rng.uniform(-0.2, 0.2)
+    for i, row in enumerate(y):
+        row[i] = min_im + _pairwise_sum(list(map(abs, row))) \
+            + rng.uniform(0.0, 1.5)
+    return SiegelMatrix([list(map(complex, xr, yr)) for xr, yr in zip(x, y)])
+
+
+def _pairwise_sum(a: list[float]) -> float:
+    """The sum of a list of floats bit for bit as numpy's add.reduce sums a
+    contiguous float64 row: in order from -0.0 below 8 entries; in 8
+    strided lanes, combined pairwise, then the leftover entries in order,
+    up to 128; and past 128 as the pairwise sum of two halves, the first
+    a multiple of 8 long.  Python's sum is not it: it starts at +0 and,
+    from Python 3.12 on, compensates its float rounding."""
+    n = len(a)
+    if n < 8:
+        total = -0.0
+        for v in a:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    r = a[:8]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        r = [s + v for s, v in zip(r, a[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in a[whole:]:
+        total += v
+    return total

@@ -228,11 +228,12 @@ def criterion_9(seed: int = 0) -> dict:
     """Theta numerics: odd vanishing, block splitting, modulus
     transformation, double-radius certificates."""
     rng = _sub_rng(seed, 9)
+    odd = {g: list(odd_characteristics(g)) for g in (1, 2, 3)}
     worst_odd = 0.0
     for i in range(50):
         g = 1 + i % 3
         z = random_siegel(g, rng, min_im=0.3)
-        for k in odd_characteristics(g):
+        for k in odd[g]:
             v, _ = theta_constant(z, k, 1e-12)
             worst_odd = max(worst_odd, abs(v))
     odd_ok = worst_odd <= 1e-12

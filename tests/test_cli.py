@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from thetanulls import cli, verify
@@ -536,8 +537,42 @@ class TestTheta:
         path = tmp_path / "t.json"
         path.write_text(json.dumps(
             {"z": {"g": 1, "re": [[0.0]], "im": [[-1.0]]}, "k": [0, 0]}))
-        code, _, _ = run_cli(capsys, ["theta", "eval", "--input", str(path)])
-        assert code == 3
+        err = assert_refused(capsys, ["theta", "eval", "--input", str(path)],
+                             code=3)
+        assert err == "error: Im Z must be positive definite\n"
+
+    @pytest.mark.parametrize("action, im", [("eval", 1e-300),
+                                            ("transform", 1e300)])
+    def test_lambda_min_within_the_margin_is_named(self, capsys, tmp_path,
+                                                   action, im):
+        # Im Z = 1e-300 is positive definite, and so is the Im of
+        # J.Z = -1/Z at Im Z = 1e300; both fall within the eigensolver
+        # margin 1e-12 * max(1, lambda_max), and the refusal says that
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": [[0]], "B": [[-1]], "C": [[1]], "D": [[0]]},
+             "z": {"g": 1, "re": [[0.0]], "im": [[im]]}, "k": [0, 0]}))
+        err = assert_refused(capsys, ["theta", action, "--input", str(path)],
+                             code=3)
+        assert "lambda_min(Im Z) = 1e-300 " in err
+        assert "margin 1e-12 = 1e-12 * max(1, lambda_max)" in err
+        assert "positive definite" not in err
+
+    @pytest.mark.parametrize("gm, gz", [(1, 2), (2, 1)])
+    def test_transform_genus_mismatch_exits_2(self, capsys, tmp_path,
+                                              gm, gz):
+        # M and Z of different genus are malformed input, as a k of the
+        # wrong length is; it used to exit 3 with "matrix g mismatch"
+        eye = np.eye(gm, dtype=int).tolist()
+        zero = np.zeros((gm, gm), dtype=int).tolist()
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": eye, "B": zero, "C": zero, "D": eye},
+             "z": {"g": gz, "re": np.zeros((gz, gz)).tolist(),
+                   "im": np.eye(gz).tolist()}, "k": [0] * (2 * gz)}))
+        err = assert_refused(capsys, ["theta", "transform", "--input",
+                                      str(path)])
+        assert err == f"error: m (g={gm}) does not match z (g={gz})\n"
 
 
 class TestTransversal:

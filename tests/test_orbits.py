@@ -399,6 +399,19 @@ def test_orbit_bfs_sizes_equal_census_counts(g):
             assert {classify(p) for p in orbit} == {cls}
 
 
+def test_orbit_bfs_shares_one_vector_per_mask():
+    # the g = 3 A1 orbit: each even mask is one F2Vector across all of
+    # its quadruples
+    quads = all_quadruples(3)
+    labels = classify_array(quads, 3)
+    q = quad(3, *quads[np.argmax(labels == 0)].tolist())
+    orbit = orbit_bfs(q)
+    vecs = [k for p in orbit for k in p.chars]
+    assert len(orbit) == 945
+    assert len({id(k) for k in vecs}) == len({k.bits for k in vecs})
+    assert all(parity(k) == 0 for k in vecs)
+
+
 def test_census_g2_counts():
     counts = census(2)
     assert counts == {OrbitClass.A1: 15, OrbitClass.A2: 0,

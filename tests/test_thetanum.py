@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from thetanulls import thetanum
+from thetanulls import thetanum, verify
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.f2core import F2Vector, SymplecticMap
 from thetanulls.quadforms import (act_on_char, all_characteristics,
@@ -109,10 +110,35 @@ class TestSiegelMatrix:
         assert flat.shift is None and flat.reduced is flat.z
 
     def test_rejects_indefinite_imaginary(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^Im Z must be positive "
+                                              "definite$"):
             SiegelMatrix([[-1j]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^Im Z must be positive "
+                                              "definite$"):
             SiegelMatrix([[1j, 0], [0, 0]])
+
+    @pytest.mark.parametrize("z, lam, margin", [
+        ([[1e-300j]], "1e-300", "1e-12"),
+        ([[1e-13j, 0], [0, 1e3j]], "1e-13", "1e-09")])
+    def test_lambda_min_within_the_margin_is_named(self, z, lam, margin):
+        # positive definite, but too close to 0 for the eigensolver margin
+        # 1e-12 * max(1, lambda_max): the refusal says so, not that Im Z is
+        # indefinite
+        with pytest.raises(DomainError) as info:
+            SiegelMatrix(z)
+        msg = str(info.value)
+        assert f"lambda_min(Im Z) = {lam} " in msg
+        assert f"margin {margin} = 1e-12 * max(1, lambda_max)" in msg
+        assert "positive definite" not in msg
+
+    def test_shift_read_off_the_real_part_before_the_average(self):
+        # |Re z_12| > 1 in the input, exactly 1 after the average: either
+        # way S = round(Re Z / 2) = 0, so nothing is reduced
+        z = SiegelMatrix([[1j, 1 + 1e-10], [1 - 1e-10, 1j]])
+        assert z.z[0, 1].real == 1.0
+        assert z.shift is None and z.reduced is z.z
+        big = SiegelMatrix([[1j, 3 + 1e-10], [3 - 1e-10, 1j]])
+        assert big.shift == ((0, 2), (2, 0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("z", [[[1e308 + 1j]],
@@ -232,6 +258,35 @@ class TestIntSymplectic:
         assert np.array_equal(_full(out), m)
         for blk in (out.a, out.b, out.c, out.d):
             assert blk.dtype == np.int64 and not blk.flags.writeable
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_checks_match_the_object_block_products(self, g):
+        # symplectic products, and the same with one or two entries moved:
+        # each refused with the message of the first block relation the
+        # exact object products break, in the order A^T C, B^T D,
+        # A^T D - C^T B; each accepted one level two exactly when
+        # M = I mod 2 entry by entry
+        rng = random.Random(g)
+        seen = set()
+        for trial in range(300):
+            gen = random_level_two if trial % 2 else random_int_symplectic
+            m = _full(gen(g, rng, steps=4))
+            for _ in range(trial % 3):
+                i, j = rng.randrange(2 * g), rng.randrange(2 * g)
+                m[i, j] += rng.choice([-2, -1, 1, 2])
+            want = _reference_defect(m, g)
+            try:
+                got = thetanum._blocks(m, g)
+            except DomainError as exc:
+                assert str(exc) == want
+            else:
+                assert want is None
+                eye = np.eye(2 * g, dtype=object)
+                assert got.is_level_two() is bool(np.all((m - eye) % 2 == 0))
+                assert np.array_equal(_full(got), m)
+            seen.add(want)
+        # a 1 x 1 A^T C or B^T D is always symmetric
+        assert len(seen) == (2 if g == 1 else 4)
 
     def test_copies_its_input(self):
         eye = np.eye(1, dtype=np.int64)
@@ -533,13 +588,78 @@ class TestBlockDiagSplit:
         joined = char_join([k1, k2])
         assert joined.to_list() == [1, 0, 0, 1]
 
+    def test_char_join_is_the_coordinate_layout(self):
+        # the first halves of the blocks in order, then their second halves
+        rng = random.Random(11)
+        for sizes in ((1,), (1, 1), (1, 2), (2, 1), (3, 1, 2), (1, 1, 1, 1)):
+            for _ in range(20):
+                ks = [F2Vector(g, rng.randrange(1 << (2 * g))) for g in sizes]
+                want = ([b for k in ks for b in k.to_list()[:k.g]]
+                        + [b for k in ks for b in k.to_list()[k.g:]])
+                assert char_join(ks) == F2Vector.from_list(want)
+
     def test_length_mismatch(self):
         z1 = SiegelMatrix([[1j]])
         with pytest.raises(MalformedInputError):
             block_diag_split_check([z1], [], 1e-10)
 
 
+def _reference_defect(m, g):
+    """The first block relation the exact object matrix m breaks, named as
+    IntSymplectic names it, or None for a symplectic m."""
+    a, b, c, d = m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
+    if not np.array_equal(a.T @ c, c.T @ a):
+        return "A^T C is not symmetric"
+    if not np.array_equal(b.T @ d, d.T @ b):
+        return "B^T D is not symmetric"
+    if not np.array_equal(a.T @ d - c.T @ b, np.eye(g, dtype=int)):
+        return "A^T D - C^T B != I"
+    return None
+
+
+def _reference_random_siegel(g, rng, min_im=0.5):
+    """random_siegel's numpy build: the same draws into float arrays, the
+    off-diagonal row sums by np.sum, and Z = x + 1j * y."""
+    x = np.zeros((g, g))
+    y = np.zeros((g, g))
+    for i in range(g):
+        for j in range(i, g):
+            x[i, j] = x[j, i] = rng.uniform(-1.0, 1.0)
+            if i != j:
+                y[i, j] = y[j, i] = rng.uniform(-0.2, 0.2)
+    off = np.sum(np.abs(y), axis=1) - np.abs(np.diag(y))
+    for i in range(g):
+        y[i, i] = min_im + off[i] + rng.uniform(0.0, 1.5)
+    return SiegelMatrix(x + 1j * y)
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_random_siegel_bit_identical_to_the_numpy_build(self, g):
+        # Z bit for bit, lambda_min and the rng state after each draw; from
+        # g = 8 on numpy sums a row in 8 pairwise lanes
+        for seed in range(6):
+            for min_im in (0.3, 0.5, 0.8, 1e-3, 4.0):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    z = random_siegel(g, rng, min_im)
+                    want = _reference_random_siegel(g, ref_rng, min_im)
+                    assert z.z.tobytes() == want.z.tobytes()
+                    assert z.lambda_min == want.lambda_min
+                    assert rng.getstate() == ref_rng.getstate()
+
+    def test_pairwise_sum_is_numpys_row_sum(self):
+        # lengths across the 8-lane and the 128-entry block thresholds, with
+        # magnitudes far apart, so that another order rounds differently
+        rng = random.Random(5)
+        for n in list(range(1, 40)) + [127, 128, 129, 136, 255, 256, 300]:
+            for _ in range(5):
+                rows = [[rng.uniform(0.0, 0.2) * 10.0 ** rng.randint(-9, 9)
+                         for _ in range(n)] for _ in range(2)]
+                want = np.sum(np.array(rows), axis=1).tolist()
+                got = [thetanum._pairwise_sum(row) for row in rows]
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_random_siegel_floor(self):
         rng = random.Random(52)
         for g in (1, 2, 3):
@@ -1308,3 +1428,30 @@ class TestRealPartShift:
         for k in all_characteristics(g):
             assert _bits(theta_constant(z, k, 1e-10)) == \
                 _bits(_reference_theta(z, k, 1e-10))
+
+
+class TestCriterion9Calls:
+    # SHA-256 of criterion 9's list of (g, k bits, eps, radius_scale), one
+    # entry per theta_constant call in call order, as recorded before its
+    # samples were built from Python scalars; 1167 calls per seed
+    SEQUENCES = {
+        0: "33f0bf859e2d79f9e9367ed74c6ed2599fbaeccee6d32cd2f3d7f97efcfbf68f",
+        1: "f1f990076a7cd971cfb27730bcb485d64ae4cf1594df875788ee8f5ca17828a2"}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_theta_calls_keep_their_sequence(self, monkeypatch, seed):
+        calls = []
+
+        def recording(z, k, eps, radius_scale=1.0):
+            calls.append((z.g, k.bits, eps, radius_scale))
+            return theta_constant(z, k, eps, radius_scale)
+
+        # criterion 9 calls it directly, and through the modulus and split
+        # checks
+        monkeypatch.setattr(verify, "theta_constant", recording)
+        monkeypatch.setattr(thetanum, "theta_constant", recording)
+        assert verify.criterion_9(seed)["pass"]
+        assert len(calls) == 1167
+        assert calls[0] == (1, 3, 1e-12, 1.0)
+        digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+        assert digest == self.SEQUENCES[seed]
