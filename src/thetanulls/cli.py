@@ -116,7 +116,7 @@ def cmd_classify(args) -> dict:
     if args.genus is not None and args.genus != q.g:
         raise MalformedInputError(
             f"--genus {args.genus} does not match input g={q.g}")
-    label = classify(q, verify_bases=True)
+    label = classify(q)
     deltas = delta_parities(q)
     return {
         "g": q.g,

@@ -125,21 +125,6 @@ def _solve_f2(eq_rows: Sequence[int], rhs: Sequence[int], n: int,
 # vectors
 
 
-def _bits_of(entries: Sequence[int], what: str) -> int:
-    """Bitmask with bit i = entries[i], each an integer 0 or 1: operator.index
-    takes ints and numpy integers and refuses floats such as 1.0."""
-    bits = 0
-    for i, x in enumerate(entries):
-        try:
-            x = operator.index(x)
-        except TypeError:
-            x = None
-        if x not in (0, 1):
-            raise DomainError(f"{what} must be 0 or 1")
-        bits |= x << i
-    return bits
-
-
 @dataclass(frozen=True)
 class F2Vector:
     """Vector in F_2^(2g), stored as a bitmask (bit i = coordinate i)."""
@@ -158,7 +143,18 @@ class F2Vector:
         if len(coords) % 2 or not coords:
             raise DomainError(f"coordinate list must have even positive "
                               f"length, got {len(coords)}")
-        return cls(len(coords) // 2, _bits_of(coords, "coordinates"))
+        bits = 0
+        for i, x in enumerate(coords):
+            # operator.index takes ints and numpy integers and refuses
+            # floats such as 1.0
+            try:
+                x = operator.index(x)
+            except TypeError:
+                x = None
+            if x not in (0, 1):
+                raise DomainError("coordinates must be 0 or 1")
+            bits |= x << i
+        return cls(len(coords) // 2, bits)
 
     def to_list(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(2 * self.g)]
@@ -170,9 +166,6 @@ class F2Vector:
     @property
     def second_half(self) -> int:
         return self.bits >> self.g
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         if self.g != other.g:
@@ -195,15 +188,6 @@ def q0(v: F2Vector) -> int:
 
 # ---------------------------------------------------------------------------
 # symplectic maps
-
-
-def _rows_from_lists(
-        matrix: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """(g, row masks) of a square 0/1 matrix of even dimension 2g."""
-    n = len(matrix)
-    if n == 0 or n % 2 or any(len(row) != n for row in matrix):
-        raise DomainError("matrix must be square with even dimension")
-    return n // 2, tuple(_bits_of(row, "matrix entries") for row in matrix)
 
 
 def _preserves_pairing(rows: Sequence[int], g: int) -> bool:
@@ -233,40 +217,13 @@ class SymplecticMap:
         if not _preserves_pairing(self.rows, self.g):
             raise DomainError("matrix does not preserve the pairing")
 
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMap":
-        return cls(g, tuple(1 << i for i in range(2 * g)))
-
-    @classmethod
-    def from_lists(cls, matrix: Sequence[Sequence[int]]) -> "SymplecticMap":
-        return cls(*_rows_from_lists(matrix))
-
-    def to_lists(self) -> list[list[int]]:
-        n = 2 * self.g
-        return [[(r >> j) & 1 for j in range(n)] for r in self.rows]
-
-    def apply(self, v: F2Vector) -> F2Vector:
-        if v.g != self.g:
-            raise DomainError("vector/map g mismatch")
-        return F2Vector(self.g, self.apply_int(v.bits))
-
     def apply_int(self, x: int) -> int:
         return _dot_rows(self.rows, x)
-
-    def compose(self, other: "SymplecticMap") -> "SymplecticMap":
-        """Matrix product self @ other (apply other first): row i is the
-        XOR of other's rows j over the set bits j of self's row i."""
-        if self.g != other.g:
-            raise DomainError("cannot compose maps of different g")
-        return SymplecticMap(self.g, tuple(_combine(r, other.rows)
-                                           for r in self.rows))
-
-    __matmul__ = compose
 
 
 def transvection(v: F2Vector) -> SymplecticMap:
     """The map T_v(x) = x + <x, v> v; symplectic and an involution."""
-    if v.is_zero():
+    if not v.bits:
         raise DomainError("transvection needs a nonzero vector")
     g = v.g
     w = _swap_halves(v.bits, g)  # functional mask: <x, v> = popcount(x & w)

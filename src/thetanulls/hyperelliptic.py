@@ -117,10 +117,6 @@ def h0(t: PartitionClass) -> int:
     return _h0(t.mask, t.g)
 
 
-def theta_parity(t: PartitionClass) -> int:
-    return h0(t) & 1
-
-
 def _support_masks(g: int) -> np.ndarray:
     """Canonical masks of the classes T with |T| = g+1 (mod 2)."""
     masks = np.arange(1 << (2 * g + 1), dtype=np.int64)
@@ -144,7 +140,7 @@ def formula_agreement(g: int) -> bool:
 
 
 def _induces_q0(images: Sequence[int], base: int, g: int) -> bool:
-    """Whether theta_parity(base + c(j)) = q0(j) for every j of Hamming
+    """Whether h0(base + c(j)) = q0(j) (mod 2) for every j of Hamming
     weight <= 2, c the image map of images.
 
     On a symplectic basis of images both sides are functions of degree <= 2
@@ -185,10 +181,6 @@ class ComponentLabel:
         if not _induces_q0(masks, self.torsor_base.mask, g):
             raise DomainError("torsor base does not induce the standard form")
 
-    def vector_image(self, k: F2Vector) -> PartitionClass:
-        """Sum of basis images over the set bits of k (the map c)."""
-        return PartitionClass(self.g, _image_mask(k, self))
-
 
 def _image_mask(k: F2Vector, label: ComponentLabel) -> int:
     """c(k) as a mask, for k of the label's genus."""
@@ -198,13 +190,13 @@ def _image_mask(k: F2Vector, label: ComponentLabel) -> int:
 
 
 def torsor_base(g: int, images: Sequence[PartitionClass]) -> PartitionClass:
-    """The unique class B with valid support, theta_parity 0 and induced
-    parity form equal to q0.
+    """The unique class B with valid support, even h0 (theta parity 0)
+    and induced parity form equal to q0.
 
     Start from any valid-support class B0; the induced form
-    j -> theta_parity(B0) + theta_parity(B0 + c(j)) is q0 + <d, .>, with
+    j -> h0(B0) + h0(B0 + c(j)) (mod 2) is q0 + <d, .>, with
     d read off its values at the basis vectors (d''_i at e_i, d'_i at f_i),
-    and B = B0 + c(d) corrects it.  theta_parity(B) = 0 then comes for
+    and B = B0 + c(d) corrects it.  h0(B) even then comes for
     free: translating by B matches the even/odd class census against the
     zero count of q0, which pins the parity.  Uniqueness makes this also
     the lexicographically first choice.
@@ -292,6 +284,8 @@ def trans_config(label: ComponentLabel,
         raise MalformedInputError(f"S needs exactly g-2 = {g - 2} labels")
     if len(set(labels)) != len(labels):
         raise MalformedInputError("duplicate labels in S")
+    # each label in 1..2g+2, also the one no T_k holds when S has one label
+    PartitionClass.from_labels(g, labels)
     # S is a plain subset of W here, not a class: do not canonicalize it,
     # only the resulting T_k are classes
     out = []

@@ -104,16 +104,6 @@ def _diff_masks(q: Quadruple, base: int) -> tuple[int, int, int]:
     return tuple(k.bits ^ b for i, k in enumerate(q.chars) if i != base)
 
 
-def differences(q: Quadruple, base: int) -> tuple[F2Vector, F2Vector, F2Vector]:
-    """a_i = k_i + k_base over the non-base positions, in input order.
-
-    base is 1-based (1..4).
-    """
-    if base not in (1, 2, 3, 4):
-        raise DomainError("base must be in 1..4")
-    return tuple(F2Vector(q.g, a) for a in _diff_masks(q, base - 1))
-
-
 # One kernel for one quadruple and for arrays of them: the differences are
 # plain int masks or broadcast numpy mask arrays, and classes are codes
 # indexing _CLASSES.
@@ -144,11 +134,11 @@ def _delta_code(independent, p12, p13, p23):
     return independent * (1 + odd // 2)
 
 
-def classify(q: Quadruple, verify_bases: bool = False) -> OrbitClass:
-    """Orbit class of the quadruple, read with base = position 4; with
-    verify_bases=True all four base choices are evaluated and must agree."""
+def classify(q: Quadruple) -> OrbitClass:
+    """Orbit class of the quadruple, read at all four base positions,
+    which must agree."""
     codes = {int(_class_code(*_invariants(*_diff_masks(q, base), q.g)))
-             for base in (range(4) if verify_bases else (3,))}
+             for base in range(4)}
     if len(codes) > 1:
         raise AssertionError("classification depends on the base")
     return _CLASSES[codes.pop()]

@@ -775,11 +775,13 @@ def random_siegel(g: int, rng, min_im: float = 0.5) -> SiegelMatrix:
 
     Drawn row by row over the upper triangle, Re z_ij then Im z_ij (i < j)
     or Re z_ii alone, and then the diagonal of Im Z, each Im z_ii = min_im +
-    (sum of |Im z_ij| over its row, summed as numpy sums a float64 row) +
-    a draw.  Z is built from Python floats as one array of complex(x, y),
-    the same bits as the numpy build x + 1j * y: x = -1 + 2 * random() is
-    never -0.0, so adding the +-0 real part of 1j * y to it changes no
-    bit."""
+    (sum of |Im z_ij| over its row, added in order, one float addition
+    each) + a draw.  Python's sum is not that sum: from Python 3.12 on it
+    compensates its float rounding, so Z would depend on the interpreter.
+    Below 8 entries, that is at g <= 7, numpy's row sum is the in-order sum
+    too.  Z is built from Python floats as one array of complex(x, y), the
+    same bits as the numpy build x + 1j * y: x = -1 + 2 * random() is never
+    -0.0, so adding the +-0 real part of 1j * y to it changes no bit."""
     x = [[0.0] * g for _ in range(g)]
     y = [[0.0] * g for _ in range(g)]
     for i in range(g):
@@ -788,32 +790,8 @@ def random_siegel(g: int, rng, min_im: float = 0.5) -> SiegelMatrix:
             if i != j:
                 y[i][j] = y[j][i] = rng.uniform(-0.2, 0.2)
     for i, row in enumerate(y):
-        row[i] = min_im + _pairwise_sum(list(map(abs, row))) \
-            + rng.uniform(0.0, 1.5)
+        total = 0.0
+        for v in row:
+            total += abs(v)
+        row[i] = min_im + total + rng.uniform(0.0, 1.5)
     return SiegelMatrix([list(map(complex, xr, yr)) for xr, yr in zip(x, y)])
-
-
-def _pairwise_sum(a: list[float]) -> float:
-    """The sum of a list of floats bit for bit as numpy's add.reduce sums a
-    contiguous float64 row: in order from -0.0 below 8 entries; in 8
-    strided lanes, combined pairwise, then the leftover entries in order,
-    up to 128; and past 128 as the pairwise sum of two halves, the first
-    a multiple of 8 long.  Python's sum is not it: it starts at +0 and,
-    from Python 3.12 on, compensates its float rounding."""
-    n = len(a)
-    if n < 8:
-        total = -0.0
-        for v in a:
-            total += v
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    r = a[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        r = [s + v for s, v in zip(r, a[i:i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in a[whole:]:
-        total += v
-    return total

@@ -198,6 +198,16 @@ class TestOtherSubcommands:
                                       f"--points={points}"])
         assert "bad point list" in err
 
+    @pytest.mark.parametrize("genus, points, bad", [
+        ("3", "9", "9"), ("3", "0", "0"), ("3", "123456789", "123456789"),
+        ("4", "1,99", "99")])
+    def test_hyperelliptic_cut_refuses_a_label_outside_w(self, capsys, genus,
+                                                         points, bad):
+        # at g = 3 S has one label, and no class T_k = S - {k} holds it
+        err = assert_refused(capsys, ["hyperelliptic", "cut", "--genus",
+                                      genus, "--points", points])
+        assert err == f"error: label {bad} outside 1..{2 * int(genus) + 2}\n"
+
     def test_hyperelliptic_cut_blank_list_is_empty_s(self, capsys):
         code, rep = run_json(capsys, ["hyperelliptic", "cut", "--genus", "2",
                                       "--points", " "])
@@ -574,6 +584,19 @@ class TestTheta:
                                       str(path)])
         assert err == f"error: m (g={gm}) does not match z (g={gz})\n"
 
+    def test_transform_ill_conditioned_cz_plus_d_exits_3(self, capsys,
+                                                          tmp_path):
+        # C = diag(1e13, 0) at Z = i I: cond(CZ + D) = 1e13, past 1e12
+        eye, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"m": {"A": eye, "B": zero, "C": [[10 ** 13, 0], [0, 0]],
+                   "D": eye},
+             "z": {"g": 2, "re": zero, "im": eye}, "k": [0, 0, 0, 0]}))
+        err = assert_refused(capsys, ["theta", "transform", "--input",
+                                      str(path)], code=3)
+        assert err == "error: CZ + D too ill-conditioned\n"
+
 
 class TestTransversal:
     def test_report(self, capsys, tmp_path):
@@ -586,6 +609,15 @@ class TestTransversal:
         assert code == 0
         assert rep["rank"] == 4
         assert rep["pass"] is True
+
+    def test_genus_not_the_node_files_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(
+            {"g": 3, "nodes": [str(x) for x in range(1, 9)]}))
+        err = assert_refused(capsys, ["transversal", "--genus", "4",
+                                      "--nodes", str(path), "--points",
+                                      "1,2"])
+        assert err == "error: --genus 4 does not match node file g=3\n"
 
     def test_bad_fraction(self, capsys, tmp_path):
         path = tmp_path / "n.json"

@@ -12,6 +12,7 @@ from thetanulls.hyperelliptic import (
     ComponentLabel,
     PartitionClass,
     _closed_form_parity,
+    _image_mask,
     _induces_q0,
     char_table,
     char_to_partition,
@@ -21,7 +22,6 @@ from thetanulls.hyperelliptic import (
     partition_parity,
     partition_to_char,
     std_labeling,
-    theta_parity,
     torsor_base,
     trans_config,
     vanishing_thetanulls,
@@ -176,10 +176,8 @@ def test_pairing_complement_stable_and_nondegenerate():
 
 def test_h0_and_theta_parity():
     assert h0(pc(3)) == 2
-    assert theta_parity(pc(3)) == 0
     t = pc(6, 1, 2, 3, 4, 5, 6, 7)
     assert h0(t) == 0
-    assert theta_parity(t) == 0
     assert _closed_form_parity(t.mask) == 0
     with pytest.raises(DomainError):
         h0(pc(3, 1))  # |T| must be even at g=3
@@ -188,7 +186,7 @@ def test_h0_and_theta_parity():
 def test_even_odd_census_g2_to_g6():
     for g in range(2, 7):
         classes = [pc(g, *t) for t in _support_labels(g)]
-        evens = sum(1 for t in classes if theta_parity(t) == 0)
+        evens = sum(1 for t in classes if h0(t) % 2 == 0)
         total = len(classes)
         assert total == 1 << (2 * g)
         assert evens == (1 << (g - 1)) * ((1 << g) + 1)
@@ -232,10 +230,10 @@ def test_torsor_base_is_unique_and_lex_first():
     for g in (3, 4):
         lab = std_labeling(g)
         base = lab.torsor_base
-        assert theta_parity(base) == 0
+        assert h0(base) % 2 == 0
         valid = []
         for cand in (pc(g, *t) for t in _support_labels(g)):
-            if theta_parity(cand) != 0:
+            if h0(cand) % 2 != 0:
                 continue
             try:
                 ComponentLabel(g, lab.basis_images, cand)
@@ -249,7 +247,7 @@ def test_torsor_base_is_unique_and_lex_first():
 @pytest.mark.parametrize("g", [3, 4])
 def test_labeling_check_decides_the_whole_induced_form(g):
     # the check on j of weight <= 2 accepts a base B exactly when
-    # theta_parity(B + c(j)) = q0(j) holds at every j, for each of the
+    # h0(B + c(j)) = q0(j) (mod 2) holds at every j, for each of the
     # 4^g classes of valid support
     lab = std_labeling(g)
     images = [p.labels for p in lab.basis_images]
@@ -272,12 +270,14 @@ def test_torsor_base_for_other_symplectic_bases_g3():
     lab = std_labeling(g)
     rng = random.Random(33)
     for _ in range(20):
-        m = transvection(F2Vector(g, rng.randrange(1, 1 << (2 * g))))
+        # M e_i for M a product of six random transvections
+        t = transvection(F2Vector(g, rng.randrange(1, 1 << (2 * g))))
+        cols = [t.apply_int(1 << i) for i in range(2 * g)]
         for _ in range(5):
-            v = F2Vector(g, rng.randrange(1, 1 << (2 * g)))
-            m = transvection(v) @ m
-        images = [lab.vector_image(F2Vector(g, m.apply_int(1 << i)))
-                  for i in range(2 * g)]
+            t = transvection(F2Vector(g, rng.randrange(1, 1 << (2 * g))))
+            cols = [t.apply_int(c) for c in cols]
+        images = [PartitionClass(g, _image_mask(F2Vector(g, c), lab))
+                  for c in cols]
         base = torsor_base(g, images)
         ComponentLabel(g, tuple(images), base)  # validates the base
         labels = [p.labels for p in images]
@@ -289,11 +289,11 @@ def test_torsor_base_for_other_symplectic_bases_g3():
 def test_torsor_base_induced_form_exhaustive_g4():
     g = 4
     lab = std_labeling(g)
-    base_val = theta_parity(lab.torsor_base)
+    base_val = h0(lab.torsor_base) % 2
     for bits in range(1 << (2 * g)):
         j = F2Vector(g, bits)
-        induced = base_val ^ theta_parity(
-            lab.vector_image(j) + lab.torsor_base)
+        induced = base_val ^ h0(
+            PartitionClass(g, _image_mask(j, lab)) + lab.torsor_base) % 2
         assert induced == parity(j)
 
 
@@ -329,7 +329,7 @@ def test_four_term_relation_random_g6():
         return m ^ full if (m >> (size - 1)) & 1 else m
 
     def tp(mask):
-        return theta_parity(PartitionClass(g, mask))
+        return h0(PartitionClass(g, mask)) % 2
 
     for _ in range(500):
         s = rng.randrange(1 << size) & ~(1 << (size - 1))
@@ -350,7 +350,7 @@ def test_char_partition_roundtrip_and_parity_g6():
         k = F2Vector(6, bits)
         t = char_to_partition(k, lab)
         assert partition_to_char(t, lab) == k
-        assert parity(k) == theta_parity(t)
+        assert parity(k) == h0(t) % 2
 
 
 def test_char_partition_torsor_isomorphism_g3():
@@ -360,7 +360,8 @@ def test_char_partition_torsor_isomorphism_g3():
         for jb in range(1 << (2 * g)):
             k, j = F2Vector(g, kb), F2Vector(g, jb)
             assert char_to_partition(k + j, lab) == \
-                char_to_partition(k, lab) + lab.vector_image(j)
+                char_to_partition(k, lab) + \
+                PartitionClass(g, _image_mask(j, lab))
 
 
 def test_vanishing_thetanull_counts():
@@ -415,6 +416,16 @@ def test_trans_config_validation():
         trans_config(lab, [1, 2, 3, 15])
 
 
+@pytest.mark.parametrize("g, s, bad", [
+    (3, [9], 9), (3, [0], 0), (3, [123456789], 123456789), (4, [1, 99], 99),
+    (5, [-1, 2, 3], -1)])
+def test_trans_config_refuses_a_label_outside_w(g, s, bad):
+    # at g = 3 the one label of S lies in no T_k, so no class sees it
+    with pytest.raises(MalformedInputError,
+                       match=rf"^label {bad} outside 1\.\.{2 * g + 2}$"):
+        trans_config(std_labeling(g), s)
+
+
 @pytest.mark.parametrize("g", range(2, 7))
 def test_array_model_matches_scalar_definitions(g):
     # against the reference definitions on labels, not the mask kernel
@@ -429,7 +440,7 @@ def test_array_model_matches_scalar_definitions(g):
     for t, h in zip(classes, ref_h0):
         cls = pc(g, *(complement - set(t)))  # holds 2g+2: complemented
         assert cls.labels == t
-        assert h0(cls) == h and theta_parity(cls) == h % 2
+        assert h0(cls) == h
         assert _closed_form_parity(cls.mask) == _ref_closed_form(t)
     table = _ref_images(lab)
     assert char_table(lab).tolist() == [_ref_mask(t) for t in table]
@@ -446,7 +457,7 @@ def test_std_labeling_past_int64(g):
     # plain ints, and its base induces q0 on random characteristics
     lab = std_labeling(g)
     assert ComponentLabel(g, lab.basis_images, lab.torsor_base) == lab
-    assert theta_parity(lab.torsor_base) == 0
+    assert h0(lab.torsor_base) % 2 == 0
     images = [p.labels for p in lab.basis_images]
     rng = random.Random(g)
     for _ in range(100):
@@ -466,7 +477,7 @@ def test_char_partition_roundtrip_g32():
         assert t.labels == _ref_image(g, images, lab.torsor_base.labels,
                                       k.bits)
         assert partition_to_char(t, lab) == k
-        assert theta_parity(t) == parity(k)
+        assert h0(t) % 2 == parity(k)
 
 
 def test_std_labeling_built_once_per_genus():

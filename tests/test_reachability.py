@@ -4,8 +4,9 @@ A fresh interpreter runs the README's commands through cli.main under a
 sys.setprofile hook; the last of them, verify-all --seed 0, is
 verify.run_all(0).  A fresh interpreter, so that cached bodies such as
 std_labeling, realization and build_parser run here and count.  Every
-public function and every non-dunder method of a public class in
-src/thetanulls must have run, or be in ALLOWED with its reason.
+module-level function, public or _private, and every non-dunder method of
+a public class in src/thetanulls must have run, or be in ALLOWED with its
+reason.
 """
 
 from __future__ import annotations
@@ -30,24 +31,16 @@ ALLOWED = {
     "transversal.basis_polys": "traced: tracing.py times it",
     "transversal.rank": "traced: tracing.py times it",
     # a test checks a live kernel against these
-    "f2core.F2Vector.is_zero": "test reference: transvection's check",
-    "f2core.SymplecticMap.apply": "test reference: the maps of act_on_char",
     "f2core.SymplecticMap.apply_int":
         "test reference: the maps of act_on_char",
-    "f2core.SymplecticMap.compose": "test reference: the maps of act_on_char",
-    "f2core.SymplecticMap.from_lists":
-        "test reference: the maps of act_on_char",
-    "f2core.SymplecticMap.identity": "test reference: the maps of act_on_char",
-    "f2core.SymplecticMap.to_lists": "test reference: the maps of act_on_char",
     "f2core.transvection": "test reference: for _transvect_char",
-    "hyperelliptic.ComponentLabel.vector_image":
-        "test reference: for torsor_base and char_to_partition",
-    "hyperelliptic.theta_parity": "test reference: for the class tables",
-    "orbits.differences": "test reference: for the classifiers",
     "quadforms.act_on_char": "test reference: for char_act_int and "
                              "_transvect_char",
     # an open ROADMAP item builds on these
     "f2core.witt_extend": "ROADMAP item 5: witness-certified classes",
+    "f2core._preserves_pairing": "ROADMAP item 5",
+    "f2core._rank_int": "ROADMAP item 5",
+    "f2core._solve_f2": "ROADMAP item 5",
     "orbits.census": "ROADMAP item 4: the closed-form census",
     # the other half of a JSON round trip whose parser or writer the
     # commands use
@@ -60,8 +53,8 @@ ALLOWED = {
 
 REASONS = ("traced", "test reference", "ROADMAP item", "JSON I/O")
 
-# reads argv lists on stdin and prints every public function and method of
-# the package, and those that never ran
+# reads argv lists on stdin and prints every module-level function and every
+# public method of the package, and those that never ran
 _PROBE = r"""
 import contextlib, importlib, inspect, io, json, pkgutil, sys
 
@@ -83,10 +76,10 @@ sys.setprofile(None)
 
 def functions(mod):
     for name, obj in vars(mod).items():
-        if name.startswith("_") or getattr(obj, "__module__", "") != \
+        if name.startswith("__") or getattr(obj, "__module__", "") != \
                 mod.__name__:
             continue
-        if inspect.isclass(obj):
+        if inspect.isclass(obj) and not name.startswith("_"):
             for attr, member in vars(obj).items():
                 # dunders, and the sunder names of the enum protocol
                 if attr.startswith("_") and attr.endswith("_"):
