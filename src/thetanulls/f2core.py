@@ -10,8 +10,12 @@ and q0(v) = v'.v'' is the standard quadratic form refining it.
 
 The F_2 mask rules live here once: popcount, pairing, q0, the row product
 M x and the sum of masks over the set bits of k.  Each takes plain Python
-ints (exact past int64) and broadcast numpy int64 mask arrays alike, and
-every other module reads them.
+ints (exact past int64) and broadcast numpy mask arrays alike, and every
+other module reads them.  A mask array of width n bits takes the
+narrowest signed dtype that holds it, _mask_dtype(n): int8 up to 7 bits,
+int16 up to 15 (characteristics up to g = 7) and int32 up to 31.  The
+pairing and q0 of arrays stay in uint8, as np.bitwise_count gives them;
+popcount widens to int64, so that differences of counts do not wrap.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ from .errors import DomainError
 # int-mask kernel, shared with the sibling modules
 
 
+def _mask_dtype(bits: int) -> np.dtype:
+    """The narrowest signed dtype holding every mask below 2^bits.  It
+    takes the width, not g: partition masks have 2g + 2 bits."""
+    return np.min_scalar_type(-(1 << bits))
+
+
 def _popcount(m):
     """Set bits of masks: a plain int for a plain int, int64 elementwise for
     numpy masks (np.bitwise_count gives uint8, which would wrap)."""
@@ -37,19 +47,31 @@ def _popcount(m):
     return np.bitwise_count(m).astype(np.int64)
 
 
+def _parity(m):
+    """popcount(m) mod 2: a plain int for a plain int, uint8 elementwise for
+    numpy masks.  A uint8 parity may be xored, compared, summed a few
+    times or multiplied into a mask array, but must be widened before it
+    is shifted, summed past 255 or multiplied by a plain int past 255
+    (which raises OverflowError)."""
+    if isinstance(m, int):
+        return m.bit_count() & 1
+    return np.bitwise_count(m) & 1
+
+
 def _pair(a, b, g: int):
     """The pairing <a, b> of masks in F_2^(2g)."""
-    return _popcount(((a & (b >> g)) ^ ((a >> g) & b)) & ((1 << g) - 1)) & 1
+    return _parity(((a & (b >> g)) ^ ((a >> g) & b)) & ((1 << g) - 1))
 
 
 def _q0(v, g: int):
     """q0(v) = v'.v'' of masks in F_2^(2g)."""
-    return _popcount(v & (v >> g) & ((1 << g) - 1)) & 1
+    return _parity(v & (v >> g) & ((1 << g) - 1))
 
 
 def _dot_rows(rows: Sequence[int], x):
     """M x for the matrix M with row masks rows: bit i is the parity of
-    rows[i] & x."""
+    rows[i] & x, read through the int64 popcount, as bit i of an array
+    would wrap in uint8 from i = 8 on."""
     out = 0
     for i, row in enumerate(rows):
         out |= (_popcount(row & x) & 1) << i

@@ -273,23 +273,35 @@ def vanishing_thetanulls(label: ComponentLabel) -> set[F2Vector]:
             for bits in _vanishing_rows(label)[0].tolist()}
 
 
-def trans_config(label: ComponentLabel,
-                 s_labels: Sequence[int]) -> list[F2Vector]:
-    """Characteristics with classes S minus one label each: the g-2
-    member h0 = 2 family whose thetanull divisors share the curve's
-    moduli point and meet transversally there."""
-    g = label.g
+def _check_s(g: int, s_labels: Sequence[int]) -> list[int]:
+    """The labels of S, sorted, once S is known to hold g-2 distinct ints
+    in 1..2g+2.  The one check of S: it refuses a wrong count, then a
+    label that is not an int or lies outside 1..2g+2, then a duplicate."""
     labels = list(s_labels)
     if len(labels) != g - 2:
-        raise MalformedInputError(f"S needs exactly g-2 = {g - 2} labels")
+        raise MalformedInputError(
+            f"S needs exactly g-2 = {g - 2} labels, got {len(labels)}")
+    # each label in 1..2g+2, also the one no T_k holds when S has one label
+    for lab in labels:
+        if type(lab) is not int or not 1 <= lab <= 2 * g + 2:
+            raise MalformedInputError(f"label {lab!r} outside 1..{2 * g + 2}")
     if len(set(labels)) != len(labels):
         raise MalformedInputError("duplicate labels in S")
-    # each label in 1..2g+2, also the one no T_k holds when S has one label
-    PartitionClass.from_labels(g, labels)
+    return sorted(labels)
+
+
+def trans_config(label: ComponentLabel,
+                 s_labels: Sequence[int]) -> list[F2Vector]:
+    """Characteristics with classes S minus one label each, in increasing
+    order of the label left out: the g-2 member h0 = 2 family whose
+    thetanull divisors share the curve's moduli point and meet
+    transversally there."""
+    g = label.g
+    labels = _check_s(g, s_labels)
     # S is a plain subset of W here, not a class: do not canonicalize it,
     # only the resulting T_k are classes
     out = []
-    for lab in sorted(labels):
+    for lab in labels:
         t = PartitionClass.from_labels(g, [x for x in labels if x != lab])
         k = partition_to_char(t, label)
         out.append(k)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .f2core import F2Vector, _pair, _q0
+from .f2core import F2Vector, _mask_dtype, _pair, _q0
 from .quadforms import _transvect_char, parity
 
 
@@ -164,8 +164,9 @@ _BFS_MAX_G = 3
 
 
 def _even_masks(g: int) -> np.ndarray:
-    """The even characteristic masks of genus g, ascending."""
-    v = np.arange(1 << (2 * g), dtype=np.int64)
+    """The even characteristic masks of genus g, ascending, in the
+    narrowest mask dtype."""
+    v = np.arange(1 << (2 * g), dtype=_mask_dtype(2 * g))
     return v[_q0(v, g) == 0]
 
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, MalformedInputError, ResourceCapError
-from .hyperelliptic import char_to_partition, h0, std_labeling, trans_config
+from .hyperelliptic import (_check_s, char_to_partition, h0, std_labeling,
+                            trans_config)
 
 _MAX_G = 32
 
@@ -96,19 +97,6 @@ class NodeSet:
         return cls(g, vals)
 
 
-def _check_s(ns: NodeSet, s: Sequence[int]) -> list[int]:
-    labels = list(s)
-    if len(labels) != ns.g - 2:
-        raise MalformedInputError(
-            f"S needs exactly g-2 = {ns.g - 2} indices, got {len(labels)}")
-    for idx in labels:
-        if type(idx) is not int or not 1 <= idx <= 2 * ns.g + 2:
-            raise MalformedInputError(f"index {idx!r} outside 1..{2 * ns.g + 2}")
-    if len(set(labels)) != len(labels):
-        raise MalformedInputError("duplicate indices in S")
-    return sorted(labels)
-
-
 def _divisor(g: int, labels: Sequence[int], k: int) -> dict[int, int]:
     """The divisor of the quadratic differential of k in S (labels, already
     checked): multiplicity 1 at every node, plus 2 at each node of S minus
@@ -126,7 +114,7 @@ def basis_polys(ns: NodeSet, s: Sequence[int]) -> list[list[Fraction]]:
     With x_i = p_i / q_i, G_k is prod (q_i x - p_i), an integer polynomial,
     divided by its leading coefficient prod q_i.
     """
-    labels = _check_s(ns, s)
+    labels = _check_s(ns.g, s)
     polys = []
     for k in labels:
         coeffs = [1]
@@ -202,9 +190,9 @@ def transversality_report(ns: NodeSet, s: Sequence[int]) -> dict:
     for every NodeSet, whose nodes are distinct."""
     if ns.g < 3:
         raise DomainError("the configuration needs g >= 3")
-    labels = _check_s(ns, s)
     label = std_labeling(ns.g)
-    chars = trans_config(label, labels)
+    chars = trans_config(label, s)  # refuses S unless it is valid
+    labels = sorted(s)
     classes = [char_to_partition(k, label) for k in chars]
     rk = sum(map(bool, _diagonal(
         [(x.numerator, x.denominator) for x in ns.nodes], labels)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bielliptic import verify_witnesses
-from .f2core import F2Vector, _pair, _q0
+from .f2core import F2Vector, _mask_dtype, _pair, _q0
 from .hyperelliptic import (_canonical, _h0, char_table, formula_agreement,
                             std_labeling, vanishing_thetanulls)
 from .orbits import (_class_code, _delta_code, _differences_arr,
@@ -61,14 +61,14 @@ def criterion_1(seed: int = 0) -> dict:
 
 def criterion_2(seed: int = 0) -> dict:
     """Arf shift law and the four-term relation, exhaustive for g <= 3, on
-    the mask kernel, which is checked on every pair, as int64 arrays and
-    as plain ints, against the coordinate-wise definitions."""
+    the mask kernel, which is checked on every pair, as narrow mask arrays
+    and as plain ints, against the coordinate-wise definitions."""
     arf_checked = 0
     four_checked = 0
     ok = True
     for g in (1, 2, 3):
         n = 1 << (2 * g)
-        v = np.arange(n, dtype=np.int64)
+        v = np.arange(n, dtype=_mask_dtype(2 * g))
         a, j = v[:, None], v[None, :]
         pair = _pair(a, j, g)
         q0 = _q0(v, g)
@@ -110,7 +110,9 @@ def criterion_3(seed: int = 0) -> dict:
     bad |= classify_array(rng.permuted(ks, axis=1), g) != label
     moved = ks
     for _ in range(20):
-        v = rng.integers(1, 1 << (2 * g), size=(trials, 1))
+        # drawn as int64, whose stream a narrow dtype would change
+        v = rng.integers(1, 1 << (2 * g), size=(trials, 1)).astype(
+            _mask_dtype(2 * g))
         moved = _transvect_char(v, moved, g)
     bad |= classify_array(moved, g) != label
     violations = int(np.count_nonzero(bad))
@@ -170,7 +172,9 @@ def criterion_7(seed: int = 0) -> dict:
     ks = np.arange(1 << (2 * g), dtype=np.int64)
     table = char_table(label6)
     parity_ok = bool(np.array_equal(_h0(table, g) & 1, _q0(ks, g)))
-    bijective = np.unique(table).size == ks.size
+    # by a sort: np.unique imports numpy.ma, about 15 ms once per process
+    srt = np.sort(table)
+    bijective = bool(np.all(srt[1:] != srt[:-1]))
     torsor_ok = all(
         np.array_equal(table[ks ^ (1 << j)],
                        _canonical(table ^ img.mask, g))
@@ -185,17 +189,41 @@ def criterion_7(seed: int = 0) -> dict:
             "torsor_isomorphism": torsor_ok, "pass": ok}
 
 
+def _random_nodes(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """n distinct random nodes p/q (|p| <= 400, 1 <= q <= 39) as reduced
+    int pairs, sorted by the float p/q: two distinct nodes differ by at
+    least 1/39**2, far above the float spacing, so the order is exact.
+
+    p and q equal rng.randrange(-400, 401) and rng.randrange(1, 40), and
+    leave rng in the same state: CPython's randrange (3.10 to 3.13) draws
+    below a width w by taking w.bit_length() bits from getrandbits until
+    the value is below w, here 10 bits below 801 and 6 bits below 39.
+    Calling getrandbits directly skips randrange's argument checks, which
+    cost more than the draw."""
+    bits = rng.getrandbits
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < n:
+        p = bits(10)
+        while p > 800:
+            p = bits(10)
+        q = bits(6)
+        while q > 38:
+            q = bits(6)
+        p -= 400
+        q += 1
+        d = math.gcd(p, q)
+        pairs.add((p // d, q // d))
+    return sorted(pairs, key=lambda pq: pq[0] / pq[1])
+
+
 def criterion_8(seed: int = 0) -> dict:
     """Transversality rank g-2 for integer and random rational node sets,
     g = 3..8, 100 rational trials per genus, each rank certified exactly
     by the Lagrange diagonal: the full transversality_report for the
-    integer nodes, the _diagonal kernel alone for the random ones, of whose
-    report only the verdict would be read.  Transversality holds for every
-    set of distinct nodes, so every trial passes.
-
-    A random node p/q (|p| <= 400, 1 <= q <= 39) is drawn as the reduced
-    int pair, and sorted by the float p/q: two distinct nodes differ by at
-    least 1/39**2, far above the float spacing, so the order is exact."""
+    integer nodes, the _diagonal kernel alone for the random ones
+    (_random_nodes), of whose report only the verdict would be read.
+    Transversality holds for every set of distinct nodes, so every trial
+    passes."""
     rng = _sub_rng(seed, 8)
     rows = []
     ok = True
@@ -207,12 +235,7 @@ def criterion_8(seed: int = 0) -> dict:
         integer_ok = rep["pass"]
         random_ok = 0
         for _ in range(trials):
-            pairs: set[tuple[int, int]] = set()
-            while len(pairs) < 2 * g + 2:
-                p, q = rng.randrange(-400, 401), rng.randrange(1, 40)
-                d = math.gcd(p, q)
-                pairs.add((p // d, q // d))
-            nodes = sorted(pairs, key=lambda pq: pq[0] / pq[1])
+            nodes = _random_nodes(rng, 2 * g + 2)
             labels = rng.sample(range(1, 2 * g + 3), g - 2)
             # rank g-2: all g-2 diagonal entries nonzero
             if all(_diagonal(nodes, labels)):

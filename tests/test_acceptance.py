@@ -86,6 +86,17 @@ def test_criterion_09_theta_numerics():
     assert rep["radius_failures"] == 0
 
 
+def test_run_all_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 15 ms to import, once per process
+    code = ("import sys; from thetanulls import verify; "
+            "assert verify.run_all(0)['all_pass']; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_criterion_10_verify_all_deterministic():
     cmd = [sys.executable, "-m", "thetanulls.cli",
            "verify-all", "--seed", str(SEED)]

@@ -663,6 +663,22 @@ class TestTransversal:
         assert "bad point list" in err
 
 
+@pytest.mark.parametrize("points, message", [
+    ("1,2,3", "S needs exactly g-2 = 2 labels, got 3"),
+    ("1,99", "label 99 outside 1..10"),
+    ("1,1", "duplicate labels in S"),
+])
+def test_both_commands_refuse_s_with_one_wording(capsys, tmp_path, points,
+                                                 message):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps(
+        {"g": 4, "nodes": [str(x) for x in range(1, 11)]}))
+    for argv in (["hyperelliptic", "cut", "--genus", "4"],
+                 ["transversal", "--genus", "4", "--nodes", str(path)]):
+        err = assert_refused(capsys, argv + ["--points", points])
+        assert err == f"error: {message}\n"
+
+
 class TestIntegerOptions:
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--genus", "\u0663"],

@@ -11,6 +11,7 @@ from thetanulls.f2core import (
     F2Vector,
     _combine,
     _dot_rows,
+    _mask_dtype,
     _pair,
     _popcount,
     _preserves_pairing,
@@ -62,9 +63,11 @@ def test_kernel_matches_coordinate_definition_exhaustive(g):
     n = 1 << (2 * g)
     ref_pair = [[_ref_pair(x, y, g) for y in range(n)] for x in range(n)]
     ref_q0 = [_ref_q0(x, g) for x in range(n)]
-    v = np.arange(n, dtype=np.int64)
+    v = np.arange(n, dtype=_mask_dtype(2 * g))
+    assert v.dtype == np.int8
     pair = _pair(v[:, None], v[None, :], g)
-    assert pair.dtype == np.int64
+    # the parity stays in np.bitwise_count's uint8
+    assert pair.dtype == _q0(v, g).dtype == np.uint8
     assert pair.tolist() == ref_pair
     assert _q0(v, g).tolist() == ref_q0
     assert [[_pair(x, y, g) for y in range(n)] for x in range(n)] == ref_pair
@@ -92,6 +95,31 @@ def test_array_kernel_matches_scalar_kernel(g):
     assert _pair(a, b, g).tolist() == \
         [_pair(x, y, g) for x, y in zip(a.tolist(), b.tolist())]
     assert _q0(a, g).tolist() == [_q0(x, g) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("bits, dtype", [
+    (2, np.int8), (7, np.int8), (8, np.int16), (14, np.int16),
+    (15, np.int16), (16, np.int32), (31, np.int32), (32, np.int64)])
+def test_mask_dtype_is_the_narrowest_signed_dtype(bits, dtype):
+    assert _mask_dtype(bits) == dtype
+    top = np.array([(1 << bits) - 1, 1 << (bits - 1)], dtype=_mask_dtype(bits))
+    assert top.tolist() == [(1 << bits) - 1, 1 << (bits - 1)]
+
+
+@pytest.mark.parametrize("bits, g", [(14, 7), (15, 8), (16, 8)])
+def test_narrow_array_kernel_matches_int_kernel_at_the_width_boundary(
+        bits, g):
+    # int16 holds 14 and 15 bits, int32 16; the top masks are the ones
+    # that would wrap in too narrow a dtype
+    rng = np.random.default_rng(bits)
+    vals = rng.integers(1 << bits, size=500).tolist() + [
+        (1 << bits) - 1, 1 << (bits - 1), ((1 << bits) - 1) >> 1, 0]
+    a = np.array(vals, dtype=_mask_dtype(bits))
+    b = a[::-1]
+    pair, q = _pair(a, b, g), _q0(a, g)
+    assert pair.dtype == q.dtype == np.uint8
+    assert pair.tolist() == [_pair(x, y, g) for x, y in zip(vals, vals[::-1])]
+    assert q.tolist() == [_q0(x, g) for x in vals]
 
 
 def test_array_popcount_is_int64():
@@ -123,7 +151,7 @@ def _vec_mat(k, a):
     return sum(b << j for j, b in enumerate(row))
 
 
-@pytest.mark.parametrize("g", [1, 3, 40])
+@pytest.mark.parametrize("g", [1, 3, 7, 8, 40])
 def test_row_products_match_matrix_products(g):
     rng = random.Random(g)
     n = 2 * g
@@ -135,7 +163,9 @@ def test_row_products_match_matrix_products(g):
     assert [_dot_rows(rows, x) for x in xs] == want_dot
     assert [_combine(x, rows) for x in xs] == want_combine
     if g < 32:
-        arr = np.array(xs, dtype=np.int64)
+        # in the narrowest mask dtype: from row 8 on, bit i of M x would
+        # wrap in the uint8 of an array parity
+        arr = np.array(xs, dtype=_mask_dtype(n))
         assert _dot_rows(rows, arr).tolist() == want_dot
         assert _combine(arr, rows).tolist() == want_combine
 

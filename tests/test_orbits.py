@@ -8,8 +8,8 @@ import pytest
 
 from thetanulls import orbits, verify
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
-from thetanulls.f2core import (F2Vector, _rank_int, symplectic_pairing,
-                               transvection)
+from thetanulls.f2core import (F2Vector, _mask_dtype, _q0, _rank_int,
+                               symplectic_pairing, transvection)
 from thetanulls.orbits import (
     OrbitClass,
     Quadruple,
@@ -173,9 +173,13 @@ def test_batched_classifiers_match_scalar_exhaustive_g2():
     _assert_batched_matches_scalar(all_quadruples(2), 2)
 
 
-@pytest.mark.parametrize("g", [3, 4, 5, 6])
+@pytest.mark.parametrize("g", [3, 4, 5, 6, 7, 8])
 def test_batched_classifiers_match_scalar_sampled(g):
-    ks = random_quadruples(g, 500, np.random.default_rng(100 + g))
+    # g = 7 and 8 hold their masks in int16 and int32; the row of the four
+    # largest even masks has the top bits set
+    ks = np.vstack((random_quadruples(g, 500, np.random.default_rng(100 + g)),
+                    orbits._even_masks(g)[-4:]))
+    assert ks.dtype == _mask_dtype(2 * g)
     _assert_batched_matches_scalar(ks, g)
     # the reordered rows classify alike
     perm = np.random.default_rng(g).permuted(ks, axis=1)
@@ -197,6 +201,72 @@ def test_criterion_4_counts_every_row_whose_codes_differ(monkeypatch):
     assert a4_g2 == 15 and a4_g6 > 0
     rep = verify.criterion_4(3)
     assert rep["mismatches"] == a4_g2 + a4_g6 and rep["pass"] is False
+
+
+def _int64_random_quadruples(g, n, rng):
+    """random_quadruples as it read with int64 masks: the even masks from
+    the plain-int q0, indices drawn as int64 and repeated rows redrawn."""
+    evens = np.array([k for k in range(1 << (2 * g)) if _q0(k, g) == 0],
+                     dtype=np.int64)
+    idx = rng.integers(len(evens), size=(n, 4))
+    while True:
+        a, b, c, d = idx.T
+        bad = np.flatnonzero((a == b) | (a == c) | (a == d) | (b == c)
+                             | (b == d) | (c == d))
+        if not len(bad):
+            return evens[idx]
+        idx[bad] = rng.integers(len(evens), size=(len(bad), 4))
+
+
+def _int64_criterion_3_4_inputs(seed):
+    """What criteria 3 and 4 draw, by an int64 copy of their draws: the
+    criterion 3 rows, their permutation and 20 transvection vectors, and
+    the criterion 4 rows at g = 6."""
+    rng = np.random.default_rng(seed * 1009 + 3)
+    ks = _int64_random_quadruples(6, 10_000, rng)
+    permuted = rng.permuted(ks, axis=1)
+    vs = [rng.integers(1, 1 << 12, size=(10_000, 1)) for _ in range(20)]
+    ks4 = _int64_random_quadruples(6, 100_000,
+                                   np.random.default_rng(seed * 1009 + 4))
+    return ks, permuted, vs, ks4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_criteria_3_and_4_draw_what_int64_masks_drew(monkeypatch, seed):
+    classified, moves, differenced = [], [], []
+
+    def classify_rows(ks, g, base=3):
+        classified.append(ks)
+        return classify_array(ks, g, base)
+
+    def transvect(v, k, g):
+        moves.append(v)
+        return _transvect_char(v, k, g)
+
+    def differences(ks, base):
+        differenced.append(ks)
+        return orbits._differences_arr(ks, base)
+
+    monkeypatch.setattr(verify, "classify_array", classify_rows)
+    monkeypatch.setattr(verify, "_transvect_char", transvect)
+    monkeypatch.setattr(verify, "_differences_arr", differences)
+    assert verify.criterion_3(seed)["pass"]
+    assert verify.criterion_4(seed)["pass"]
+    ks, permuted, vs, ks4 = _int64_criterion_3_4_inputs(seed)
+    # the base-3, base-0..2, permuted and moved rows, then the g = 2 census
+    # and the random g = 6 rows of criterion 4
+    assert len(classified) == 6 and len(moves) == 20
+    assert len(differenced) == 2
+    assert all(x.dtype == np.int16 for x in classified + moves)
+    assert all(np.array_equal(x, ks) for x in classified[:4])
+    assert np.array_equal(classified[4], permuted)
+    assert all(np.array_equal(v, w) for v, w in zip(moves, vs))
+    moved = ks
+    for v in vs:
+        moved = _transvect_char(v, moved, 6)
+    assert np.array_equal(classified[5], moved)
+    assert np.array_equal(differenced[0], all_quadruples(2))
+    assert np.array_equal(differenced[1], ks4)
 
 
 @pytest.mark.parametrize("g", [2, 3, 6])
@@ -379,7 +449,7 @@ def test_all_quadruples_matches_combinations(g):
              if parity(F2Vector(g, k)) == 0]
     ref = [list(c) for c in combinations(evens, 4)]
     got = all_quadruples(g)
-    assert got.dtype == np.int64
+    assert got.dtype == _mask_dtype(2 * g) == np.int8
     assert got.shape == (len(ref), 4)
     assert got.tolist() == ref
 

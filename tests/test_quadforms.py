@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from thetanulls.f2core import (F2Vector, SymplecticMap, _combine, _pair, _q0,
-                               transvection)
+from thetanulls.f2core import (F2Vector, SymplecticMap, _combine, _mask_dtype,
+                               _pair, _q0, transvection)
 from thetanulls.quadforms import (
     _transvect_char,
     act_on_char,
@@ -210,3 +210,20 @@ def test_transvect_char_arr_matches_scalar_exhaustive(g):
     assert _transvect_char(v, k, g).tolist() == \
         [[_transvect_char(x, y, g) for y in range(n)]
          for x in range(1, n)]
+
+
+@pytest.mark.parametrize("bits, g", [(14, 7), (15, 8), (16, 8)])
+def test_transvect_char_narrow_arr_matches_scalar_at_the_width_boundary(
+        bits, g):
+    # int16 holds 14 and 15 bits, int32 16: the image stays in the masks'
+    # dtype, and the top masks would wrap in a narrower one
+    rng = np.random.default_rng(bits)
+    top = [(1 << bits) - 1, 1 << (bits - 1), ((1 << bits) - 1) >> 1]
+    vs = rng.integers(1, 1 << bits, size=300).tolist() + top
+    ks = rng.integers(1 << bits, size=300).tolist() + top[::-1]
+    dtype = _mask_dtype(bits)
+    got = _transvect_char(np.array(vs, dtype=dtype)[:, None],
+                          np.array(ks, dtype=dtype)[None, :], g)
+    assert got.dtype == dtype
+    assert got.tolist() == [[_transvect_char(v, k, g) for k in ks]
+                            for v in vs]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetanulls import transversal, verify
+from thetanulls import hyperelliptic, transversal, verify
 from thetanulls.errors import DomainError, MalformedInputError, ResourceCapError
 from thetanulls.transversal import (
     NodeSet,
@@ -162,11 +162,12 @@ def test_report_unit_nodes_g3_to_g8():
 
 
 def test_report_checks_s_once(monkeypatch):
-    # the report's own check, not one per divisor
+    # trans_config's check, not one more in the report or one per divisor
     calls = []
-    check = transversal._check_s
-    monkeypatch.setattr(transversal, "_check_s",
-                        lambda ns, s: calls.append(s) or check(ns, s))
+    check = hyperelliptic._check_s
+    for module in (hyperelliptic, transversal):
+        monkeypatch.setattr(module, "_check_s",
+                            lambda g, s: calls.append(s) or check(g, s))
     ns = unit_nodes(8)
     s = [5, 1, 3, 6, 2, 4]
     report = transversality_report(ns, s)
@@ -326,6 +327,21 @@ def test_criterion_8_draw_matches_the_fraction_draw(seed):
         assert nodes == [(x.numerator, x.denominator) for x in ref]
         assert labels == ref_labels and state == ref_state
     assert final == want[-1][3]
+
+
+def test_random_nodes_equal_randrange_draws_over_a_long_stream():
+    # _random_nodes reads getrandbits as CPython's randrange does; an
+    # interpreter whose randrange draws otherwise fails here
+    got_rng, want_rng = random.Random(2027), random.Random(2027)
+    for i in range(3000):
+        n = 8 + i % 11
+        want = set()
+        while len(want) < n:
+            want.add(Fraction(want_rng.randrange(-400, 401),
+                              want_rng.randrange(1, 40)))
+        assert verify._random_nodes(got_rng, n) == [
+            (x.numerator, x.denominator) for x in sorted(want)]
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 @pytest.mark.parametrize("seed", range(4))
