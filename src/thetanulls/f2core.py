@@ -20,13 +20,12 @@ popcount widens to int64, so that differences of counts do not wrap.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _int_in
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +154,10 @@ class F2Vector:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.g < 1:
-            raise DomainError(f"g must be >= 1, got {self.g}")
-        if not 0 <= self.bits < 1 << (2 * self.g):
-            raise DomainError(f"bits out of range for g={self.g}")
+        g = _int_in(self.g, 1, None, "g")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "bits", _int_in(
+            self.bits, 0, (1 << (2 * g)) - 1, "bits"))
 
     @classmethod
     def from_list(cls, coords: Sequence[int]) -> "F2Vector":
@@ -167,15 +166,7 @@ class F2Vector:
                               f"length, got {len(coords)}")
         bits = 0
         for i, x in enumerate(coords):
-            # operator.index takes ints and numpy integers and refuses
-            # floats such as 1.0
-            try:
-                x = operator.index(x)
-            except TypeError:
-                x = None
-            if x not in (0, 1):
-                raise DomainError("coordinates must be 0 or 1")
-            bits |= x << i
+            bits |= _int_in(x, 0, 1, "coordinate") << i
         return cls(len(coords) // 2, bits)
 
     def to_list(self) -> list[int]:

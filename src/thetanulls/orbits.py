@@ -124,8 +124,9 @@ def _invariants(a1, a2, a3, g: int):
 
 
 def _class_code(independent, p12, p13, p23):
-    n = p12 + p13 + p23
-    return independent * (1 + (n > 0) + (n == 3))
+    # (n + 3) >> 1 is 1, 2, 2, 3 at n = 0..3, in the pairings' dtype (uint8
+    # for arrays; bool + bool would be a logical or)
+    return independent * ((p12 + p13 + p23 + 3) >> 1)
 
 
 def _delta_code(independent, p12, p13, p23):
@@ -183,8 +184,7 @@ def classify_array(ks: np.ndarray, g: int, base: int = 3) -> np.ndarray:
 
     Returns uint8 codes, code i standing for the i-th OrbitClass (A1..A4).
     """
-    return _class_code(*_invariants(*_differences_arr(ks, base), g)
-                       ).astype(np.uint8)
+    return _class_code(*_invariants(*_differences_arr(ks, base), g))
 
 
 def random_quadruples(g: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -50,7 +50,9 @@ def _act_on_char_rows(rows: Sequence[int], k: int, g: int) -> int:
 def _transvect_char(v, k, g: int):
     """The action of the transvection T_v on characteristics, k + (q_k(v) +
     1) v with q_k(v) = q0(v) + <k, v>, on plain int masks or broadcast mask
-    arrays."""
+    arrays.  v and k are both plain ints or both mask arrays: a plain v of
+    256 or more times the uint8 parity of an array k raises OverflowError
+    (f2core._parity), and no caller mixes them."""
     return k ^ (v * (_q0(v, g) ^ _pair(k, v, g) ^ 1))
 
 

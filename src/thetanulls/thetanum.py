@@ -45,17 +45,18 @@ imaginary parts.  The terms exp(pi*i x^T Z x) depend on Z.  Only the phase
 exp(pi*i x . k'') depends on k'', and as 2x . k'' is an integer that phase
 is the power i^(2x . k'') of i: a characteristic's value is the sum of the
 coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
-theta_constant keeps one memo entry: the radius, the tail bound and, for
-each k' asked for, the coset's terms (16 bytes per point) with its 2x (a
-view of the cache), all for the last (Z, eps, radius_scale) seen.  The 4^g
-characteristics at one Z then share 2^g half-coset term evaluations, each
-made on first use; a new Z replaces the entry.  Values and certificates
-are the same bit for bit as a fresh build of every point's term in the
-same order.
+_lattice, a functools.lru_cache of one entry, keeps the radius, the tail
+bound and, for each k' asked for, the coset's terms (16 bytes per point)
+with its 2x (a view of the cache), all for the last (Z, eps, radius_scale)
+seen.  The 4^g characteristics at one Z then share 2^g half-coset term
+evaluations, each made on first use; a new key replaces the entry.
+Values and certificates are the same bit for bit as a fresh build of
+every point's term in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -186,9 +187,12 @@ class SiegelMatrix:
 
 class IntSymplectic:
     """Integer block matrix (A B; C D) with A^T C, B^T D symmetric and
-    A^T D - C^T B = I."""
+    A^T D - C^T B = I.
 
-    __slots__ = ("g", "a", "b", "c", "d", "_level_two")
+    M mod 2 is read once, at construction: the rows of (D C; B A) mod 2
+    as int masks, which char_act_int reads, and whether M = I mod 2."""
+
+    __slots__ = ("g", "a", "b", "c", "d", "_rows_mod2", "_level_two")
 
     def __init__(self, a, b, c, d) -> None:
         blocks = []
@@ -206,7 +210,8 @@ class IntSymplectic:
     def _fill(self, a, b, c, d) -> None:
         """The fields of M from its g x g blocks as rows of exact Python
         ints, once its entries lie in int64 and M is symplectic: read-only
-        int64 copies of the blocks, and whether M = I mod 2.
+        int64 copies of the blocks, the row masks of (D C; B A) mod 2 and
+        whether M = I mod 2.
 
         M^T J M = J, J = (0 I; -I 0), is checked column pair by column
         pair: on two columns of (A; C) it says A^T C is symmetric, on two
@@ -231,9 +236,13 @@ class IntSymplectic:
         blocks.setflags(write=False)
         self.g = g
         self.a, self.b, self.c, self.d = blocks
-        self._level_two = all(x & 1 == (i == p)
-                              for p, col in enumerate(left + right)
-                              for i, x in enumerate(col))
+        self._rows_mod2 = tuple(
+            sum((x & 1) << j for j, x in enumerate(row))
+            for row in [p + q for p, q in zip(d, c)]
+            + [p + q for p, q in zip(b, a)])
+        # (D C; B A) = I mod 2 exactly when M = I mod 2
+        self._level_two = all(row == 1 << j
+                              for j, row in enumerate(self._rows_mod2))
 
     def is_level_two(self) -> bool:
         """True iff M = identity mod 2."""
@@ -492,20 +501,16 @@ def _quad_form(xt: np.ndarray, z: np.ndarray) -> np.ndarray:
     return quad
 
 
-class _Lattice(NamedTuple):
-    """One (Z, eps, radius_scale) with its radius, tail and, by k', the
-    coset's terms exp(pi i x^T Z x) with its 2x."""
-    z: SiegelMatrix
-    eps: float
-    radius_scale: float
-    r: float
-    tail: float
-    cosets: dict[int, tuple[np.ndarray, np.ndarray]]
-
-
-# The lattice of the last (Z, eps, radius_scale) evaluated; a new key
-# replaces the whole entry, so the memo holds one Siegel matrix at most.
-_LATTICE: _Lattice | None = None
+@functools.lru_cache(maxsize=1)
+def _lattice(z: SiegelMatrix, eps: float,
+             radius_scale: float) -> tuple[float, float, dict]:
+    """The radius and tail bound of the last (Z, eps, radius_scale)
+    evaluated, with a dict that theta_constant fills by k' with the
+    coset's terms exp(pi i x^T Z x) and its 2x.  Z is keyed by identity
+    (SiegelMatrix defines no __eq__), eps and radius_scale by ==.  A new
+    key replaces the entry, and a failed _radius stores nothing.  Called
+    positionally, so that one key has one form."""
+    return (*_radius(z, eps, radius_scale), {})
 
 
 def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
@@ -519,33 +524,25 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
 
     The series is summed at Z - 2 round(Re Z / 2) and turned by a power
     of i exactly.  The ball points of each (g, k') are cached with their
-    antipodal fold, and the terms of the last (Z, eps, radius_scale) are
-    memoized (module docstring); results are bit-identical to building
-    both afresh.
+    antipodal fold, and _lattice memoizes the radius, tail and terms of the
+    last (Z, eps, radius_scale) (module docstring); results are
+    bit-identical to building both afresh.
     """
-    global _LATTICE
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError("eps must be finite and positive")
     if not (math.isfinite(radius_scale) and radius_scale >= 1.0):
         raise DomainError("radius_scale must be finite and >= 1")
     if k.g != z.g:
         raise DomainError("characteristic/matrix g mismatch")
-    # one read of the slot, one tuple written: a lattice is never paired
-    # with another Z's key
-    memo = _LATTICE
-    if memo is None or not (memo.z is z and memo.eps == eps
-                            and memo.radius_scale == radius_scale):
-        memo = _Lattice(z, eps, radius_scale,
-                        *_radius(z, eps, radius_scale), {})
-        _LATTICE = memo
+    r, tail, cosets = _lattice(z, eps, radius_scale)
     kp = k.first_half
-    coset = memo.cosets.get(kp)
+    coset = cosets.get(kp)
     if coset is None:
-        quad, fold, twice_x = _coset(z, memo.r, kp)
+        quad, fold, twice_x = _coset(z, r, kp)
         # one exp per +-x pair, read at every point through the fold; in
         # place, with the operands of exp(1j * math.pi * quad)
         np.multiply(1j * math.pi, quad, out=quad)
-        coset = memo.cosets[kp] = (np.exp(quad, out=quad)[fold], twice_x)
+        coset = cosets[kp] = (np.exp(quad, out=quad)[fold], twice_x)
     terms, twice_x = coset
     # exp(pi i x . k'') = i^(2x . k''), and 2x . k'' is an integer sum of
     # the rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i.
@@ -563,7 +560,7 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
         bits = [i for i in range(z.g) if (kp >> i) & 1]
         value = _times_i_power(
             value, sum(z.shift[i][j] for i in bits for j in bits))
-    bound = memo.tail + 1000.0 * _EPS_MACH * terms.shape[0]
+    bound = tail + 1000.0 * _EPS_MACH * terms.shape[0]
     return value, bound
 
 
@@ -605,18 +602,11 @@ def char_act_int(m: IntSymplectic, k: F2Vector) -> F2Vector:
     """Affine action on characteristics mod 2:
     k'_new = D k' + C k'' + diag(C D^T), k''_new = B k' + A k'' + diag(A B^T).
 
-    This is act_on_char's closed form on the rows of (D C; B A) mod 2 (bit
-    j of the two diagonals is q0 of row j), with no map built: M is
-    symplectic by construction.
+    This is act_on_char's closed form on the rows of (D C; B A) mod 2,
+    which M keeps (bit j of the two diagonals is q0 of row j), with no map
+    built: M is symplectic by construction.
     """
-    return F2Vector(k.g, _act_on_char_rows(_form_rows(m), k.bits, k.g))
-
-
-def _form_rows(m: IntSymplectic) -> tuple[int, ...]:
-    """The rows of (D C; B A) mod 2 as masks of exact Python ints."""
-    rows = ([d + c for d, c in zip(m.d.tolist(), m.c.tolist())]
-            + [b + a for b, a in zip(m.b.tolist(), m.a.tolist())])
-    return tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in rows)
+    return F2Vector(k.g, _act_on_char_rows(m._rows_mod2, k.bits, k.g))
 
 
 def transform_modulus_check(m: IntSymplectic, z: SiegelMatrix, k: F2Vector,

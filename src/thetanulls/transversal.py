@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainError, MalformedInputError, ResourceCapError
+from .errors import (DomainError, MalformedInputError, ResourceCapError,
+                     _int_in)
 from .hyperelliptic import (_check_s, char_to_partition, h0, std_labeling,
                             trans_config)
 
@@ -64,10 +65,10 @@ class NodeSet:
     nodes: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise DomainError(f"g must be >= 2, got {self.g}")
-        if self.g > _MAX_G:
-            raise ResourceCapError(f"g capped at {_MAX_G}, got {self.g}")
+        g = _int_in(self.g, 2, None, "g")
+        if g > _MAX_G:
+            raise ResourceCapError(f"g capped at {_MAX_G}, got {g}")
+        object.__setattr__(self, "g", g)
         if len(self.nodes) != 2 * self.g + 2:
             raise MalformedInputError(
                 f"need 2g+2 = {2 * self.g + 2} nodes, got {len(self.nodes)}")

@@ -31,8 +31,7 @@ from .quadforms import (_transvect_char, characteristic_counts,
                         odd_characteristics)
 from .thetanum import (random_int_symplectic, random_level_two,
                        random_siegel, block_diag_split_check,
-                       char_act_int, theta_constant,
-                       transform_modulus_check)
+                       theta_constant, transform_modulus_check)
 from .transversal import NodeSet, _diagonal, transversality_report
 
 
@@ -291,7 +290,7 @@ def criterion_9(seed: int = 0) -> dict:
             mod_fail += 1
         if rep["level_two"]:
             level_two_checked += 1
-            if char_act_int(m, k) != k:
+            if rep["moved_k"] != rep["k"]:
                 mod_fail += 1
     mod_ok = mod_fail == 0 and level_two_checked >= 20
 

@@ -189,15 +189,31 @@ def test_vector_validation():
         F2Vector.from_list([1, 2])
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.0, np.float64(1), "1", None])
+@pytest.mark.parametrize("bad", [1.0, 0.0, np.float64(1), "1", None, True,
+                                 False, 2, -1])
 def test_non_integer_entries_are_domain_errors(bad):
-    with pytest.raises(DomainError, match="coordinates must be 0 or 1"):
+    with pytest.raises(DomainError,
+                       match=r"coordinate must be an integer in 0\.\.1"):
         F2Vector.from_list([bad, 0])
+
+
+@pytest.mark.parametrize("g, bits, what", [
+    (2, 1.0, "bits"), (2.0, 1, "g"), (True, 1, "g"), (2, True, "bits"),
+    (2, "1", "bits"), (None, 0, "g"), (0, 0, "g"), (2, 16, "bits"),
+    (2, -1, "bits")])
+def test_vector_fields_read_by_the_integer_rule(g, bits, what):
+    # F2Vector(2, 1.0) used to be accepted and fail later in q0 with a bare
+    # TypeError, and F2Vector(2.0, 1) failed with one from <<
+    with pytest.raises(DomainError, match=f"{what} must be an integer"):
+        F2Vector(g, bits)
 
 
 def test_numpy_integer_entries_are_accepted():
     one, zero = np.int64(1), np.uint8(0)
     assert F2Vector.from_list([one, zero]) == F2Vector(1, 1)
+    v = F2Vector(np.int16(2), np.uint8(9))
+    assert v == F2Vector(2, 9)
+    assert type(v.g) is int and type(v.bits) is int
 
 
 def test_pairing_dual_basis_pair():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -158,6 +158,22 @@ def classify_by_delta_array(ks, g):
     return orbits._delta_code(
         *orbits._invariants(*orbits._differences_arr(ks, 3), g)
     ).astype(np.uint8)
+
+
+def test_class_codes_are_uint8_for_every_pairing_count():
+    # every (p12, p13, p23), as the uint8 arrays _pair gives and as plain
+    # ints: A1 when dependent, else A2, A3, A3, A4 at n = 0..3 odd pairings
+    # (bool + bool would be a logical or and give A3 at n = 3)
+    p = np.array(list(product((0, 1), repeat=3)), dtype=np.uint8).T
+    n = p.sum(axis=0).tolist()
+    for independent in (False, True):
+        codes = orbits._class_code(np.full(8, independent), *p)
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [independent * (1, 2, 2, 3)[x] for x in n]
+        for row, code in zip(p.T.tolist(), codes.tolist()):
+            got = orbits._class_code(independent, *row)
+            assert type(got) is int and got == code
+    assert classify_array(all_quadruples(2), 2).dtype == np.uint8
 
 
 def _assert_batched_matches_scalar(ks, g):

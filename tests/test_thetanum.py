@@ -64,11 +64,19 @@ def _diag_char_act(m, k):
                               + [int(v) for v in new_pp])
 
 
+def _reference_form_rows(m):
+    """The rows of (D C; B A) mod 2 as masks of exact Python ints, read
+    from the int64 blocks."""
+    rows = ([d + c for d, c in zip(m.d.tolist(), m.c.tolist())]
+            + [b + a for b, a in zip(m.b.tolist(), m.a.tolist())])
+    return tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in rows)
+
+
 def char_act_form_map(m):
     """F_2 reduction of the characteristic action's linear part, as a
     pairing-preserving map: (k', k'') -> (D k' + C k'', B k' + A k'');
     char_act_int is act_on_char along it."""
-    return SymplecticMap(m.g, thetanum._form_rows(m))
+    return SymplecticMap(m.g, _reference_form_rows(m))
 
 
 class TestSiegelMatrix:
@@ -509,10 +517,44 @@ class TestCharAction:
         rows = char_act_form_map(m).rows
         assert rows[g - 1] == (1 << (g - 1)) | (1 << g) | (1 << (2 * g - 1))
         assert rows[2 * g - 1] == 1 << (2 * g - 1)
+        assert m._rows_mod2 == rows and not m.is_level_two()
         rng = random.Random(50)
         for _ in range(5):
             k = F2Vector(g, rng.randrange(1 << (2 * g)))
             assert char_act_int(m, k) == _diag_char_act(m, k)
+
+    def test_rows_mod2_kept_at_construction(self):
+        # the rows M keeps, through either constructor, are those read
+        # from its blocks, and M = I mod 2 exactly when they are 1 << j
+        rng = random.Random(52)
+        seen = set()
+        for _ in range(80):
+            g = rng.choice([1, 2, 3, 4])
+            make = rng.choice([random_int_symplectic, random_level_two])
+            m = make(g, rng, steps=rng.randrange(1, 6))
+            for m in (m, IntSymplectic.from_json_dict(m.to_json_dict())):
+                assert m._rows_mod2 == _reference_form_rows(m)
+                level_two = np.array_equal(
+                    _full(m) % 2, np.eye(2 * g, dtype=int))
+                assert m.is_level_two() is level_two
+                seen.add(level_two)
+        assert seen == {False, True}
+
+    def test_criterion_9_acts_on_each_characteristic_once(self,
+                                                          monkeypatch):
+        # 100 modulus checks, each acting once; the 20 level-two matrices
+        # read the moved characteristic off the check's report
+        calls = []
+        act = thetanum.char_act_int
+
+        def counting(m, k):
+            calls.append(m.is_level_two())
+            return act(m, k)
+        monkeypatch.setattr(thetanum, "char_act_int", counting)
+        rep = verify.criterion_9(0)
+        assert rep["pass"] and rep["level_two_checked"] >= 20
+        assert len(calls) == 100
+        assert sum(calls) == rep["level_two_checked"]
 
 
 class TestTransformModulus:
@@ -823,6 +865,15 @@ def _bits(result):
     return struct.pack("<3d", value.real, value.imag, bound)
 
 
+def _memo(z, eps, radius_scale=1.0):
+    """The memo's (r, tail, cosets) for this key, which must be the one it
+    holds: read as a hit, so the entry stays."""
+    hits = thetanum._lattice.cache_info().hits
+    entry = thetanum._lattice(z, eps, radius_scale)
+    assert thetanum._lattice.cache_info().hits == hits + 1
+    return entry
+
+
 class TestLatticeMemo:
     """theta_constant shares one truncated lattice across the
     characteristics of one (Z, eps, radius_scale); its results must equal
@@ -857,7 +908,7 @@ class TestLatticeMemo:
         for k in all_characteristics(1):
             assert _bits(theta_constant(z, k, 1e-12)) == \
                 _bits(_reference_theta(z, k, 1e-12))
-        assert thetanum._LATTICE.cosets[0][1].dtype == np.int16
+        assert _memo(z, 1e-12)[2][0][1].dtype == np.int16
 
     def test_interleaved_matrices_and_eps(self):
         rng = random.Random(70)
@@ -888,29 +939,52 @@ class TestLatticeMemo:
         z = random_siegel(3, rng)
         theta_constant(z, F2Vector(3, 0b101_011), 1e-10)
         assert built == [(z, 0b011)]
-        memo = thetanum._LATTICE
-        assert memo.z is z and list(memo.cosets) == [0b011]
+        memo = _memo(z, 1e-10)
+        assert list(memo[2]) == [0b011]
         for k in all_characteristics(3):
             theta_constant(z, k, 1e-10)
-        assert len(built) == 8 and thetanum._LATTICE is memo
+        assert len(built) == 8 and _memo(z, 1e-10) is memo
         other = random_siegel(3, rng)
         theta_constant(other, F2Vector(3, 0), 1e-10)
-        memo = thetanum._LATTICE
-        assert memo.z is other and list(memo.cosets) == [0]
+        assert list(_memo(other, 1e-10)[2]) == [0]
+        assert thetanum._lattice.cache_info().currsize == 1
         # the old matrix is rebuilt from scratch, not resumed
         theta_constant(z, F2Vector(3, 0b101_011), 1e-10)
-        assert thetanum._LATTICE.z is z and len(built) == 10
+        assert _memo(z, 1e-10) is not memo and len(built) == 10
+
+    @pytest.mark.usefixtures("cold_cache")
+    def test_keys_in_turn_call_by_call(self):
+        # eps and radius_scale are part of the key: one Z at four keys in
+        # turn, call by call, misses on every call and gives the values of
+        # a cold cache; radius_scale 1 and 1.0 are one key
+        z = random_siegel(3, random.Random(77), min_im=0.8)
+        keys = [(1e-8, 1), (1e-12, 1.0), (1e-8, 2.0), (1e-12, 2)]
+        calls = [(k, eps, scale) for k in all_characteristics(3)
+                 for eps, scale in keys]
+        misses = thetanum._lattice.cache_info().misses
+        warm = [_bits(theta_constant(z, *call)) for call in calls]
+        assert thetanum._lattice.cache_info().misses == misses + len(calls)
+        cold = []
+        for call in calls:
+            thetanum._lattice.cache_clear()
+            thetanum._BALLS.clear()
+            cold.append(_bits(theta_constant(z, *call)))
+        assert warm == cold
+        assert warm == [_bits(_reference_theta(z, *call)) for call in calls]
+        assert _bits(theta_constant(z, F2Vector(3, 5), 1e-12, 2.0)) == \
+            _bits(theta_constant(z, F2Vector(3, 5), 1e-12, 2))
+        assert thetanum._lattice.cache_info().currsize == 1
 
     def test_failed_radius_leaves_memo_alone(self):
         z = random_siegel(2, random.Random(72))
         theta_constant(z, F2Vector(2, 0), 1e-10)
-        memo = thetanum._LATTICE
+        memo = _memo(z, 1e-10)
         tiny = SiegelMatrix(np.eye(6) * 1e-3j)
         # the first radius tried is already past the cap
         with pytest.raises(ResourceCapError, match=r"lattice ball of radius "
                            r"85.6 may hold 2.2e\+12 points in genus 6"):
             theta_constant(tiny, F2Vector(6, 0), 1e-10)
-        assert thetanum._LATTICE is memo
+        assert _memo(z, 1e-10) is memo
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_huge_radius_scale_is_resource_cap(self, g):
@@ -918,11 +992,11 @@ class TestLatticeMemo:
         # count would overflow a float
         z = random_siegel(2, random.Random(74))
         theta_constant(z, F2Vector(2, 0), 1e-10)
-        memo = thetanum._LATTICE
+        memo = _memo(z, 1e-10)
         with pytest.raises(ResourceCapError, match="above the term cap"):
             theta_constant(SiegelMatrix(1j * np.eye(g)), F2Vector(g, 0), 1e-8,
                            radius_scale=1e300)
-        assert thetanum._LATTICE is memo
+        assert _memo(z, 1e-10) is memo
 
     def test_overflowing_tail_is_resource_cap(self):
         # (2 ceil(r) + 3)^60 overflows at r = 3e5, but the term cap refuses
@@ -975,7 +1049,7 @@ class TestLatticeMemo:
         # ball-volume bound is 2.8e6, and the ball holds 589,307 points
         z = SiegelMatrix(0.5j * np.eye(7))
         value, bound = theta_constant(z, F2Vector(7, 0), 1e-8)
-        assert thetanum._LATTICE.cosets[0][0].size == 589_307
+        assert _memo(z, 1e-8)[2][0][0].size == 589_307
         # Im Z = I/2 splits into seven genus-1 factors
         one, one_bound = theta_constant(SiegelMatrix([[0.5j]]),
                                         F2Vector(1, 0), 1e-14)
@@ -1018,20 +1092,21 @@ class TestSharedTerms:
     def test_terms_are_the_cosets_exponentials_built_once(self):
         z = random_siegel(3, random.Random(75))
         theta_constant(z, F2Vector(3, 0b000_101), 1e-10)
-        memo = thetanum._LATTICE
-        terms, twice_x = memo.cosets[0b101]
-        quad, fold, want_twice_x = thetanum._coset(z, memo.r, 0b101)
+        memo = _memo(z, 1e-10)
+        r, _tail, cosets = memo
+        terms, twice_x = cosets[0b101]
+        quad, fold, want_twice_x = thetanum._coset(z, r, 0b101)
         assert terms.tobytes() == np.exp(1j * math.pi * quad)[fold].tobytes()
         assert twice_x.tobytes() == want_twice_x.tobytes()
         # one exp per +-x pair gives the exp of every point, bit for bit
-        want_quad = _reference_coset(z, memo.r, 0b101)[1]
+        want_quad = _reference_coset(z, r, 0b101)[1]
         assert terms.tobytes() == \
             np.exp(1j * math.pi * want_quad).tobytes()
         # the other seven k'' of that k' reuse the same arrays
         for kpp in range(8):
             theta_constant(z, F2Vector(3, 0b101 | kpp << 3), 1e-10)
-            assert memo.cosets[0b101][0] is terms
-        assert thetanum._LATTICE is memo and list(memo.cosets) == [0b101]
+            assert cosets[0b101][0] is terms
+        assert _memo(z, 1e-10) is memo and list(cosets) == [0b101]
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_direct_phase_within_the_rounding_allowance(self, g):
@@ -1142,9 +1217,12 @@ class TestCosetEnumeration:
 
 @pytest.fixture
 def cold_cache(monkeypatch):
-    """An empty ball cache and memo, put back as they were after the test."""
+    """An empty ball cache, put back as it was after the test, and an empty
+    memo, emptied again after the test."""
     monkeypatch.setattr(thetanum, "_BALLS", {})
-    monkeypatch.setattr(thetanum, "_LATTICE", None)
+    thetanum._lattice.cache_clear()
+    yield
+    thetanum._lattice.cache_clear()
 
 
 @pytest.mark.usefixtures("cold_cache")
@@ -1226,7 +1304,7 @@ class TestBallCache:
             runs.append([])
             for eps in (1e-8, 1e-12, 1e-10):
                 for scale in (1.0, 2.0):
-                    thetanum._LATTICE = None
+                    thetanum._lattice.cache_clear()
                     runs[-1].extend(_bits(theta_constant(z, k, eps, scale))
                                     for k in chars)
         assert runs[0] == runs[1]
@@ -1348,7 +1426,7 @@ class TestAntipodalFold:
         for kp in range(1 << g):
             columns.clear()
             theta_constant(z, F2Vector(g, kp), 1e-10)
-            n = thetanum._LATTICE.cosets[kp][0].size
+            n = _memo(z, 1e-10)[2][kp][0].size
             assert len(columns) == 1 and columns[0] <= -(-n // 2) + 1
 
     def test_phase_sum_past_int8(self):
@@ -1358,7 +1436,7 @@ class TestAntipodalFold:
         for k in all_characteristics(2):
             assert _bits(theta_constant(z, k, 1e-8)) == \
                 _bits(_reference_theta(z, k, 1e-8)), k
-        twice_x = thetanum._LATTICE.cosets[0][1]
+        twice_x = _memo(z, 1e-8)[2][0][1]
         assert twice_x.dtype == np.int8
         assert np.abs(twice_x.astype(np.int64).sum(axis=0)).max() > 128
 

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from thetanulls import hyperelliptic, transversal, verify
@@ -72,6 +73,21 @@ def test_nodeset_validation():
         NodeSet.from_values(3, [1, 2, 3, 4, 5, 6, 7, 1])
     with pytest.raises(ResourceCapError):
         unit_nodes(33)
+
+
+@pytest.mark.parametrize("g", [3.0, True, "3", None, 1, -2])
+def test_nodeset_genus_read_by_the_integer_rule(g):
+    # a float genus of the right size used to be accepted and then fail
+    # in the report with a bare TypeError
+    nodes = tuple(Fraction(i) for i in range(1, 9))
+    with pytest.raises(DomainError, match="g must be an integer >= 2"):
+        NodeSet(g, nodes)
+
+
+def test_nodeset_numpy_genus_is_a_plain_int():
+    ns = NodeSet(np.int64(3), tuple(Fraction(i) for i in range(1, 9)))
+    assert type(ns.g) is int
+    assert transversality_report(ns, [1])["pass"] is True
 
 
 @pytest.mark.parametrize("s", [[True], [1.0], [[1]]])
