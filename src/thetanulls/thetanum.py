@@ -47,11 +47,17 @@ is the power i^(2x . k'') of i: a characteristic's value is the sum of the
 coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
 _lattice, a functools.lru_cache of one entry, keeps the radius, the tail
 bound and, for each k' asked for, the coset's terms (16 bytes per point)
-with its 2x (a view of the cache), all for the last (Z, eps, radius_scale)
-seen.  The 4^g characteristics at one Z then share 2^g half-coset term
-evaluations, each made on first use; a new key replaces the entry.
-Values and certificates are the same bit for bit as a fresh build of
-every point's term in the same order.
+with its 2x (a view of the cache) and the values it has summed, by k'',
+all for the last (Z, eps, radius_scale) seen.  The 4^g characteristics at
+one Z then share 2^g half-coset term evaluations, each made on first use;
+a new key replaces the entry.  One kernel, _phase_sums, sums a block of
+k'' rows of one coset.  A coset's first k'' is summed alone, as one call
+per fresh Z asks for no other; its second sums all 2^g k'' in one block
+when the block's 2^g n units (n the coset's points) fit _BLOCK, and one
+row otherwise, so a sweep pays the per-call numpy work once per coset and
+a sample of large cosets builds no block.  Values and certificates are
+the same bit for bit as a fresh build of every point's term in the same
+order, whether a value was summed alone or in a block.
 """
 
 from __future__ import annotations
@@ -69,6 +75,9 @@ from .quadforms import _act_on_char_rows
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _MAX_TERMS = 5_000_000
+# the most units (k'' rows x coset points) in a block of more than one
+# k'': 1 MiB of complex128
+_BLOCK = 2 ** 16
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i^0 .. i^3
 _COND_CAP = 1e12
 _INT64 = range(-2 ** 63, 2 ** 63)
@@ -524,9 +533,10 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
 
     The series is summed at Z - 2 round(Re Z / 2) and turned by a power
     of i exactly.  The ball points of each (g, k') are cached with their
-    antipodal fold, and _lattice memoizes the radius, tail and terms of the
-    last (Z, eps, radius_scale) (module docstring); results are
-    bit-identical to building both afresh.
+    antipodal fold, and _lattice memoizes the radius, tail, terms and
+    summed values of the last (Z, eps, radius_scale): a coset's second k''
+    sums all 2^g of its k'' in one block when 2^g n <= _BLOCK (module
+    docstring).  Results are bit-identical to building both afresh.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError("eps must be finite and positive")
@@ -540,28 +550,60 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     if coset is None:
         quad, fold, twice_x = _coset(z, r, kp)
         # one exp per +-x pair, read at every point through the fold; in
-        # place, with the operands of exp(1j * math.pi * quad)
+        # place, with the operands of exp(1j * math.pi * quad).  The terms
+        # are allocated before take copies fold to intp, so that the copy,
+        # freed at once, leaves no hole under the kept terms
         np.multiply(1j * math.pi, quad, out=quad)
-        coset = cosets[kp] = (np.exp(quad, out=quad)[fold], twice_x)
-    terms, twice_x = coset
-    # exp(pi i x . k'') = i^(2x . k''), and 2x . k'' is an integer sum of
-    # the rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i.
-    # The sum wraps modulo 2^8, 2^16 or 2^32 in the dtype of 2x, which keeps
-    # its residue mod 4.
+        terms = np.empty(fold.size, dtype=np.complex128)
+        np.exp(quad, out=quad).take(fold, out=terms)
+        coset = cosets[kp] = (terms, twice_x, {})
+    terms, twice_x, values = coset
     kpp = k.second_half
-    turns = np.zeros(terms.shape[0], dtype=twice_x.dtype)
-    for i in range(z.g):
-        if (kpp >> i) & 1:
-            turns += twice_x[i]
-    turns &= 3
-    units = _QUARTER_TURNS[turns]
-    value = complex(np.add.reduce(np.multiply(terms, units, out=units)))
+    value = values.get(kpp)
+    if value is None:
+        # a second k'' of the coset sums all 2^g of them, within _BLOCK
+        if values and terms.size << z.g <= _BLOCK:
+            values.update(enumerate(
+                _phase_sums(terms, twice_x, 0, (1 << z.g) - 1)))
+            value = values[kpp]
+        else:
+            value = values[kpp] = _phase_sums(terms, twice_x, kpp, 0)[0]
     if z.shift is not None:
         bits = [i for i in range(z.g) if (kp >> i) & 1]
         value = _times_i_power(
             value, sum(z.shift[i][j] for i in bits for j in bits))
     bound = tail + 1000.0 * _EPS_MACH * terms.shape[0]
     return value, bound
+
+
+def _phase_sums(terms: np.ndarray, twice_x: np.ndarray, kpp: int,
+                span: int) -> list[complex]:
+    """The sums of the coset's terms, each times i^(2x . k''), at k'' =
+    kpp plus each subset of the bits of span (none of them in kpp), row r
+    for the subset that r spells over those bits: kpp alone for span 0,
+    and every k'' in order for kpp 0 and span all g bits.
+
+    exp(pi i x . k'') = i^(2x . k''), and 2x . k'' is an integer sum of the
+    rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i.  The
+    sums wrap modulo 2^8, 2^16 or 2^32 in the dtype of 2x, which keeps
+    their residue mod 4.  A block of rows is built by doubling, row
+    r + 2^j the row r plus the row of the j-th bit of span, and each row
+    gets the elementwise operations of a lone one; numpy reduces a
+    contiguous last axis with the pairwise sum of a 1-D add.reduce, so a
+    value is the same bit for bit in a block and alone."""
+    turns = np.zeros((1 << span.bit_count(), terms.size),
+                     dtype=twice_x.dtype)
+    rows = 1
+    for i, row in enumerate(twice_x):
+        if (kpp >> i) & 1:
+            turns[:rows] += row
+        elif (span >> i) & 1:
+            np.add(turns[:rows], row, out=turns[rows:2 * rows])
+            rows *= 2
+    turns &= 3
+    units = _QUARTER_TURNS.take(turns)
+    return np.add.reduce(np.multiply(terms, units, out=units),
+                         axis=1).tolist()
 
 
 def _times_i_power(value: complex, power: int) -> complex:

@@ -812,16 +812,24 @@ class TestSharedParser:
             self, capsys, tmp_path, monkeypatch):
         requests = readme_requests(tmp_path)
         assert len(requests) == 12
-        monkeypatch.chdir(tmp_path)
-        for argv in REFUSALS:
-            assert_refused(capsys, argv)
-        for argv in requests:
-            code, out, _ = run_cli(capsys, argv)
-            fresh = subprocess.run(
-                [sys.executable, "-m", "thetanulls.cli", *argv],
-                cwd=tmp_path, capture_output=True)
-            assert code == fresh.returncode == 0, argv
-            assert out.encode() == fresh.stdout, argv
+        # the fresh processes run while this one makes its calls
+        fresh = [subprocess.Popen(
+            [sys.executable, "-m", "thetanulls.cli", *argv], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for argv in requests]
+        try:
+            monkeypatch.chdir(tmp_path)
+            for argv in REFUSALS:
+                assert_refused(capsys, argv)
+            for argv, proc in zip(requests, fresh):
+                code, out, _ = run_cli(capsys, argv)
+                stdout, _ = proc.communicate(timeout=120)
+                assert code == proc.returncode == 0, argv
+                assert out.encode() == stdout, argv
+        finally:
+            for proc in fresh:
+                proc.kill()
+                proc.communicate()
 
 
 def _reference_vanishing(g):

@@ -874,23 +874,72 @@ def _memo(z, eps, radius_scale=1.0):
     return entry
 
 
+@pytest.fixture
+def phase_sums(monkeypatch):
+    """(rows, points) of every block the phase-sum kernel sums."""
+    blocks = []
+    kernel = thetanum._phase_sums
+
+    def recording(terms, twice_x, kpp, span):
+        sums = kernel(terms, twice_x, kpp, span)
+        blocks.append((len(sums), terms.size))
+        return sums
+    monkeypatch.setattr(thetanum, "_phase_sums", recording)
+    return blocks
+
+
 class TestLatticeMemo:
     """theta_constant shares one truncated lattice across the
     characteristics of one (Z, eps, radius_scale); its results must equal
     the from-scratch reference bit for bit."""
 
     @pytest.mark.parametrize("g, min_im", [(1, 0.5), (2, 0.5), (3, 1.0),
-                                           (4, 3.0)])
-    def test_bit_identical_to_reference(self, g, min_im):
+                                           (4, 3.0), (5, 3.0)])
+    def test_bit_identical_to_reference(self, g, min_im, phase_sums):
+        # all 4^g characteristics (64 over eight k' at g = 5) of one Z and
+        # of Z + 2S, each from a cold memo in lex order, reversed, a seeded
+        # shuffle and the odd ones alone, so that a value is summed alone
+        # in some orders and in a block in others.  Re Z is dyadic, so that
+        # Z + 2S is exact and is summed at Z itself
         rng = random.Random(60 + g)
-        z = random_siegel(g, rng, min_im=min_im)
+        z = random_siegel(g, rng, min_im=min_im).z
+        z = SiegelMatrix(np.round(z.real * 1024) / 1024 + 1j * z.imag)
+        s = [[0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                s[i][j] = s[j][i] = rng.randrange(-3, 4)
+        s[0][0] = 2
+        shifted = SiegelMatrix(z.z + 2 * np.array(s))
+        assert z.shift is None and np.array_equal(shifted.reduced, z.z)
         chars = list(all_characteristics(g))
+        if g == 5:
+            chars = [F2Vector(g, kp | kpp << g)
+                     for kp in rng.sample(range(32), 8)
+                     for kpp in rng.sample(range(32), 8)]
+        shuffled = rng.sample(chars, len(chars))
+        orders = (chars, chars[::-1], shuffled,
+                  [k for k in chars if parity(k)])
         for eps in (1e-8, 1e-10, 1e-12):
             for scale in (1.0, 2.0):
-                for k in chars:
-                    got = theta_constant(z, k, eps, radius_scale=scale)
-                    want = _reference_theta(z, k, eps, radius_scale=scale)
-                    assert _bits(got) == _bits(want), (eps, scale, k)
+                want = {k: _reference_theta(z, k, eps, radius_scale=scale)
+                        for k in chars}
+                for order in orders:
+                    for at, power in ((z, 0), (shifted, 1)):
+                        thetanum._lattice.cache_clear()
+                        for k in order:
+                            got = theta_constant(at, k, eps,
+                                                 radius_scale=scale)
+                            value, bound = want[k]
+                            kp = [i for i in range(g) if (k.bits >> i) & 1]
+                            turned = thetanum._times_i_power(
+                                value,
+                                power * sum(s[i][j] for i in kp for j in kp))
+                            assert _bits(got) == _bits((turned, bound)), \
+                                (eps, scale, k, power)
+        rows = [rows for rows, _n in phase_sums]
+        assert 1 in rows and 1 << g in rows
+        assert all(rows == 1 or rows * n <= thetanum._BLOCK
+                   for rows, n in phase_sums)
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-12])
     def test_bit_identical_to_reference_g5(self, eps):
@@ -1085,6 +1134,67 @@ class TestLatticeMemo:
         assert bad == []
 
 
+class TestBlockSums:
+    """A coset keeps the values it has summed by k''.  Its first k'' is
+    summed alone; a second one sums all 2^g of them in one block when the
+    block's 2^g n units fit _BLOCK (n the coset's points), and one row
+    otherwise."""
+
+    def test_second_k2_sums_every_k2_once(self, phase_sums):
+        # lex order: the first eight calls are the eight cosets' first k'',
+        # and the next eight their second
+        z = random_siegel(3, random.Random(180))
+        got = [_bits(theta_constant(z, k, 1e-10))
+               for k in all_characteristics(3)]
+        cosets = _memo(z, 1e-10)[2]
+        points = [cosets[kp][0].size for kp in range(8)]
+        assert phase_sums == [(1, n) for n in points] + \
+            [(8, n) for n in points]
+        assert all(sorted(cosets[kp][2]) == list(range(8))
+                   for kp in range(8))
+        assert got == [_bits(theta_constant(z, k, 1e-10))
+                       for k in all_characteristics(3)]
+        assert len(phase_sums) == 16
+
+    def test_one_call_per_fresh_matrix_sums_one_row(self, phase_sums):
+        rng = random.Random(181)
+        for g in (1, 2, 3, 4):
+            for _ in range(10):
+                theta_constant(random_siegel(g, rng),
+                               F2Vector(g, rng.randrange(4 ** g)), 1e-10)
+        assert [rows for rows, _n in phase_sums] == [1] * 40
+
+    def test_genus_5_sample_sums_single_rows(self, phase_sums):
+        # eight characteristics with k' weights 0, 1, 1, 2, 3, 4, 4, 5 at
+        # lambda_min = 0.6, two k' asked twice: 32 n is past the block
+        rng = random.Random(182)
+        z = SiegelMatrix(random_siegel(5, rng).z.real + 0.6j * np.eye(5))
+        chars = [F2Vector(5, kp | kpp << 5) for kp, kpp in zip(
+            (0, 1, 1, 3, 7, 15, 15, 31), rng.sample(range(32), 8))]
+        for eps in (1e-8, 1e-10, 1e-12):
+            for k in chars:
+                assert _bits(theta_constant(z, k, eps)) == \
+                    _bits(_reference_theta(z, k, eps)), (eps, k)
+            assert len(_memo(z, eps)[2][15][2]) == 2
+        assert len(phase_sums) == 24
+        assert all(rows == 1 and n << 5 > thetanum._BLOCK
+                   for rows, n in phase_sums)
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_block_budget_edge(self, phase_sums, monkeypatch, over):
+        # at 2^g n = _BLOCK the second k'' sums the block; one unit past
+        # it, every k'' is summed alone
+        z = random_siegel(2, random.Random(183))
+        chars = [F2Vector(2, 0b10 | kpp << 2) for kpp in (1, 0, 3, 2, 1)]
+        theta_constant(z, chars[0], 1e-10)
+        n = phase_sums[0][1]
+        monkeypatch.setattr(thetanum, "_BLOCK", (n << 2) - over)
+        for k in chars:
+            assert _bits(theta_constant(z, k, 1e-10)) == \
+                _bits(_reference_theta(z, k, 1e-10)), k
+        assert phase_sums == ([(1, n)] * 4 if over else [(1, n), (4, n)])
+
+
 class TestSharedTerms:
     """The memo keeps each coset's terms exp(pi i x^T Z x); a
     characteristic multiplies them by powers of i and sums them."""
@@ -1094,7 +1204,8 @@ class TestSharedTerms:
         theta_constant(z, F2Vector(3, 0b000_101), 1e-10)
         memo = _memo(z, 1e-10)
         r, _tail, cosets = memo
-        terms, twice_x = cosets[0b101]
+        terms, twice_x, values = cosets[0b101]
+        assert list(values) == [0b000]
         quad, fold, want_twice_x = thetanum._coset(z, r, 0b101)
         assert terms.tobytes() == np.exp(1j * math.pi * quad)[fold].tobytes()
         assert twice_x.tobytes() == want_twice_x.tobytes()
@@ -1102,10 +1213,13 @@ class TestSharedTerms:
         want_quad = _reference_coset(z, r, 0b101)[1]
         assert terms.tobytes() == \
             np.exp(1j * math.pi * want_quad).tobytes()
-        # the other seven k'' of that k' reuse the same arrays
+        # the other seven k'' of that k' reuse the same arrays, and the
+        # second one sums all eight in one block
         for kpp in range(8):
             theta_constant(z, F2Vector(3, 0b101 | kpp << 3), 1e-10)
             assert cosets[0b101][0] is terms
+            assert cosets[0b101][2] is values
+            assert sorted(values) == ([0] if kpp == 0 else list(range(8)))
         assert _memo(z, 1e-10) is memo and list(cosets) == [0b101]
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
