@@ -307,13 +307,16 @@ def _orbit(start: Sequence[int], g: int) -> np.ndarray:
         x = list(steps[:, frontier].swapaxes(0, 1).reshape(4, -1))
         for i, j in _SORT4:
             x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
-        rank = sum(b[c] for b, c in zip(binom, x))
+        rank = binom[0][x[0]]
+        for b, c in zip(binom[1:], x[1:]):
+            rank += b[c]
         new = np.flatnonzero(~seen[rank])
         rank = rank[new]
         seen[rank] = True
         pos = np.arange(new.size, dtype=np.int32)
         owner[rank] = pos
-        frontier = np.stack(x)[:, new[owner[rank] == pos]]
+        keep = new[owner[rank] == pos]
+        frontier = np.stack([xi[keep] for xi in x])
         visited.append(frontier)
     return evens[np.concatenate(visited, axis=1).T]
 

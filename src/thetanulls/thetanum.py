@@ -12,7 +12,12 @@ in the shell ||x|| in (R+m, R+m+1] number at most (2*ceil(R)+2m+3)^g, so
 R grows until the tail bound is <= eps, and a ball of R that may hold more
 points than the term cap is refused before its tail is computed.  The sum
 only grows, so a rejected R stops summing its shells once the running
-total passes eps; the accepted R sums them all.  The issued certificate
+total passes eps.  The accepted R sums its shells until the total is
+settled: the terms are log-concave in m, so once a shell's term is below
+2^-54 of the total, no later shell changes the float sum, and where the
+full loop would end by underflow (not by a shell count past the float
+range or by running out of shells) that total is its result bit for
+bit.  The issued certificate
 adds a fixed rounding allowance of 1000 * machine_eps * #terms, so it can
 exceed eps for very small eps (that allowance is dominated by double
 precision itself, not by truncation).
@@ -51,11 +56,13 @@ with its 2x (a view of the cache) and the values it has summed, by k'',
 all for the last (Z, eps, radius_scale) seen.  The 4^g characteristics at
 one Z then share 2^g half-coset term evaluations, each made on first use;
 a new key replaces the entry.  One kernel, _phase_sums, sums a block of
-k'' rows of one coset.  A coset's first k'' is summed alone, as one call
-per fresh Z asks for no other; its second sums all 2^g k'' in one block
-when the block's 2^g n units (n the coset's points) fit _BLOCK, and one
-row otherwise, so a sweep pays the per-call numpy work once per coset and
-a sample of large cosets builds no block.  Values and certificates are
+k'' rows of one coset.  The key's first k'' is summed alone, as one call
+per fresh Z asks for no other.  Once the key has served a second k'' of
+one coset or a second coset, a k'' not yet summed sums all 2^g k'' of its
+coset in one block when the block's 2^g n units (n the coset's points)
+fit _BLOCK, and one row otherwise.  A sweep so pays the per-call numpy
+work once per coset and sums one lone row per key, and a sample of large
+cosets builds no block.  Values and certificates are
 the same bit for bit as a fresh build of every point's term in the same
 order, whether a value was summed alone or in a block.
 """
@@ -126,7 +133,7 @@ class SiegelMatrix:
             raise MalformedInputError("Z must be at least 1 x 1")
         # |Re z_jk| and |Im z_jk| side by side
         mags = abs(arr.view(np.float64))
-        size = mags.max(initial=0.0)
+        size = mags.max()
         if not math.isfinite(size):
             raise MalformedInputError("Z entries must be finite")
         # below 2^1023 no sum or difference of two entries overflows, and
@@ -139,15 +146,19 @@ class SiegelMatrix:
             # each part against its own scale: a huge real entry must not
             # hide a non-symmetric imaginary part
             for part in (arr.real, arr.imag):
-                tol = 1e-9 * max(1.0, abs(part).max(initial=0.0))
-                if abs(part - part.T).max(initial=0.0) > tol:
+                tol = 1e-9 * max(1.0, abs(part).max())
+                if abs(part - part.T).max() > tol:
                     raise DomainError("Z is not symmetric within tolerance")
             arr = (arr + arr.T) / 2
-        evals = np.linalg.eigvalsh(arr.imag)
-        lam = float(evals[0])
+        if arr.shape[0] == 1:
+            # LAPACK's syevd returns A(1,1) itself for N = 1
+            lam = top = arr.imag.item()
+        else:
+            evals = np.linalg.eigvalsh(arr.imag)
+            lam, top = float(evals[0]), float(evals[-1])
         # small safety margin keeps the tail bound valid under eigensolver
         # rounding
-        margin = 1e-12 * max(1.0, float(evals[-1]))
+        margin = 1e-12 * max(1.0, top)
         lam_safe = lam - margin
         if not lam_safe > 0:
             if not lam > 0:
@@ -165,8 +176,10 @@ class SiegelMatrix:
         # most 1 in size, and 2S is an integer within 1 of Re Z (or Re Z
         # itself, once Re Z is an even integer).  The average of a
         # non-symmetric Z is no larger than its input, and at most 1 in size
-        # it rounds to S = 0, so the input's |Re Z| decides as well
-        shift = np.rint(arr.real / 2) if mags[:, ::2].max() > 1 else None
+        # it rounds to S = 0, so the input's |Re Z| decides as well; below
+        # size 1 no entry of either part is past 1
+        shift = (np.rint(arr.real / 2)
+                 if size > 1 and mags[:, ::2].max() > 1 else None)
         if shift is not None and shift.any():
             self.reduced = arr - 2 * shift
             self.reduced.setflags(write=False)
@@ -284,9 +297,19 @@ def _tail_bound(r: float, lam: float, g: int,
     The running total only grows, so once it passes cap the bound is
     known to be above cap, and that partial total is returned: the result
     is above cap exactly when the full bound is, and is the full bound
-    bit for bit otherwise."""
+    bit for bit otherwise.
+
+    The total is also returned once it is settled: a shell's term is
+    below 2^-54 of it, and _underflows finds that the loop ends by
+    underflow.  The terms are log-concave in m, and a term that small lies
+    past their peak, so every later term is smaller still and below half
+    an ulp of the total: no later shell changes the float sum, and the
+    result is the full loop's bit for bit.  Where the loop would instead
+    end by a shell count past the float range or by running out of
+    shells, it runs on to its inf."""
     total = 0.0
     base = 2 * math.ceil(r) + 3
+    settle = True  # checked once: where it fails, the loop runs on
     for m in range(10_001):
         try:
             term = (float(base + 2 * m) ** g
@@ -299,7 +322,40 @@ def _tail_bound(r: float, lam: float, g: int,
         total += term
         if total > cap:
             return total
+        if settle and term * 2.0 ** 54 < total:
+            if _underflows(r, lam, g, base, total):
+                return total
+            settle = False
     return math.inf
+
+
+def _underflows(r: float, lam: float, g: int, base: int,
+                total: float) -> bool:
+    """Whether _tail_bound's loop, settled at total, ends by underflow:
+    some shell m <= 10,000 has exp 0 and a count within the float range.
+    The counts grow with m, so none before that shell overflows, and the
+    loop's first underflow comes no later.
+
+    Why no later term moves the total: a term below 2^-54 of a float sum
+    of at most 10^4 terms is below 2^-54 * 10^4 of the largest of them, so
+    by log-concavity each later true term is at most e^-0.0028 times the
+    one before.  That covers the relative rounding of the float terms
+    (below 1e-12, as the exponent is at most 746).  A subnormal exp adds
+    up to 2^-1074 times the count, and count * 2^-1010 <= total keeps that
+    below 2^-64 of the total, so every later float term stays below 2^-54
+    of the total, less than half its ulp."""
+    # exp(-746) is 0
+    shell = math.sqrt(746.0 / (math.pi * lam)) - r
+    if not shell <= 10_000:
+        return False
+    m = max(0, math.ceil(shell))
+    if math.exp(-math.pi * lam * (r + m) ** 2) != 0.0:
+        return False
+    try:
+        count = float(base + 2 * m) ** g
+    except OverflowError:
+        return False
+    return count * 2.0 ** -1010 <= total
 
 
 def _radius(z: SiegelMatrix, eps: float,
@@ -307,8 +363,9 @@ def _radius(z: SiegelMatrix, eps: float,
     """Truncation radius r and its tail bound, which is <= eps.
 
     A radius of the x1.25 search is rejected as soon as its running tail
-    passes eps (_tail_bound's cap); the radius accepted runs the full loop,
-    so r and its tail are those of full tails.
+    passes eps (_tail_bound's cap); the radius accepted runs the loop
+    until its total is settled, the full loop's total bit for bit, so r
+    and its tail are those of full tails.
 
     The term cap is checked on every radius tried, before that radius's
     tail, and it also ends the search: a radius under the cap is below
@@ -340,13 +397,19 @@ def _check_term_cap(r: float, g: int) -> None:
     # the point count, and so the work and the memory of every coset
     reach = math.sqrt(r * r + 1e-12) + math.sqrt(g) / 2
     try:
-        points = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * reach ** g
+        points = _unit_ball_volume(g) * reach ** g
     except OverflowError:
         points = math.inf
     if points > _MAX_TERMS:
         raise ResourceCapError(
             f"lattice ball of radius {r:.3g} may hold {points:.2g} points "
             f"in genus {g}, above the term cap")
+
+
+@functools.cache
+def _unit_ball_volume(g: int) -> float:
+    """pi^(g/2) / Gamma(g/2 + 1); OverflowError past the float range."""
+    return math.pi ** (g / 2) / math.gamma(g / 2 + 1)
 
 
 class _Ball(NamedTuple):
@@ -534,9 +597,10 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     The series is summed at Z - 2 round(Re Z / 2) and turned by a power
     of i exactly.  The ball points of each (g, k') are cached with their
     antipodal fold, and _lattice memoizes the radius, tail, terms and
-    summed values of the last (Z, eps, radius_scale): a coset's second k''
-    sums all 2^g of its k'' in one block when 2^g n <= _BLOCK (module
-    docstring).  Results are bit-identical to building both afresh.
+    summed values of the last (Z, eps, radius_scale): past the key's first
+    k'', a k'' not yet summed sums all 2^g of its coset's k'' in one block
+    when 2^g n <= _BLOCK (module docstring).  Results are bit-identical to
+    building both afresh.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError("eps must be finite and positive")
@@ -545,7 +609,8 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     if k.g != z.g:
         raise DomainError("characteristic/matrix g mismatch")
     r, tail, cosets = _lattice(z, eps, radius_scale)
-    kp = k.first_half
+    bits = k.bits
+    kp, kpp = bits & ((1 << z.g) - 1), bits >> z.g
     coset = cosets.get(kp)
     if coset is None:
         quad, fold, twice_x = _coset(z, r, kp)
@@ -558,11 +623,11 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
         np.exp(quad, out=quad).take(fold, out=terms)
         coset = cosets[kp] = (terms, twice_x, {})
     terms, twice_x, values = coset
-    kpp = k.second_half
     value = values.get(kpp)
     if value is None:
-        # a second k'' of the coset sums all 2^g of them, within _BLOCK
-        if values and terms.size << z.g <= _BLOCK:
+        # a second k'' of the coset, or any k'' once the key has served a
+        # second coset, sums all 2^g of them, within _BLOCK
+        if (values or len(cosets) > 1) and terms.size << z.g <= _BLOCK:
             values.update(enumerate(
                 _phase_sums(terms, twice_x, 0, (1 << z.g) - 1)))
             value = values[kpp]
@@ -590,7 +655,10 @@ def _phase_sums(terms: np.ndarray, twice_x: np.ndarray, kpp: int,
     r + 2^j the row r plus the row of the j-th bit of span, and each row
     gets the elementwise operations of a lone one; numpy reduces a
     contiguous last axis with the pairwise sum of a 1-D add.reduce, so a
-    value is the same bit for bit in a block and alone."""
+    value is the same bit for bit in a block and alone.  theta_constant
+    asks for a block (kpp 0, span all g bits) once the key has served a
+    second k'' of one coset or a second coset, and when the block's 2^g n
+    units fit _BLOCK."""
     turns = np.zeros((1 << span.bit_count(), terms.size),
                      dtype=twice_x.dtype)
     rows = 1

@@ -139,6 +139,30 @@ class TestSiegelMatrix:
         assert f"margin {margin} = 1e-12 * max(1, lambda_max)" in msg
         assert "positive definite" not in msg
 
+    def test_genus_1_lambda_min_is_the_eigensolvers(self):
+        # a 1 x 1 Im Z is its own eigenvalue: lambda_min and the margin
+        # refusal are those of eigvalsh, from 1e-300 to 1e300
+        rng = random.Random(190)
+        ims = [10.0 ** rng.uniform(-300, 300) for _ in range(200)]
+        ims += [5e-324, 1e-300, 1e-13, 1e-12, 1.0, 1e300,
+                math.nextafter(2.0 ** 1023, 0)]
+        for im in ims:
+            re = rng.uniform(-5.0, 5.0)
+            evals = np.linalg.eigvalsh(np.array([[im]]))
+            lam, top = float(evals[0]), float(evals[-1])
+            margin = 1e-12 * max(1.0, top)
+            if lam - margin > 0:
+                z = SiegelMatrix([[complex(re, im)]])
+                assert struct.pack("<d", z.lambda_min) == \
+                    struct.pack("<d", lam - margin), im
+            else:
+                with pytest.raises(DomainError) as info:
+                    SiegelMatrix([[complex(re, im)]])
+                assert str(info.value) == (
+                    f"lambda_min(Im Z) = {lam:.3g} lies within the "
+                    f"eigensolver margin {margin:.3g} = 1e-12 * max(1, "
+                    f"lambda_max), too close to 0 to certify"), im
+
     def test_shift_read_off_the_real_part_before_the_average(self):
         # |Re z_12| > 1 in the input, exactly 1 after the average: either
         # way S = round(Re Z / 2) = 0, so nothing is reduced
@@ -1093,6 +1117,53 @@ class TestLatticeMemo:
                 else:
                     assert struct.pack("<d", got) == struct.pack("<d", full)
 
+    def test_tail_bound_is_the_full_loop_bit_for_bit(self, monkeypatch):
+        # the settled total returned early is the full loop's, on a grid
+        # that reaches every end of the loop: underflow, the cap, a shell
+        # count past the float range, and 10,001 shells that do not
+        # underflow (both inf)
+        def full_loop(r, lam, g, cap):
+            total = 0.0
+            base = 2 * math.ceil(r) + 3
+            for m in range(10_001):
+                try:
+                    term = (float(base + 2 * m) ** g
+                            * math.exp(-math.pi * lam * (r + m) ** 2))
+                except OverflowError:
+                    return math.inf, "overflow"
+                if term == 0.0:
+                    return total, "underflow"
+                total += term
+                if total > cap:
+                    return total, "cap"
+            return math.inf, "shells"
+
+        checks = []
+        underflows = thetanum._underflows
+
+        def recording(*args):
+            checks.append(underflows(*args))
+            return checks[-1]
+        monkeypatch.setattr(thetanum, "_underflows", recording)
+        rng = random.Random(191)
+        seen = set()
+        for _ in range(1000):
+            g = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 72, 100, 200])
+            lam = 10.0 ** rng.uniform(-9, 2)
+            r = 0.5 * 6e4 ** rng.random()
+            cap = (math.inf if rng.random() < 0.5
+                   else 10.0 ** rng.uniform(-16, 2))
+            checks.clear()
+            want, end = full_loop(r, lam, g, cap)
+            got = thetanum._tail_bound(r, lam, g, cap)
+            assert struct.pack("<d", got) == struct.pack("<d", want), \
+                (r, lam, g, cap)
+            seen.add((end, tuple(checks)))
+        # returned early, and refused where the loop ends by a count past
+        # the float range or by running out of shells
+        assert {("underflow", (True,)), ("cap", ()), ("overflow", (False,)),
+                ("shells", (False,))} <= seen
+
     def test_term_cap_counts_the_ball_not_its_box(self):
         # r = 5.35: the box 13^7 = 6.3e7 is over the 5e6 cap, but the
         # ball-volume bound is 2.8e6, and the ball holds 589,307 points
@@ -1135,26 +1206,29 @@ class TestLatticeMemo:
 
 
 class TestBlockSums:
-    """A coset keeps the values it has summed by k''.  Its first k'' is
-    summed alone; a second one sums all 2^g of them in one block when the
-    block's 2^g n units fit _BLOCK (n the coset's points), and one row
-    otherwise."""
+    """A coset keeps the values it has summed by k''.  The first k'' of
+    the key's first coset is summed alone; a second k'' of a coset, or any
+    k'' once the key has served a second coset, sums all 2^g of them in
+    one block when the block's 2^g n units fit _BLOCK (n the coset's
+    points), and one row otherwise."""
 
     def test_second_k2_sums_every_k2_once(self, phase_sums):
-        # lex order: the first eight calls are the eight cosets' first k'',
-        # and the next eight their second
+        # lex order: the first eight calls are the eight cosets' first k''.
+        # Only the first coset sums one row; the other seven come after a
+        # second coset of the key and each sum a block, and the first
+        # coset's block comes with its second k''
         z = random_siegel(3, random.Random(180))
         got = [_bits(theta_constant(z, k, 1e-10))
                for k in all_characteristics(3)]
         cosets = _memo(z, 1e-10)[2]
         points = [cosets[kp][0].size for kp in range(8)]
-        assert phase_sums == [(1, n) for n in points] + \
-            [(8, n) for n in points]
+        assert phase_sums == [(1, points[0])] + \
+            [(8, n) for n in points[1:]] + [(8, points[0])]
         assert all(sorted(cosets[kp][2]) == list(range(8))
                    for kp in range(8))
         assert got == [_bits(theta_constant(z, k, 1e-10))
                        for k in all_characteristics(3)]
-        assert len(phase_sums) == 16
+        assert len(phase_sums) == 9
 
     def test_one_call_per_fresh_matrix_sums_one_row(self, phase_sums):
         rng = random.Random(181)
