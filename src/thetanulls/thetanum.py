@@ -31,40 +31,45 @@ are swapped and negated).  The bound does not change, and where every
 Re Z would lose the low bits of every x^T Z x.
 
 The work splits into a part that does not depend on Z and one that does,
-each with its own store.  The ball points of a coset x = n + k'/2 depend
-only on (g, k') and the radius: the integral y = 2x are enumerated
-coordinate by coordinate under an exact integer norm test and put in
-summation order by one stable sort on |y|^2.  The process-wide cache
-_BALLS keeps, for each (g, k'), the largest such ball asked for, and every
-radius reads its coset as a prefix of it, cut by a binary search on the
-distinct norms.  With the points it keeps their antipodal fold: a shell of
-one norm read backwards is the shell negated, and x^T Z x is even in x, so
-x^T Z x and its exponential are computed on the first half of each shell
-only and read at every point through the fold index.  The cache holds g
-small integers and one fold index of one, two or four bytes per point,
-the g small integers of each half-ball point once more, so that a prefix
-of the half ball is a slice, and one norm and one offset per distinct
-norm, for the largest ball requested.  x^T Z x is summed in one complex
-array, c_jk x_j x_k term by term, bit for bit the sums of its real and
-imaginary parts.  The terms exp(pi*i x^T Z x) depend on Z.  Only the phase
-exp(pi*i x . k'') depends on k'', and as 2x . k'' is an integer that phase
-is the power i^(2x . k'') of i: a characteristic's value is the sum of the
-coset's terms, each multiplied exactly by one of 1, i, -1, -i.  So
+each with its own store.  Write y = 2x, integral with y = k' mod 2.  The
+phase exp(pi i x . k'') is i^(y . k''), and y_j = k'_j + 2 floor(y_j / 2),
+so it is i^(k' . k'') (-1)^(c . k'') with the class code
+c_j = (y_j >> 1) & 1 (k' . k'' the integer count of common bits).  A
+coset's value at k'' is therefore i^(k' . k'') sum_c (-1)^(c . k'') B[c],
+B[c] the sum of the terms exp(pi i x^T Z x) of class c: all 2^g values
+of a coset are one Walsh-Hadamard transform of 2^g class sums.
+
+The terms are even in x, and negation maps class c to c xor k' (y_j odd
+turns floor(y_j / 2) = m into -m - 1), so B[c] = H[c] + H[c xor k'] with
+H the class sums over the half ball, one point of each +-y pair (the
+origin, alone in coset 0, is its own pair and counted in H once).  The
+value at k'' is then 2 W[k''] i^(k' . k'') when k' . k'' is even, W the
+transform of H, and exactly 0 when it is odd: the two members of each
+pair cancel, which is why every odd characteristic reads 0.0.  At k' = 0
+the origin's term 1 is taken off once.
+
+The half-ball points of a coset depend only on (g, k') and the radius:
+the y with y <= -y in lex order are enumerated coordinate by coordinate
+under an exact integer norm test and put in class order (by class code,
+then lex order) by one stable sort.  The process-wide cache _BALLS keeps,
+for each (g, k'), the largest such half ball asked for, with each point's
+norm and class code, and every radius reads the points of its norm from
+it, still in class order.  x^T Z x and its exponential are computed on
+those points only, x^T Z x in one complex array, c_jk x_j x_k term by
+term, bit for bit the sums of its real and imaginary parts.  Each class's
+run of terms is summed pairwise by np.add.reduceat (each run's first term
+plus numpy's pairwise sum of the rest), and W is g stages of butterflies;
+doubling and the signs are exact.  One pairwise sum of all n terms,
+each times its quarter turn, would err by about log2(n) u sum |t_i|;
+this one errs by about (log2(n) + g) u sum |t_i|, the same order, so the
+allowance 1000 * eps_mach * #terms, #terms the whole ball's point count,
+is the same for both.  Nothing proves it for either.
+
 _lattice, a functools.lru_cache of one entry, keeps the radius, the tail
-bound and, for each k' asked for, the coset's terms (16 bytes per point)
-with its 2x (a view of the cache) and the values it has summed, by k'',
-all for the last (Z, eps, radius_scale) seen.  The 4^g characteristics at
-one Z then share 2^g half-coset term evaluations, each made on first use;
-a new key replaces the entry.  One kernel, _phase_sums, sums a block of
-k'' rows of one coset.  The key's first k'' is summed alone, as one call
-per fresh Z asks for no other.  Once the key has served a second k'' of
-one coset or a second coset, a k'' not yet summed sums all 2^g k'' of its
-coset in one block when the block's 2^g n units (n the coset's points)
-fit _BLOCK, and one row otherwise.  A sweep so pays the per-call numpy
-work once per coset and sums one lone row per key, and a sample of large
-cosets builds no block.  Values and certificates are
-the same bit for bit as a fresh build of every point's term in the same
-order, whether a value was summed alone or in a block.
+bound and, for each k' asked for, the coset's 2^g values and its bound,
+all for the last (Z, eps, radius_scale) seen; a new key replaces the
+entry.  A coset is summed once, on first use, in one way for every call
+pattern: a lone call, a sweep, a cold or a warm cache give the same bits.
 """
 
 from __future__ import annotations
@@ -82,10 +87,6 @@ from .quadforms import _act_on_char_rows
 
 _EPS_MACH = float(np.finfo(np.float64).eps)
 _MAX_TERMS = 5_000_000
-# the most units (k'' rows x coset points) in a block of more than one
-# k'': 1 MiB of complex128
-_BLOCK = 2 ** 16
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i^0 .. i^3
 _COND_CAP = 1e12
 _INT64 = range(-2 ** 63, 2 ** 63)
 
@@ -413,67 +414,47 @@ def _unit_ball_volume(g: int) -> float:
 
 
 class _Ball(NamedTuple):
-    """The integral y = 2x (y = k' mod 2) of one coset with |y|^2 <= nmax,
-    in summation order, as g rows; norms holds the distinct values of
-    |y|^2 in increasing order and ends[j] counts the points of norm at most
-    norms[j - 1], so a prefix is cut with no table indexed by the norm.
-
-    fold is the ball's antipodal fold.  Negation reverses lex order and
-    keeps the norm, so a shell of one norm with e points from position s
-    on holds -y_p at position 2s + e - 1 - p, and only the origin is its
-    own mirror.  Number the first ceil(e/2) points of each shell in order
-    (the half ball); fold[p] is the number of the point y_p or -y_p, in
-    the smallest unsigned dtype.  It steps up exactly at the points of the
-    half ball, whose columns half holds in the dtype of twice_x.  Every
-    shell but the origin's has an even count, so a prefix of n whole
-    shells holds n - floor(n/2) half points, the same prefix of half.  A
-    cached point costs g bytes of twice_x (int8 while |y_i| < 128), one,
-    two or four bytes of fold and, for half the points, g bytes of half."""
+    """The half ball of one coset: the integral y = 2x (y = k' mod 2) with
+    |y|^2 <= nmax and y <= -y in lex order, that is the origin and the
+    points whose first nonzero coordinate is negative, one of each +-y
+    pair.  half holds them as g rows in class order: by the class code
+    c(y) = sum_j ((y_j >> 1) & 1) 2^j, then in lex order.  norm and code
+    hold each point's |y|^2 and c(y), so the half ball of a smaller nmax
+    is the points with norm <= nmax, still in class order.  A cached point
+    costs g bytes of half (int8 while |y_i| < 128), the bytes of one norm
+    (one while nmax < 256) and one byte of code (g <= 8); the other half
+    of the ball is not kept."""
     nmax: int
-    twice_x: np.ndarray
-    norms: np.ndarray
-    ends: np.ndarray
-    fold: np.ndarray
     half: np.ndarray
+    norm: np.ndarray
+    code: np.ndarray
 
 
-# (g, k') -> the largest ball asked for so far.  The points do not depend
-# on Z, so every Z, eps and radius_scale reads its coset as a prefix.
+# (g, k') -> the largest half ball asked for so far.  The points do not
+# depend on Z, so every Z, eps and radius_scale reads its coset from it.
 _BALLS: dict[tuple[int, int], _Ball] = {}
 
 
 def _ball(g: int, kp: int, nmax: int) -> _Ball:
-    """The ball |y|^2 <= nmax of coset k', put in summation order by one
-    stable sort on |y|^2 of its points in lex order, with its fold."""
-    y, norm = _lex_ball(g, kp, nmax)
+    """The half ball |y|^2 <= nmax of coset k', put in class order by one
+    stable sort on the class code of its points in lex order."""
+    y, norm = _lex_half(g, kp, nmax)
+    code = np.zeros(norm.size, dtype=np.min_scalar_type((1 << g) - 1))
+    for j, col in enumerate(y.T):
+        code |= ((col >> 1) & 1).astype(code.dtype) << j
     # a stable sort on keys of at most 16 bits is a radix sort
-    norm = norm.astype(np.min_scalar_type(nmax), copy=False)
-    order = np.argsort(norm, kind="stable")
-    norm = norm[order]
-    y = y[order]
-    # order and y go once used, so the build's peak memory stays that of
-    # the gather y[order]
-    del order
-    twice_x = y.T.copy()
-    del y
-    # one norm per distinct value, not per point, keeps the cache small:
-    # a shell starts where the sorted norms step up
-    step = np.empty(norm.size, dtype=bool)
-    step[:1] = True
-    np.not_equal(norm[1:], norm[:-1], out=step[1:])
-    starts = np.flatnonzero(step)
-    ends, fold = _fold(np.append(starts, norm.size))
-    # the half ball: the points where the fold steps up
-    np.greater(fold[1:], fold[:-1], out=step[1:])
-    return _Ball(nmax, twice_x, norm[starts], ends, fold,
-                 twice_x.compress(step, axis=1))
+    order = np.argsort(code, kind="stable")
+    return _Ball(nmax, y[order].T.copy(),
+                 norm.astype(np.min_scalar_type(nmax))[order], code[order])
 
 
-def _lex_ball(g: int, kp: int,
+def _lex_half(g: int, kp: int,
               nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points y (one per row) of the ball |y|^2 <= nmax of coset k' in
-    lex order, with their norms, built coordinate by coordinate under the
-    exact integer norm test, each |y_i| at most isqrt(nmax)."""
+    """The points y (one per row) of the half ball |y|^2 <= nmax of coset
+    k' in lex order, with their norms, built coordinate by coordinate under
+    the exact integer norm test, each |y_i| at most isqrt(nmax).  A point
+    whose first nonzero coordinate is positive is dropped as it is made,
+    and so is every point that would extend it."""
     root = math.isqrt(nmax)
     # the points and norms are kept in their smallest dtypes from the
     # start, and no index array is made, which keeps the build's peak
@@ -482,75 +463,75 @@ def _lex_ball(g: int, kp: int,
     wide = np.min_scalar_type(-2 * nmax - 1)
     y = np.zeros((1, 0), dtype=dtype)
     norm = np.zeros(1, dtype=wide)
+    zero = np.ones(1, dtype=bool)  # every coordinate so far is 0
     for i in range(g):
         bit = (kp >> i) & 1
         top = root - ((root - bit) & 1)  # the largest y_i = k'_i mod 2
         vals = np.arange(-top, top + 1, 2, dtype=wide)
         cand = norm[:, None] + vals * vals
-        inside = cand <= nmax
+        lead = zero[:, None] & (vals > 0)
+        inside = (cand <= nmax) & ~lead
         # each kept point of the last level, once per kept value of y_i
         y = np.column_stack((np.repeat(y, inside.sum(axis=1), axis=0),
                              (inside * vals.astype(dtype))[inside]))
+        zero = (zero[:, None] & (vals == 0))[inside]
         norm = cand[inside]
     return y, norm
 
 
-def _fold(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ends and fold (_Ball) of a ball whose shells start at ends[:-1] and
-    which holds ends[-1] points.
+def _half_ball(g: int, kp: int,
+               r: float) -> tuple[np.ndarray, list[int]]:
+    """The half ball of the points x = n + k'/2 (n integral) of the ball
+    ||x|| <= r, as 2x in g rows in class order, and where each class
+    starts in it: starts[c] for class c, with starts[2^g] its point count
+    h.  The ball holds 2h - 1 points for k' = 0 (the origin is its own
+    mirror) and 2h otherwise.
 
-    Every shell but the origin's has an even count, so floor(s/2) points
-    of the second halves precede a shell starting at s, and the point at
-    p numbers min(p, 2s + e - 1 - p) - floor(s/2) in the half ball.  It is
-    built in the dtype of a point index, not in int64, which keeps the
-    build's peak memory down."""
-    index = np.min_scalar_type(int(ends[-1]))
-    ends = ends.astype(index)
-    counts = np.diff(ends)
-    start = np.repeat(ends[:-1], counts)
-    mirror = np.repeat(ends[1:] - 1, counts)
-    mirror += start
-    fold = np.arange(ends[-1], dtype=index)
-    mirror -= fold  # 2s + e - 1 - p
-    np.minimum(fold, mirror, out=fold)
-    fold -= start >> 1
-    return ends, fold
-
-
-def _coset(z: SiegelMatrix, r: float,
-           kp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points x = n + k'/2 (n integral) of the ball ||x|| <= r, in the
-    fixed summation order (by ||x||^2, then lexicographic in n), folded
-    onto their antipodal half: (quad, fold, 2x), with 2x as g rows in the
-    smallest integer dtype, quad the values x^T Z x at the first half of
-    each shell of one norm, and fold the index that reads quad at every
-    point.  x^T Z x is even in x, so quad[fold] is x^T Z x at every point,
-    bit for bit (_quad_form gives -x the bits of x).  Z is z.reduced, the
-    matrix whose real part is Re Z - 2S (SiegelMatrix).
-
-    The points are the prefix |y|^2 <= floor(4 (r^2 + 1e-12)) of the cached
-    ball of y = 2x (_BALLS): exactly the float test ||x||^2 <= r^2 + 1e-12,
-    as ||x||^2 = |y|^2 / 4 is exact.  The prefix of a larger ball in
-    (norm, lex) order is the smaller ball in the same order, with its fold
-    and its half ball prefixes of the ball's, so a cached ball gives the
-    points of a fresh build.  The points in the 1e-12 slack,
+    The points are those of the cached half ball (_BALLS) with
+    |y|^2 <= floor(4 (r^2 + 1e-12)): exactly the float test
+    ||x||^2 <= r^2 + 1e-12, as ||x||^2 = |y|^2 / 4 is exact.  Dropping the
+    points past it keeps class order, so a cached ball gives the points of
+    a fresh build in the same order.  The points in the 1e-12 slack,
     r^2 < ||x||^2 <= r^2 + 1e-12, lie past r, where the tail bound of r
     already covers them, so summing them keeps the certificate valid.  The
-    cache owns the points and quad is all that depends on Z; the 2x and
-    fold returned may be views of the cache.  The cut (ends at the
-    searchsorted position of nmax in norms) is taken as a Python int, so
-    the half-ball count and the slices cost no numpy scalar arithmetic."""
+    array returned is the cache's own where no point is dropped."""
     nmax = math.floor(4 * (r * r + 1e-12))
     # one read of the slot, one tuple written: a racing call may store a
     # smaller ball, but each call cuts the ball it read
-    ball = _BALLS.get((z.g, kp))
+    ball = _BALLS.get((g, kp))
     if ball is None or ball.nmax < nmax:
-        ball = _BALLS[z.g, kp] = _ball(z.g, kp, nmax)
-    cut = int(ball.ends[ball.norms.searchsorted(nmax, side="right")])
-    half = ball.half[:, :cut - (cut >> 1)]
-    twice_x = ball.twice_x[:, :cut].astype(
-        np.min_scalar_type(-2 * math.ceil(r) - 1), copy=False)
-    return _quad_form(half / 2, z.reduced), ball.fold[:cut], twice_x
+        ball = _BALLS[g, kp] = _ball(g, kp, nmax)
+    half, code = ball.half, ball.code
+    if nmax < ball.nmax:
+        keep = ball.norm <= nmax
+        half, code = half.compress(keep, axis=1), code.compress(keep)
+    # the codes are sorted: class c starts at the first code >= c
+    return half, code.searchsorted(np.arange((1 << g) + 1)).tolist()
+
+
+def _coset(z: SiegelMatrix, r: float, kp: int) -> tuple[list[complex], int]:
+    """The values of the ball sum at all 2^g k'' of coset k', by k'', and
+    the ball's point count.  Z is z.reduced, the matrix whose real part is
+    Re Z - 2S (SiegelMatrix).
+
+    x^T Z x and its exponential are computed on the half ball only, as
+    they are even in x; the terms are summed by class, each class's run
+    pairwise by np.add.reduceat, and _transform reads all 2^g values off
+    the class sums."""
+    half, starts = _half_ball(z.g, kp, r)
+    # x = y / 2 exactly, as y * 0.5
+    quad = _quad_form(np.multiply(half, 0.5), z.reduced)
+    # in place, with the operands of exp(1j * math.pi * quad)
+    np.multiply(1j * math.pi, quad, out=quad)
+    terms = np.exp(quad, out=quad)
+    # reduceat sums the run from each start to the next; an empty class
+    # has no run and sums to 0
+    full = [c for c, s in enumerate(starts[:-1]) if s < starts[c + 1]]
+    sums = [0j] * (1 << z.g)
+    for c, total in zip(full, np.add.reduceat(
+            terms, [starts[c] for c in full]).tolist()):
+        sums[c] = total
+    return _transform(sums, kp), 2 * terms.size - (kp == 0)
 
 
 def _quad_form(xt: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -573,12 +554,38 @@ def _quad_form(xt: np.ndarray, z: np.ndarray) -> np.ndarray:
     return quad
 
 
+def _transform(sums: list[complex], kp: int) -> list[complex]:
+    """The coset's values at every k'', from the sums H[c] of its half
+    ball's terms by class c.
+
+    The value at k'' is sum_c (-1)^(c . k'') B[c] i^(k' . k''), with B[c]
+    the full ball's sum of class c (module docstring).  Negation maps class
+    c to c xor k' and keeps the term, so B = H + H[. xor k'] less the
+    origin's term 1 at c = 0 for k' = 0, and the sum is 2 W[k''] when
+    k' . k'' is even and 0 when it is odd, W the Walsh-Hadamard transform
+    of H.  W is taken in place by butterflies on bit 0 first, each
+    (a, b) -> (a + b, a - b); doubling and negation are exact."""
+    size = len(sums)
+    step = 1
+    while step < size:
+        for base in range(0, size, 2 * step):
+            for i in range(base, base + step):
+                a, b = sums[i], sums[i + step]
+                sums[i], sums[i + step] = a + b, a - b
+        step *= 2
+    if not kp:
+        return [w + w - 1 for w in sums]
+    return [0j if (turns := (kp & kpp).bit_count()) & 1
+            else -(w + w) if turns & 2 else w + w
+            for kpp, w in enumerate(sums)]
+
+
 @functools.lru_cache(maxsize=1)
 def _lattice(z: SiegelMatrix, eps: float,
              radius_scale: float) -> tuple[float, float, dict]:
     """The radius and tail bound of the last (Z, eps, radius_scale)
     evaluated, with a dict that theta_constant fills by k' with the
-    coset's terms exp(pi i x^T Z x) and its 2x.  Z is keyed by identity
+    coset's values at every k'' and its bound.  Z is keyed by identity
     (SiegelMatrix defines no __eq__), eps and radius_scale by ==.  A new
     key replaces the entry, and a failed _radius stores nothing.  Called
     positionally, so that one key has one form."""
@@ -595,12 +602,14 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
     truncation radius past the certified one (self-consistency checks).
 
     The series is summed at Z - 2 round(Re Z / 2) and turned by a power
-    of i exactly.  The ball points of each (g, k') are cached with their
-    antipodal fold, and _lattice memoizes the radius, tail, terms and
-    summed values of the last (Z, eps, radius_scale): past the key's first
-    k'', a k'' not yet summed sums all 2^g of its coset's k'' in one block
-    when 2^g n <= _BLOCK (module docstring).  Results are bit-identical to
-    building both afresh.
+    of i exactly.  The phase exp(pi i x . k'') is i^(k' . k'') (-1)^(c . k'')
+    with c the class of x, so a coset's values at all 2^g k'' are one
+    Walsh-Hadamard transform of its 2^g class sums over the half ball:
+    exactly 0 where k' . k'' is odd, +-2 W[k''] otherwise, less the
+    origin's term at k' = 0 (module docstring).  The half-ball points of
+    each (g, k') are cached, and _lattice memoizes the radius, tail and
+    each coset's 2^g values and bound for the last (Z, eps,
+    radius_scale), so every call pattern sums a coset once, in one way.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError("eps must be finite and positive")
@@ -610,68 +619,18 @@ def theta_constant(z: SiegelMatrix, k: F2Vector, eps: float,
         raise DomainError("characteristic/matrix g mismatch")
     r, tail, cosets = _lattice(z, eps, radius_scale)
     bits = k.bits
-    kp, kpp = bits & ((1 << z.g) - 1), bits >> z.g
+    kp = bits & ((1 << z.g) - 1)
     coset = cosets.get(kp)
     if coset is None:
-        quad, fold, twice_x = _coset(z, r, kp)
-        # one exp per +-x pair, read at every point through the fold; in
-        # place, with the operands of exp(1j * math.pi * quad).  The terms
-        # are allocated before take copies fold to intp, so that the copy,
-        # freed at once, leaves no hole under the kept terms
-        np.multiply(1j * math.pi, quad, out=quad)
-        terms = np.empty(fold.size, dtype=np.complex128)
-        np.exp(quad, out=quad).take(fold, out=terms)
-        coset = cosets[kp] = (terms, twice_x, {})
-    terms, twice_x, values = coset
-    value = values.get(kpp)
-    if value is None:
-        # a second k'' of the coset, or any k'' once the key has served a
-        # second coset, sums all 2^g of them, within _BLOCK
-        if (values or len(cosets) > 1) and terms.size << z.g <= _BLOCK:
-            values.update(enumerate(
-                _phase_sums(terms, twice_x, 0, (1 << z.g) - 1)))
-            value = values[kpp]
-        else:
-            value = values[kpp] = _phase_sums(terms, twice_x, kpp, 0)[0]
+        values, count = _coset(z, r, kp)
+        coset = cosets[kp] = (values, tail + 1000.0 * _EPS_MACH * count)
+    values, bound = coset
+    value = values[bits >> z.g]
     if z.shift is not None:
         bits = [i for i in range(z.g) if (kp >> i) & 1]
         value = _times_i_power(
             value, sum(z.shift[i][j] for i in bits for j in bits))
-    bound = tail + 1000.0 * _EPS_MACH * terms.shape[0]
     return value, bound
-
-
-def _phase_sums(terms: np.ndarray, twice_x: np.ndarray, kpp: int,
-                span: int) -> list[complex]:
-    """The sums of the coset's terms, each times i^(2x . k''), at k'' =
-    kpp plus each subset of the bits of span (none of them in kpp), row r
-    for the subset that r spells over those bits: kpp alone for span 0,
-    and every k'' in order for kpp 0 and span all g bits.
-
-    exp(pi i x . k'') = i^(2x . k''), and 2x . k'' is an integer sum of the
-    rows k'' picks: each term is multiplied exactly by 1, i, -1 or -i.  The
-    sums wrap modulo 2^8, 2^16 or 2^32 in the dtype of 2x, which keeps
-    their residue mod 4.  A block of rows is built by doubling, row
-    r + 2^j the row r plus the row of the j-th bit of span, and each row
-    gets the elementwise operations of a lone one; numpy reduces a
-    contiguous last axis with the pairwise sum of a 1-D add.reduce, so a
-    value is the same bit for bit in a block and alone.  theta_constant
-    asks for a block (kpp 0, span all g bits) once the key has served a
-    second k'' of one coset or a second coset, and when the block's 2^g n
-    units fit _BLOCK."""
-    turns = np.zeros((1 << span.bit_count(), terms.size),
-                     dtype=twice_x.dtype)
-    rows = 1
-    for i, row in enumerate(twice_x):
-        if (kpp >> i) & 1:
-            turns[:rows] += row
-        elif (span >> i) & 1:
-            np.add(turns[:rows], row, out=turns[rows:2 * rows])
-            rows *= 2
-    turns &= 3
-    units = _QUARTER_TURNS.take(turns)
-    return np.add.reduce(np.multiply(terms, units, out=units),
-                         axis=1).tolist()
 
 
 def _times_i_power(value: complex, power: int) -> complex:

@@ -248,7 +248,12 @@ def criterion_8(seed: int = 0) -> dict:
 
 def criterion_9(seed: int = 0) -> dict:
     """Theta numerics: odd vanishing, block splitting, modulus
-    transformation, double-radius certificates."""
+    transformation, double-radius certificates.
+
+    theta_constant reads an odd characteristic's value as exactly 0.0 by
+    the structure of its sum (the two points of each +-x pair cancel), so
+    worst_odd_modulus is 0.0; the check stays, and would catch a sum that
+    lost that structure."""
     rng = _sub_rng(seed, 9)
     odd = {g: list(odd_characteristics(g)) for g in (1, 2, 3)}
     worst_odd = 0.0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -805,10 +806,9 @@ def _generator_product(level_two, g, rng, steps):
     return m
 
 
-def _reference_theta(z, k, eps, radius_scale=1.0):
-    """theta_constant built from scratch on every call: radius search,
-    meshgrid over the ball, fixed summation order, then the sum of the
-    terms exp(pi i x^T Z x), each times i^(2 x . k'') mod 4."""
+def _reference_radius(z, eps, radius_scale=1.0):
+    """The truncation radius and its tail, searched from scratch with the
+    full tail loop."""
     g = z.g
     lam = z.lambda_min
     r = max(1.0, math.sqrt(max(0.0, -math.log(eps) / (math.pi * lam))))
@@ -819,7 +819,16 @@ def _reference_theta(z, k, eps, radius_scale=1.0):
     if radius_scale > 1.0:
         r *= radius_scale
         tail = thetanum._tail_bound(r, lam, g)
-    kpp = np.array(k.to_list()[g:], dtype=np.int64)
+    return r, tail
+
+
+def _reference_theta(z, k, eps, radius_scale=1.0):
+    """The direct sum, built from scratch on every call: radius search,
+    meshgrid over the ball, fixed summation order, then the sum of the
+    terms exp(pi i x^T Z x), each times i^(2 x . k'') mod 4.  A different
+    summation from theta_constant's, so an oracle within the bound."""
+    r, tail = _reference_radius(z, eps, radius_scale)
+    kpp = np.array(k.to_list()[z.g:], dtype=np.int64)
     x, quad = _reference_coset(z, r, k.first_half)
     turns = (np.rint(2 * x).astype(np.int64) @ kpp) % 4
     units = np.array([1, 1j, -1, -1j])[turns]
@@ -868,6 +877,54 @@ def _reference_coset(z, r, kp):
     return x, quad
 
 
+def _reference_half(z, r, kp):
+    """The half ball of _reference_coset's ball: the y = 2x with y <= -y in
+    lex order (y = 0, or its first nonzero coordinate negative), in class
+    order (by the code sum_j ((y_j >> 1) & 1) 2^j, then lex order), as
+    rows, with their codes and x^T Z x, and the whole ball's count."""
+    x, quad = _reference_coset(z, r, kp)
+    y = np.rint(2 * x).astype(np.int64).reshape(-1, z.g)
+    lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
+    y, quad = y[lead <= 0], quad[lead <= 0]
+    code = sum(((y[:, j] >> 1) & 1) << j for j in range(z.g))
+    order = np.lexsort(tuple(y[:, j] for j in range(z.g - 1, -1, -1))
+                       + (code,))
+    return y[order], code[order], quad[order], x.shape[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _class_values(z, r, kp):
+    """All 2^g values of coset k' by theta_constant's summation, from the
+    meshgrid reference: the half ball's terms in class order, each class's
+    run summed by np.add.reduceat, the Walsh-Hadamard butterflies on bit 0
+    first, then the sign i^(k' . k''), the doubling, and the origin's term
+    taken off at k' = 0; with the whole ball's count."""
+    _y, code, quad, count = _reference_half(z, r, kp)
+    terms = np.exp(1j * math.pi * quad)
+    sums = np.zeros(1 << z.g, dtype=np.complex128)
+    classes, starts = np.unique(code, return_index=True)
+    if classes.size:
+        sums[classes] = np.add.reduceat(terms, starts)
+    for j in range(z.g):
+        pairs = sums.reshape(-1, 2, 1 << j)
+        pairs[:, 0], pairs[:, 1] = (pairs[:, 0] + pairs[:, 1],
+                                    pairs[:, 0] - pairs[:, 1])
+    values = []
+    for kpp, w in enumerate(sums.tolist()):
+        turns = (kp & kpp).bit_count()
+        value = 0j if turns % 2 else -(w + w) if turns % 4 else w + w
+        values.append(value - 1 if kp == 0 else value)
+    return tuple(values), count
+
+
+def _class_theta(z, k, eps, radius_scale=1.0):
+    """theta_constant's value and bound by _class_values, from scratch."""
+    r, tail = _reference_radius(z, eps, radius_scale)
+    values, count = _class_values(z, r, k.first_half)
+    return (values[k.second_half],
+            tail + 1000.0 * thetanum._EPS_MACH * count)
+
+
 def _reference_quad_form(xt, z):
     """x^T Z x for each column x of xt, summed over the upper triangle of Z
     in two real accumulators, one per part, assembled at the end."""
@@ -889,6 +946,13 @@ def _bits(result):
     return struct.pack("<3d", value.real, value.imag, bound)
 
 
+def _assert_within(got, want):
+    """Same bound bit for bit, and values within it of each other."""
+    (value, bound), (want_value, want_bound) = got, want
+    assert struct.pack("<d", bound) == struct.pack("<d", want_bound)
+    assert abs(value - want_value) <= bound
+
+
 def _memo(z, eps, radius_scale=1.0):
     """The memo's (r, tail, cosets) for this key, which must be the one it
     holds: read as a hit, so the entry stays."""
@@ -899,32 +963,31 @@ def _memo(z, eps, radius_scale=1.0):
 
 
 @pytest.fixture
-def phase_sums(monkeypatch):
-    """(rows, points) of every block the phase-sum kernel sums."""
-    blocks = []
-    kernel = thetanum._phase_sums
+def cosets_built(monkeypatch):
+    """(g, k') of every coset theta_constant sums."""
+    built = []
+    coset = thetanum._coset
 
-    def recording(terms, twice_x, kpp, span):
-        sums = kernel(terms, twice_x, kpp, span)
-        blocks.append((len(sums), terms.size))
-        return sums
-    monkeypatch.setattr(thetanum, "_phase_sums", recording)
-    return blocks
+    def recording(z, r, kp):
+        built.append((z.g, kp))
+        return coset(z, r, kp)
+    monkeypatch.setattr(thetanum, "_coset", recording)
+    return built
 
 
 class TestLatticeMemo:
     """theta_constant shares one truncated lattice across the
     characteristics of one (Z, eps, radius_scale); its results must equal
-    the from-scratch reference bit for bit."""
+    a from-scratch build of the same summation bit for bit, and the direct
+    sum within the bound."""
 
     @pytest.mark.parametrize("g, min_im", [(1, 0.5), (2, 0.5), (3, 1.0),
                                            (4, 3.0), (5, 3.0)])
-    def test_bit_identical_to_reference(self, g, min_im, phase_sums):
+    def test_bit_identical_to_reference(self, g, min_im, cosets_built):
         # all 4^g characteristics (64 over eight k' at g = 5) of one Z and
         # of Z + 2S, each from a cold memo in lex order, reversed, a seeded
-        # shuffle and the odd ones alone, so that a value is summed alone
-        # in some orders and in a block in others.  Re Z is dyadic, so that
-        # Z + 2S is exact and is summed at Z itself
+        # shuffle and the odd ones alone.  Re Z is dyadic, so that Z + 2S
+        # is exact and is summed at Z itself
         rng = random.Random(60 + g)
         z = random_siegel(g, rng, min_im=min_im).z
         z = SiegelMatrix(np.round(z.real * 1024) / 1024 + 1j * z.imag)
@@ -945,11 +1008,15 @@ class TestLatticeMemo:
                   [k for k in chars if parity(k)])
         for eps in (1e-8, 1e-10, 1e-12):
             for scale in (1.0, 2.0):
-                want = {k: _reference_theta(z, k, eps, radius_scale=scale)
+                want = {k: _class_theta(z, k, eps, radius_scale=scale)
                         for k in chars}
+                for k in chars:
+                    _assert_within(want[k], _reference_theta(
+                        z, k, eps, radius_scale=scale))
                 for order in orders:
                     for at, power in ((z, 0), (shifted, 1)):
                         thetanum._lattice.cache_clear()
+                        cosets_built.clear()
                         for k in order:
                             got = theta_constant(at, k, eps,
                                                  radius_scale=scale)
@@ -960,10 +1027,10 @@ class TestLatticeMemo:
                                 power * sum(s[i][j] for i in kp for j in kp))
                             assert _bits(got) == _bits((turned, bound)), \
                                 (eps, scale, k, power)
-        rows = [rows for rows, _n in phase_sums]
-        assert 1 in rows and 1 << g in rows
-        assert all(rows == 1 or rows * n <= thetanum._BLOCK
-                   for rows, n in phase_sums)
+                        # each coset once, on its first characteristic
+                        firsts = list(dict.fromkeys(
+                            k.first_half for k in order))
+                        assert cosets_built == [(g, kp) for kp in firsts]
 
     @pytest.mark.parametrize("eps", [1e-8, 1e-12])
     def test_bit_identical_to_reference_g5(self, eps):
@@ -972,16 +1039,19 @@ class TestLatticeMemo:
         z = random_siegel(5, rng, min_im=0.1)
         for kp in range(32):
             k = F2Vector(5, kp | rng.randrange(32) << 5)
-            assert _bits(theta_constant(z, k, eps)) == \
-                _bits(_reference_theta(z, k, eps)), (eps, k)
+            got = theta_constant(z, k, eps)
+            assert _bits(got) == _bits(_class_theta(z, k, eps)), (eps, k)
+            _assert_within(got, _reference_theta(z, k, eps))
 
+    @pytest.mark.usefixtures("cold_cache")
     def test_wide_lattice_coordinates(self):
         # lambda_min = 1e-3 puts |2x| past int8 (radius about 94)
         z = SiegelMatrix([[0.3 + 1e-3j]])
         for k in all_characteristics(1):
-            assert _bits(theta_constant(z, k, 1e-12)) == \
-                _bits(_reference_theta(z, k, 1e-12))
-        assert _memo(z, 1e-12)[2][0][1].dtype == np.int16
+            got = theta_constant(z, k, 1e-12)
+            assert _bits(got) == _bits(_class_theta(z, k, 1e-12))
+            _assert_within(got, _reference_theta(z, k, 1e-12))
+        assert thetanum._BALLS[1, 0].half.dtype == np.int16
 
     def test_interleaved_matrices_and_eps(self):
         rng = random.Random(70)
@@ -992,12 +1062,12 @@ class TestLatticeMemo:
                        (za, 1e-8), (za, 1e-12), (za, 1e-8)):
             for k in chars:
                 assert _bits(theta_constant(z, k, eps)) == \
-                    _bits(_reference_theta(z, k, eps))
+                    _bits(_class_theta(z, k, eps))
         # alternating matrices call by call
         for k in chars:
             for z in (za, zb):
                 assert _bits(theta_constant(z, k, 1e-10)) == \
-                    _bits(_reference_theta(z, k, 1e-10))
+                    _bits(_class_theta(z, k, 1e-10))
 
     def test_cosets_built_lazily_for_one_matrix(self, monkeypatch):
         built = []
@@ -1043,7 +1113,7 @@ class TestLatticeMemo:
             thetanum._BALLS.clear()
             cold.append(_bits(theta_constant(z, *call)))
         assert warm == cold
-        assert warm == [_bits(_reference_theta(z, *call)) for call in calls]
+        assert warm == [_bits(_class_theta(z, *call)) for call in calls]
         assert _bits(theta_constant(z, F2Vector(3, 5), 1e-12, 2.0)) == \
             _bits(theta_constant(z, F2Vector(3, 5), 1e-12, 2))
         assert thetanum._lattice.cache_info().currsize == 1
@@ -1169,7 +1239,8 @@ class TestLatticeMemo:
         # ball-volume bound is 2.8e6, and the ball holds 589,307 points
         z = SiegelMatrix(0.5j * np.eye(7))
         value, bound = theta_constant(z, F2Vector(7, 0), 1e-8)
-        assert _memo(z, 1e-8)[2][0][0].size == 589_307
+        _r, tail, cosets = _memo(z, 1e-8)
+        assert cosets[0][1] == tail + 1000.0 * thetanum._EPS_MACH * 589_307
         # Im Z = I/2 splits into seven genus-1 factors
         one, one_bound = theta_constant(SiegelMatrix([[0.5j]]),
                                         F2Vector(1, 0), 1e-14)
@@ -1179,7 +1250,7 @@ class TestLatticeMemo:
         rng = random.Random(73)
         zs = [random_siegel(2, rng) for _ in range(3)]
         chars = list(all_characteristics(2))
-        want = {(i, k.bits): _bits(_reference_theta(z, k, 1e-10))
+        want = {(i, k.bits): _bits(_class_theta(z, k, 1e-10))
                 for i, z in enumerate(zs) for k in chars}
         bad = []
 
@@ -1206,101 +1277,115 @@ class TestLatticeMemo:
 
 
 class TestBlockSums:
-    """A coset keeps the values it has summed by k''.  The first k'' of
-    the key's first coset is summed alone; a second k'' of a coset, or any
-    k'' once the key has served a second coset, sums all 2^g of them in
-    one block when the block's 2^g n units fit _BLOCK (n the coset's
-    points), and one row otherwise."""
+    """A coset's 2^g values are summed as one block: one row of 2^g class
+    sums over its half ball, one Walsh-Hadamard transform, on the first
+    call at the key that asks for the coset, and read from the memo by
+    every later call."""
 
-    def test_second_k2_sums_every_k2_once(self, phase_sums):
-        # lex order: the first eight calls are the eight cosets' first k''.
-        # Only the first coset sums one row; the other seven come after a
-        # second coset of the key and each sum a block, and the first
-        # coset's block comes with its second k''
+    def test_second_k2_sums_every_k2_once(self, cosets_built):
+        # lex order: the first eight calls are the eight cosets' first k''
+        # and sum each coset; the other 56 read the memo
         z = random_siegel(3, random.Random(180))
         got = [_bits(theta_constant(z, k, 1e-10))
                for k in all_characteristics(3)]
+        assert cosets_built == [(3, kp) for kp in range(8)]
         cosets = _memo(z, 1e-10)[2]
-        points = [cosets[kp][0].size for kp in range(8)]
-        assert phase_sums == [(1, points[0])] + \
-            [(8, n) for n in points[1:]] + [(8, points[0])]
-        assert all(sorted(cosets[kp][2]) == list(range(8))
-                   for kp in range(8))
+        assert all(len(cosets[kp][0]) == 8 for kp in range(8))
         assert got == [_bits(theta_constant(z, k, 1e-10))
                        for k in all_characteristics(3)]
-        assert len(phase_sums) == 9
+        assert len(cosets_built) == 8
+        assert got == [_bits(_class_theta(z, k, 1e-10))
+                       for k in all_characteristics(3)]
 
-    def test_one_call_per_fresh_matrix_sums_one_row(self, phase_sums):
+    def test_one_call_per_fresh_matrix_sums_one_row(self, cosets_built):
         rng = random.Random(181)
         for g in (1, 2, 3, 4):
             for _ in range(10):
-                theta_constant(random_siegel(g, rng),
-                               F2Vector(g, rng.randrange(4 ** g)), 1e-10)
-        assert [rows for rows, _n in phase_sums] == [1] * 40
+                z = random_siegel(g, rng)
+                k = F2Vector(g, rng.randrange(4 ** g))
+                assert _bits(theta_constant(z, k, 1e-10)) == \
+                    _bits(_class_theta(z, k, 1e-10))
+        assert [g for g, _kp in cosets_built] == [1] * 10 + [2] * 10 + \
+            [3] * 10 + [4] * 10
 
-    def test_genus_5_sample_sums_single_rows(self, phase_sums):
+    def test_genus_5_sample_sums_single_rows(self, cosets_built):
         # eight characteristics with k' weights 0, 1, 1, 2, 3, 4, 4, 5 at
-        # lambda_min = 0.6, two k' asked twice: 32 n is past the block
+        # lambda_min = 0.6, two k' asked twice: six cosets per key
         rng = random.Random(182)
         z = SiegelMatrix(random_siegel(5, rng).z.real + 0.6j * np.eye(5))
-        chars = [F2Vector(5, kp | kpp << 5) for kp, kpp in zip(
-            (0, 1, 1, 3, 7, 15, 15, 31), rng.sample(range(32), 8))]
+        kps = (0, 1, 1, 3, 7, 15, 15, 31)
+        chars = [F2Vector(5, kp | kpp << 5)
+                 for kp, kpp in zip(kps, rng.sample(range(32), 8))]
         for eps in (1e-8, 1e-10, 1e-12):
             for k in chars:
-                assert _bits(theta_constant(z, k, eps)) == \
-                    _bits(_reference_theta(z, k, eps)), (eps, k)
-            assert len(_memo(z, eps)[2][15][2]) == 2
-        assert len(phase_sums) == 24
-        assert all(rows == 1 and n << 5 > thetanum._BLOCK
-                   for rows, n in phase_sums)
+                got = theta_constant(z, k, eps)
+                assert _bits(got) == _bits(_class_theta(z, k, eps)), (eps, k)
+                _assert_within(got, _reference_theta(z, k, eps))
+            assert sorted(_memo(z, eps)[2]) == sorted(set(kps))
+        assert cosets_built == [(5, kp) for kp in dict.fromkeys(kps)] * 3
 
-    @pytest.mark.parametrize("over", [0, 1])
-    def test_block_budget_edge(self, phase_sums, monkeypatch, over):
-        # at 2^g n = _BLOCK the second k'' sums the block; one unit past
-        # it, every k'' is summed alone
-        z = random_siegel(2, random.Random(183))
-        chars = [F2Vector(2, 0b10 | kpp << 2) for kpp in (1, 0, 3, 2, 1)]
-        theta_constant(z, chars[0], 1e-10)
-        n = phase_sums[0][1]
-        monkeypatch.setattr(thetanum, "_BLOCK", (n << 2) - over)
-        for k in chars:
-            assert _bits(theta_constant(z, k, 1e-10)) == \
-                _bits(_reference_theta(z, k, 1e-10)), k
-        assert phase_sums == ([(1, n)] * 4 if over else [(1, n), (4, n)])
+    @pytest.mark.parametrize("g", [6, 7, 8])
+    def test_empty_classes_read_zero(self, g):
+        # at r = 1 most classes of a coset hold no point, and the all-odd
+        # coset at g = 8 holds none at all (|2x|^2 = 8 > 4): its values are
+        # 0 and its bound is the tail alone
+        z = random_siegel(g, random.Random(190 + g))
+        r = 1.0
+        for kp in (0, 1, (1 << g) - 1):
+            half, starts = thetanum._half_ball(g, kp, r)
+            assert starts[0] == 0 and starts[-1] == half.shape[1]
+            empty = sum(a == b for a, b in zip(starts, starts[1:]))
+            assert empty > 0
+            values, count = thetanum._coset(z, r, kp)
+            want, want_count = _class_values(z, r, kp)
+            assert count == want_count
+            assert [struct.pack("<2d", v.real, v.imag) for v in values] == \
+                [struct.pack("<2d", v.real, v.imag) for v in want]
+        if g == 8:
+            assert thetanum._coset(z, r, 0xFF) == ([0j] * 256, 0)
 
 
 class TestSharedTerms:
-    """The memo keeps each coset's terms exp(pi i x^T Z x); a
-    characteristic multiplies them by powers of i and sums them."""
+    """The terms exp(pi i x^T Z x) of a coset's half ball are computed once
+    and summed by class; the memo keeps the coset's 2^g values."""
 
-    def test_terms_are_the_cosets_exponentials_built_once(self):
+    def test_terms_are_the_cosets_exponentials_built_once(self, monkeypatch):
+        seen = []
+        transform = thetanum._transform
+
+        def recording(sums, kp):
+            seen.append((list(sums), kp))
+            return transform(sums, kp)
+        monkeypatch.setattr(thetanum, "_transform", recording)
         z = random_siegel(3, random.Random(75))
         theta_constant(z, F2Vector(3, 0b000_101), 1e-10)
-        memo = _memo(z, 1e-10)
-        r, _tail, cosets = memo
-        terms, twice_x, values = cosets[0b101]
-        assert list(values) == [0b000]
-        quad, fold, want_twice_x = thetanum._coset(z, r, 0b101)
-        assert terms.tobytes() == np.exp(1j * math.pi * quad)[fold].tobytes()
-        assert twice_x.tobytes() == want_twice_x.tobytes()
-        # one exp per +-x pair gives the exp of every point, bit for bit
-        want_quad = _reference_coset(z, r, 0b101)[1]
-        assert terms.tobytes() == \
-            np.exp(1j * math.pi * want_quad).tobytes()
-        # the other seven k'' of that k' reuse the same arrays, and the
-        # second one sums all eight in one block
+        r, _tail, cosets = _memo(z, 1e-10)
+        values, _bound = cosets[0b101]
+        # the class sums of the half ball's terms, one exp per +-x pair,
+        # each class's run in class order summed by reduceat
+        _y, code, quad, _count = _reference_half(z, r, 0b101)
+        terms = np.exp(1j * math.pi * quad)
+        classes, starts = np.unique(code, return_index=True)
+        want = [0j] * 8
+        for c, total in zip(classes.tolist(),
+                            np.add.reduceat(terms, starts).tolist()):
+            want[c] = total
+        assert [struct.pack("<2d", v.real, v.imag) for v in seen[0][0]] == \
+            [struct.pack("<2d", v.real, v.imag) for v in want]
+        assert seen[0][1] == 0b101
+        assert tuple(values) == _class_values(z, r, 0b101)[0]
+        # the other seven k'' of that k' read the same values
         for kpp in range(8):
-            theta_constant(z, F2Vector(3, 0b101 | kpp << 3), 1e-10)
-            assert cosets[0b101][0] is terms
-            assert cosets[0b101][2] is values
-            assert sorted(values) == ([0] if kpp == 0 else list(range(8)))
-        assert _memo(z, 1e-10) is memo and list(cosets) == [0b101]
+            value, _ = theta_constant(z, F2Vector(3, 0b101 | kpp << 3), 1e-10)
+            assert cosets[0b101][0] is values
+            assert value == values[kpp]
+        assert len(seen) == 1 and list(cosets) == [0b101]
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_direct_phase_within_the_rounding_allowance(self, g):
-        # moving the phase out of the exponential changes only rounding:
-        # k'' = 0 is bit for bit the direct sum, and every other value is
-        # within a small part of the rounding allowance of it
+        # summing by class and transforming changes only rounding: every
+        # value is within a small part of the rounding allowance of the
+        # direct sum with the phase inside the exponential
         rng = random.Random(80 + g)
         z = random_siegel(g, rng, min_im=0.5)
         for eps in (1e-8, 1e-12):
@@ -1308,29 +1393,27 @@ class TestSharedTerms:
                 value, bound = theta_constant(z, k, eps)
                 want, want_bound = _direct_phase_theta(z, k, eps)
                 assert bound == want_bound
-                if k.second_half == 0:
-                    assert _bits((value, bound)) == _bits((want, want_bound))
                 allowance = bound - thetanum._radius(z, eps, 1.0)[1]
                 assert abs(value - want) <= allowance / 100, (eps, k)
 
 
 class TestCosetEnumeration:
-    """_coset against the meshgrid reference, byte for byte, at radii
+    """_half_ball against the meshgrid reference, byte for byte, at radii
     where lattice points sit on the sphere or just outside it, within the
-    1e-12 slack; the full x^T Z x is the half one read through the fold."""
+    1e-12 slack: one point of each +-x pair, in class order."""
 
     @staticmethod
     def _assert_same(z, r):
-        dtype = np.min_scalar_type(-2 * math.ceil(r) - 1)
         for kp in range(1 << z.g):
-            quad, fold, twice_x = thetanum._coset(z, r, kp)
-            x, want_quad = _reference_coset(z, r, kp)
-            assert quad[fold].tobytes() == want_quad.tobytes(), kp
-            assert quad.size <= -(-x.shape[0] // 2) + 1
-            assert twice_x.dtype == dtype
-            assert twice_x.shape == (z.g, x.shape[0])
-            assert twice_x.tobytes() == \
-                (2 * x).T.astype(dtype, order="C").tobytes(), kp
+            half, starts = thetanum._half_ball(z.g, kp, r)
+            y, code, _quad, count = _reference_half(z, r, kp)
+            assert half.dtype == thetanum._BALLS[z.g, kp].half.dtype
+            assert half.shape == (z.g, len(y))
+            assert half.tobytes() == \
+                y.T.astype(half.dtype, order="C").tobytes(), kp
+            assert starts == np.searchsorted(
+                code, np.arange((1 << z.g) + 1)).tolist()
+            assert count == 2 * len(y) - (kp == 0)
 
     @pytest.mark.parametrize("g, r, kp, point, kept", [
         (1, 1.5, 1, [1.5], True),
@@ -1344,7 +1427,9 @@ class TestCosetEnumeration:
         z = random_siegel(g, random.Random(80 + g))
         self._assert_same(z, r)
         twice = np.array(point) * 2
-        found = (thetanum._coset(z, r, kp)[2].T == twice).all(axis=1).any()
+        points = thetanum._half_ball(g, kp, r)[0].T
+        # the half ball holds the point or its mirror
+        found = ((points == twice) | (points == -twice)).all(axis=1).any()
         assert found == kept
 
     @pytest.mark.parametrize("g", [1, 2, 3, 5])
@@ -1353,16 +1438,16 @@ class TestCosetEnumeration:
         # a few roundings of sum_jk |x_j Z_jk x_k|
         z = random_siegel(g, random.Random(90 + g), min_im=0.3)
         r = thetanum._radius(z, 1e-10, 1.0)[0]
-        half_quad, fold, twice_x = thetanum._coset(z, r, (1 << g) - 2)
-        quad = half_quad[fold]
-        x = twice_x.T / 2
+        half, _starts = thetanum._half_ball(g, (1 << g) - 2, r)
+        quad = thetanum._quad_form(half * 0.5, z.z)
+        x = half.T / 2
         want = np.einsum("ij,jk,ik->i", x, z.z, x)
         scale = np.einsum("ij,jk,ik->i", np.abs(x), np.abs(z.z), np.abs(x))
         assert np.all(np.abs(quad - want)
                       <= 4 * g * g * thetanum._EPS_MACH * scale)
         # a point's value does not depend on the array it sits in
         for i in (0, len(quad) // 2, len(quad) - 1):
-            alone = thetanum._quad_form(twice_x[:, i:i + 1] / 2, z.z)
+            alone = thetanum._quad_form(half[:, i:i + 1] / 2, z.z)
             assert alone.tobytes() == quad[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
@@ -1394,13 +1479,14 @@ class TestCosetEnumeration:
         z = random_siegel(g, random.Random(90 + g))
         self._assert_same(z, 1.0)
         if g == 8:
-            assert thetanum._coset(z, 1.0, 0xFF)[0].shape == (0,)
+            assert thetanum._half_ball(g, 0xFF, 1.0)[0].shape == (8, 0)
 
+    @pytest.mark.usefixtures("cold_cache")
     def test_int16_coordinates(self):
         z = SiegelMatrix([[0.3 + 1e-3j]])
         r, _tail = thetanum._radius(z, 1e-12, 1.0)
-        assert np.min_scalar_type(-2 * math.ceil(r) - 1) == np.int16
         self._assert_same(z, r)
+        assert thetanum._BALLS[1, 0].half.dtype == np.int16
 
 
 @pytest.fixture
@@ -1415,14 +1501,15 @@ def cold_cache(monkeypatch):
 
 @pytest.mark.usefixtures("cold_cache")
 class TestBallCache:
-    """_BALLS keeps the largest ball of each (g, k') asked for; every radius
-    reads its coset as a prefix, equal to a fresh build byte for byte."""
+    """_BALLS keeps the largest half ball of each (g, k') asked for; every
+    radius reads its points from it, equal to a fresh build byte for
+    byte."""
 
     @pytest.mark.parametrize("g, radii", [
         # radii just inside points, which the 1e-12 slack keeps
         (1, (9.0, 1.5 - 1e-14, 1.5, 2.5, 1.5 - 1e-14)),
-        # the 2x dtype turns from int8 to int16 past ceil(r) = 63, and the
-        # cached ball's dtype past isqrt(nmax) = 127
+        # the cached ball's dtype turns from int8 to int16 past
+        # isqrt(nmax) = 127
         (1, (70.0, 63.0, 63.5, 63.4, 64.0, 62.9, 64.0)),
         (2, (64.0, 62.5, 63.2, 63.5, 3.0)),
         (2, (2.5, 3.0, 63.1, 64.0, 2.5)),
@@ -1445,36 +1532,44 @@ class TestBallCache:
         (5, (0.25, 1.0, 1.5, 2.0)),
     ])
     def test_shells_are_those_of_np_unique(self, g, radii):
+        # the half ball meets every shell of the ball, and keeps each
+        # point's norm and class code in their smallest dtypes
         z = random_siegel(g, random.Random(140 + g), min_im=0.5)
         for r in radii:
             for kp in range(1 << g):
-                thetanum._coset(z, r, kp)
+                thetanum._half_ball(g, kp, r)
                 ball = thetanum._BALLS[g, kp]
-                norm = (ball.twice_x.astype(np.int64) ** 2).sum(axis=0)
-                norms, counts = np.unique(norm, return_counts=True)
-                assert ball.norms.dtype == np.min_scalar_type(ball.nmax)
-                assert ball.norms.tolist() == norms.tolist()
-                assert ball.ends.dtype == np.min_scalar_type(norm.size)
-                assert ball.ends.tolist() == [0, *np.cumsum(counts).tolist()]
+                y = ball.half.astype(np.int64)
+                norm = (y ** 2).sum(axis=0)
+                x, _quad = _reference_coset(z, math.sqrt(ball.nmax / 4), kp)
+                full = np.rint((2 * x) ** 2).astype(np.int64).sum(axis=1)
+                assert np.unique(norm).tolist() == np.unique(full).tolist()
+                assert ball.norm.dtype == np.min_scalar_type(ball.nmax)
+                assert ball.norm.tolist() == norm.tolist()
+                code = sum(((y[j] >> 1) & 1) << j for j in range(g))
+                assert ball.code.dtype == np.min_scalar_type((1 << g) - 1)
+                assert ball.code.tolist() == np.asarray(code).tolist()
+                assert np.all(np.diff(ball.code.astype(np.int64)) >= 0)
 
     def test_point_in_the_slack_kept_in_a_warm_ball(self):
-        # x = 3/2 lies past r = 1.5 - 1e-14 but within the 1e-12 slack
-        z = random_siegel(1, random.Random(81))
-        thetanum._coset(z, 9.0, 1)
+        # x = -3/2 lies past r = 1.5 - 1e-14 but within the 1e-12 slack;
+        # the half ball keeps -3/2 (class 0) and -1/2 (class 1)
+        thetanum._half_ball(1, 1, 9.0)
         for r in (1.5 - 1e-14, 1.5):
-            assert thetanum._coset(z, r, 1)[2].tolist() == [[-1, 1, -3, 3]]
-        assert thetanum._coset(z, 1.4, 1)[2].tolist() == [[-1, 1]]
+            assert thetanum._half_ball(1, 1, r)[0].tolist() == [[-3, -1]]
+        assert thetanum._half_ball(1, 1, 1.4)[0].tolist() == [[-1]]
 
     def test_coset_shares_the_cached_points(self):
-        z = random_siegel(2, random.Random(82))
-        _quad, fold, twice_x = thetanum._coset(z, 3.0, 0b01)
+        half, _starts = thetanum._half_ball(2, 0b01, 3.0)
         ball = thetanum._BALLS[2, 0b01]
-        assert np.shares_memory(twice_x, ball.twice_x)
-        assert np.shares_memory(fold, ball.fold)
-        assert thetanum._coset(z, 2.0, 0b01)[2].base is ball.twice_x
-        # the norms are held once per value, not per point
-        assert ball.norms.size < ball.twice_x.shape[1]
-        assert ball.ends.size == ball.norms.size + 1
+        assert half is ball.half
+        smaller, _starts = thetanum._half_ball(2, 0b01, 2.0)
+        assert not np.shares_memory(smaller, ball.half)
+        assert smaller.shape[1] < half.shape[1]
+        # the cache holds one point of each +-x pair
+        x, _quad = _reference_coset(random_siegel(2, random.Random(82)),
+                                    3.0, 0b01)
+        assert 2 * half.shape[1] == x.shape[0]
 
     @pytest.mark.parametrize("g, min_im", [(1, 0.5), (2, 0.5), (3, 1.0)])
     def test_theta_cold_and_warm_bit_identical(self, g, min_im):
@@ -1496,7 +1591,7 @@ class TestBallCache:
                     runs[-1].extend(_bits(theta_constant(z, k, eps, scale))
                                     for k in chars)
         assert runs[0] == runs[1]
-        assert runs[0][:len(chars)] == [_bits(_reference_theta(z, k, 1e-8))
+        assert runs[0][:len(chars)] == [_bits(_class_theta(z, k, 1e-8))
                                         for k in chars]
 
     def test_term_cap_refusal_leaves_the_cache_alone(self):
@@ -1515,7 +1610,7 @@ class TestBallCache:
 
     def test_tiny_imaginary_part_genus_one(self):
         # r is about 1.8e6 and nmax about 1.3e13: a table indexed by the
-        # norm would not fit in memory, the ball holds 3.6e6 points
+        # norm would not fit in memory, the half ball holds 1.8e6 points
         z = SiegelMatrix([[1e-10j]])
         value, bound = theta_constant(z, F2Vector(1, 0), 1e-8)
         # theta(0, it) = t^(-1/2) theta(0, i/t), and theta(0, i/t) = 1
@@ -1523,30 +1618,31 @@ class TestBallCache:
         assert abs(value - 1e5) <= bound
         ball = thetanum._BALLS[1, 0]
         assert ball.nmax > 10 ** 13
-        assert ball.norms.size <= ball.twice_x.shape[1] < 4_000_000
+        assert ball.norm.dtype == np.uint64
+        assert ball.half.shape[1] < 2_000_000
 
 
-def _assert_antipodal(twice_x, fold):
-    """Each shell of one norm in twice_x reads the same negated and
-    reversed, and fold numbers the first half of each shell in order and
-    sends each point of the second half to its mirror in the first."""
-    norm = (twice_x.astype(np.int64) ** 2).sum(axis=0)
-    assert np.all(np.diff(norm) >= 0)
+def _assert_half_of_each_shell(z, r, kp, half):
+    """The reference ball's shells of one norm read the same negated and
+    reversed, and half holds the first half of each shell (the mirror of
+    the second half), one point per +-x pair."""
+    x, _quad = _reference_coset(z, r, kp)
+    y = np.rint(2 * x).astype(np.int64).reshape(-1, z.g)
+    norm = (y ** 2).sum(axis=1)
     starts = np.flatnonzero(np.diff(norm, prepend=-1)).tolist()
-    want, number = [], 0
+    first = set()
     for s, e in zip(starts, starts[1:] + [norm.size]):
-        shell = twice_x[:, s:e]
-        assert np.array_equal(shell[:, ::-1], -shell)
-        want.extend(number + min(p, e - s - 1 - p) for p in range(e - s))
-        number += (e - s + 1) // 2
-    assert fold.tolist() == want
+        shell = y[s:e]
+        assert np.array_equal(shell[::-1], -shell)
+        first.update(map(tuple, shell[:(e - s + 1) // 2].tolist()))
+    assert sorted(map(tuple, half.T.tolist())) == sorted(first)
 
 
 @pytest.mark.usefixtures("cold_cache")
 class TestAntipodalFold:
-    """Each coset is folded onto the first half of each shell of one norm:
-    x^T Z x and exp are computed there, and the fold reads them at every
-    point, bit for bit as a term per point."""
+    """Each coset is folded onto one point of each +-x pair, the first half
+    of each shell of one norm: x^T Z x and exp are computed there, and the
+    transform counts each term for both points of its pair."""
 
     @pytest.mark.parametrize("g, radii", [
         # growing, then shrinking to just inside points at x_i = 3/2 or
@@ -1562,15 +1658,11 @@ class TestAntipodalFold:
         z = random_siegel(g, random.Random(120 + g), min_im=0.5)
         for r in radii:
             for kp in range(1 << g):
-                quad, fold, twice_x = thetanum._coset(z, r, kp)
-                ball = thetanum._BALLS[g, kp]
-                _assert_antipodal(ball.twice_x, ball.fold)
-                assert ball.fold.dtype == \
-                    np.min_scalar_type(ball.twice_x.shape[1])
-                _assert_antipodal(twice_x, fold)
-                assert quad.size == (fold.max() + 1 if fold.size else 0)
-                want_quad = _reference_coset(z, r, kp)[1]
-                assert quad[fold].tobytes() == want_quad.tobytes()
+                half, _starts = thetanum._half_ball(g, kp, r)
+                _assert_half_of_each_shell(z, r, kp, half)
+                values, count = thetanum._coset(z, r, kp)
+                assert count == 2 * half.shape[1] - (kp == 0)
+                assert tuple(values) == _class_values(z, r, kp)[0]
 
     @pytest.mark.parametrize("g, radii", [
         (1, (9.0, 0.25, 1.0, 1.5 - 1e-14, 4.5)),
@@ -1579,7 +1671,9 @@ class TestAntipodalFold:
         (4, (2.5, 0.25, 1.0, 1.5, 2.0)),
     ])
     def test_half_ball_is_the_fold_step_points(self, g, radii, monkeypatch):
-        # the ball of the largest radius is cut at each smaller one
+        # x^T Z x is asked for at the fold's step points, the first point
+        # of each +-x pair, in class order; the ball of the largest radius
+        # is cut at each smaller one
         seen = []
         quad_form = thetanum._quad_form
 
@@ -1591,15 +1685,11 @@ class TestAntipodalFold:
         for r in radii:
             for kp in range(1 << g):
                 seen.clear()
-                _quad, fold, _twice_x = thetanum._coset(z, r, kp)
+                thetanum._coset(z, r, kp)
                 ball = thetanum._BALLS[g, kp]
                 assert ball.nmax == math.floor(4 * (radii[0] ** 2 + 1e-12))
-                first = np.empty(fold.size, dtype=bool)
-                first[:1] = True
-                np.greater(fold[1:], fold[:-1], out=first[1:])
-                want = ball.twice_x[:, :fold.size].compress(first, axis=1)
-                assert ball.half.dtype == ball.twice_x.dtype
-                assert seen[0].tobytes() == (want / 2).tobytes()
+                y = _reference_half(z, r, kp)[0]
+                assert seen[0].tobytes() == (y.T / 2).tobytes()
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_quad_form_sees_half_of_each_coset(self, g, monkeypatch):
@@ -1611,22 +1701,66 @@ class TestAntipodalFold:
             return quad_form(xt, z)
         monkeypatch.setattr(thetanum, "_quad_form", counting)
         z = random_siegel(g, random.Random(130 + g), min_im=0.5)
+        r = thetanum._radius(z, 1e-10, 1.0)[0]
         for kp in range(1 << g):
             columns.clear()
             theta_constant(z, F2Vector(g, kp), 1e-10)
-            n = _memo(z, 1e-10)[2][kp][0].size
-            assert len(columns) == 1 and columns[0] <= -(-n // 2) + 1
+            n = _reference_coset(z, r, kp)[0].shape[0]
+            assert columns == [(n + 1) // 2]
 
     def test_phase_sum_past_int8(self):
-        # r is about 55: each |2x_i| fits int8, but 2x_1 + 2x_2 does not,
-        # and wraps mod 2^8 in the phase sum
+        # r is about 55: each |2x_i| fits int8, but 2x_1 + 2x_2, the phase
+        # exponent at k'' = 11, does not; the class code reads bit 1 of each
+        # coordinate alone, negative ones included
         z = SiegelMatrix([[0.25 + 0.003j, 0.125], [0.125, -0.5 + 0.003j]])
         for k in all_characteristics(2):
-            assert _bits(theta_constant(z, k, 1e-8)) == \
-                _bits(_reference_theta(z, k, 1e-8)), k
-        twice_x = _memo(z, 1e-8)[2][0][1]
-        assert twice_x.dtype == np.int8
-        assert np.abs(twice_x.astype(np.int64).sum(axis=0)).max() > 128
+            got = theta_constant(z, k, 1e-8)
+            assert _bits(got) == _bits(_class_theta(z, k, 1e-8)), k
+            _assert_within(got, _reference_theta(z, k, 1e-8))
+        half = thetanum._BALLS[2, 0].half
+        assert half.dtype == np.int8
+        assert np.abs(half.astype(np.int64).sum(axis=0)).max() > 128
+
+
+@pytest.mark.usefixtures("cold_cache")
+class TestCallOrder:
+    """A coset is summed in one way, so every call pattern gives the same
+    bits: alone, in a sweep, in reversed order, with a cold or a warm ball
+    cache."""
+
+    @pytest.mark.parametrize("g, min_im", [(1, 0.4), (2, 0.5), (3, 0.7),
+                                           (4, 1.5)])
+    def test_every_call_pattern_gives_the_same_bits(self, g, min_im):
+        rng = random.Random(200 + g)
+        z = random_siegel(g, rng, min_im=min_im)
+        chars = list(all_characteristics(g))
+        for eps in (1e-8, 1e-12):
+            alone = []
+            for k in chars:
+                thetanum._lattice.cache_clear()
+                thetanum._BALLS.clear()
+                alone.append(_bits(theta_constant(z, k, eps)))
+            thetanum._lattice.cache_clear()
+            sweep = [_bits(theta_constant(z, k, eps)) for k in chars]
+            # warm balls of a larger radius, then the sweep reversed
+            for kp in range(1 << g):
+                theta_constant(z, F2Vector(g, kp), eps, radius_scale=2.5)
+            thetanum._lattice.cache_clear()
+            backwards = [_bits(theta_constant(z, k, eps))
+                         for k in chars[::-1]][::-1]
+            assert alone == sweep == backwards
+            assert alone == [_bits(_class_theta(z, k, eps)) for k in chars]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_odd_characteristics_are_exactly_zero(self, g):
+        # at Re Z in [-1, 1] and past it, where the value is turned
+        rng = random.Random(210 + g)
+        for z in (random_siegel(g, rng, min_im=0.3),
+                  SiegelMatrix(random_siegel(g, rng).z + 6)):
+            for eps in (1e-8, 1e-12):
+                for k in odd_characteristics(g):
+                    value, bound = theta_constant(z, k, eps)
+                    assert value == 0 and bound > 0, (z.z, k)
 
 
 def _quarter_turns(value, power):
@@ -1684,7 +1818,7 @@ class TestRealPartShift:
         assert z.shift is None and z.reduced is z.z
         for k in all_characteristics(g):
             assert _bits(theta_constant(z, k, 1e-10)) == \
-                _bits(_reference_theta(z, k, 1e-10))
+                _bits(_class_theta(z, k, 1e-10))
 
 
 class TestCriterion9Calls:
